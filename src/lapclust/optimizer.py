@@ -32,6 +32,7 @@ from .affinity import SparseAffinity, laplacian_quadratic
 from .errors import DataError
 from .io import validate_features
 from .prototypes import (
+    CenteredFeatures,
     ModeSolverConfig,
     Prototypes,
     RULE_MEANS,
@@ -190,10 +191,14 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
     update is synchronous and order-independent. Returns
     (SoftAssignment, n_inner_iters, warnings).
     """
+    return _s_block(W, prototype_scores(X, M, cfg.rule, cfg.sigma2), S, cfg)
+
+
+def _s_block(W, a, S, cfg):
+    """s_block from the prototype scores a of the current prototypes."""
     free = ~S.clamped
     if not free.any():
         return S, 0, []
-    a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
     rows = S.rows
     warnings = []
     if cfg.lam == 0.0:
@@ -241,7 +246,12 @@ def _pairwise_relaxed(W, rows, lam):
 def relaxed_objective(X, W: SparseAffinity, S, M: Prototypes, cfg: SolverConfig) -> float:
     """R(S, M): prototype term + concave Laplacian surrogate + entropy barrier."""
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    return _prototype_term(X, rows, M, cfg) + _pairwise_relaxed(W, rows, cfg.lam) + _entropy(rows)
+    return _relaxed(W, rows, prototype_scores(X, M, cfg.rule, cfg.sigma2), cfg.lam)
+
+
+def _relaxed(W, rows, a, lam):
+    """R from the prototype scores a of M."""
+    return -float(np.sum(rows * a)) + _pairwise_relaxed(W, rows, lam) + _entropy(rows)
 
 
 def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverConfig) -> float:
@@ -276,26 +286,31 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
     return value
 
 
-def _update_prototypes(X, S, M, cfg):
+def _update_prototypes(P, S, M, cfg):
     warnings = []
     if cfg.rule == RULE_MEANS:
-        M_new, empty = update_means(X, S.rows, prev=M)
+        M_new, empty = update_means(P.X, S.rows, prev=M)
         for k in np.nonzero(empty)[0]:
             warnings.append(f"cluster {int(k)}: zero mass, previous mean kept")
     else:
-        M_new, _, mode_warnings = update_modes(X, S.rows, cfg.mode_config(), M)
+        M_new, _, mode_warnings = update_modes(P, S.rows, cfg.mode_config(), M)
         warnings.extend(mode_warnings)
     return M_new, warnings
 
 
-def _refit_hard(X, W, S, M, cfg):
-    """Round to hard labels, re-fit prototypes once, and evaluate E."""
+def _refit_hard(P, W, S, M, cfg, warnings):
+    """Round to hard labels, re-fit prototypes once, and evaluate E.
+
+    A re-fit that fails keeps the soft prototypes M for E and says so in
+    ``warnings``.
+    """
     hard = SoftAssignment.from_hard(S.hard_labels(), S.k)
     try:
-        M_hard, _ = _update_prototypes(X, hard, M, cfg)
-    except DataError:
+        M_hard, _ = _update_prototypes(P, hard, M, cfg)
+    except DataError as exc:
+        warnings.append(f"hard re-fit failed ({exc}); discrete objective uses the soft prototypes")
         M_hard = M
-    return discrete_objective(X, W, hard.rows, M_hard, cfg)
+    return discrete_objective(P, W, hard.rows, M_hard, cfg)
 
 
 def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
@@ -303,20 +318,28 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
     """Alternate assignment and prototype blocks until the relaxed objective settles.
 
     ``clamps`` is an optional list of (point_index, class) pairs whose rows are
-    frozen one-hot. Returns (SoftAssignment, Prototypes, SolveReport).
+    frozen one-hot; it cannot be combined with ``S0``, which carries its own
+    clamps. Returns (SoftAssignment, Prototypes, SolveReport).
+
+    X is validated and centered once, and the prototype scores are computed
+    once per prototype state: the scores of R at the new prototypes are the
+    ones the next assignment block starts from.
     """
-    X = validate_features(X)
-    n = X.shape[0]
+    P = CenteredFeatures(X)
+    n = P.X.shape[0]
     if W.n_points != n:
         raise DataError(f"graph has {W.n_points} points, features have {n}")
+    if S0 is not None and clamps:
+        raise DataError("clamps cannot be combined with S0; clamp the rows of S0 instead")
     M = M0
     k = M.k
     report = SolveReport()
 
+    a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
     if S0 is not None:
         S = S0
     else:
-        rows = s_inner_update(prototype_scores(X, M, cfg.rule, cfg.sigma2))
+        rows = s_inner_update(a)
         if clamps:
             clamped, clamp_class = make_clamps(n, k, clamps)
             idx = np.nonzero(clamped)[0]
@@ -326,19 +349,20 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
         else:
             S = SoftAssignment.unclamped(rows)
 
-    r_prev = relaxed_objective(X, W, S, M, cfg)
+    r_prev = _relaxed(W, S.rows, a, cfg.lam)
     report.relaxed_trace.append(r_prev)
     report.inner_iters_per_outer.append(0)
 
     for _ in range(cfg.outer_max):
-        S, inner_iters, w_inner = s_block(W, X, M, S, cfg)
-        M, w_proto = _update_prototypes(X, S, M, cfg)
+        S, inner_iters, w_inner = _s_block(W, a, S, cfg)
+        M, w_proto = _update_prototypes(P, S, M, cfg)
         report.warnings.extend(w_inner)
         report.warnings.extend(w_proto)
         report.inner_iters_total += inner_iters
         report.inner_iters_per_outer.append(inner_iters)
         report.outer_iters += 1
-        r = relaxed_objective(X, W, S, M, cfg)
+        a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
+        r = _relaxed(W, S.rows, a, cfg.lam)
         report.relaxed_trace.append(r)
         if r > r_prev + 1e-9 * (1.0 + abs(r_prev)):
             report.warnings.append(
@@ -351,7 +375,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
     else:
         report.warnings.append(f"outer loop hit outer_max={cfg.outer_max}")
 
-    report.discrete_objective = _refit_hard(X, W, S, M, cfg)
+    report.discrete_objective = _refit_hard(P, W, S, M, cfg, report.warnings)
     return S, M, report
 
 

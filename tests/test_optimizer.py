@@ -20,6 +20,7 @@ from lapclust import (
     solve,
     symmetrize,
 )
+from lapclust import optimizer
 from lapclust.affinity import SparseAffinity, laplacian_quadratic
 from lapclust.errors import DataError
 from lapclust.prototypes import prototype_scores
@@ -369,6 +370,35 @@ def test_solve_clamps_held_exactly():
     np.testing.assert_array_equal(S.rows[0], [0.0, 1.0])
     np.testing.assert_array_equal(S.rows[5], [1.0, 0.0])
     np.testing.assert_allclose(S.rows.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_solve_rejects_clamps_with_initial_assignment():
+    X = np.random.default_rng(17).standard_normal((6, 2))
+    S0 = SoftAssignment.unclamped(np.full((6, 2), 0.5))
+    with pytest.raises(DataError, match="S0"):
+        solve(X, empty_graph(6), Prototypes(values=X[:2], rule="means"),
+              SolverConfig(rule="means"), S0=S0, clamps=[(0, 1)])
+
+
+def test_solve_warns_when_hard_refit_fails(monkeypatch):
+    X = np.random.default_rng(20).standard_normal((12, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    cfg = SolverConfig(lam=0.5, rule="means", outer_max=1)
+    real = optimizer._update_prototypes
+    calls = []
+
+    def fail_on_refit(P, S, M, cfg):
+        calls.append(S)
+        if len(calls) > 1:  # the outer loop runs once; the second call is the hard re-fit
+            raise DataError("re-fit failed")
+        return real(P, S, M, cfg)
+
+    monkeypatch.setattr(optimizer, "_update_prototypes", fail_on_refit)
+    S, M, report = solve(X, W, Prototypes(values=X[:3], rule="means"), cfg)
+    assert len(calls) == 2
+    assert any("hard re-fit failed (re-fit failed)" in w for w in report.warnings)
+    hard = SoftAssignment.from_hard(S.hard_labels(), S.k)
+    assert report.discrete_objective == discrete_objective(X, W, hard.rows, M, cfg)
 
 
 def test_solve_deterministic_reruns():

@@ -176,6 +176,64 @@ def test_modes_residual_at_convergence():
     assert residual <= cfg.tol * (1.0 + np.linalg.norm(m))
 
 
+def modes_oracle(X, S, cfg, M_init):
+    """Reference mean-shift: one cluster at a time, direct differences x_p - m."""
+    modes = np.array(M_init.values, copy=True)
+    u_traces, warnings = [], []
+    for k in range(modes.shape[0]):
+        s_col = S[:, k]
+        m = modes[k]
+        trace = []
+        if s_col.sum() <= 0.0:
+            warnings.append(f"cluster {k}: zero assignment mass, mode kept")
+            u_traces.append(np.array(trace))
+            continue
+        converged = False
+        for _ in range(cfg.max_iters):
+            sqd = np.sum((X - m) ** 2, axis=1)
+            w = s_col * np.exp(np.maximum(-sqd / (2.0 * cfg.sigma2), -700.0))
+            total = w.sum()
+            trace.append(total)
+            new = (w @ X) / total
+            step = np.linalg.norm(new - m)
+            m = new
+            if step < cfg.tol:
+                converged = True
+                break
+        if not converged:
+            warnings.append(f"cluster {k}: mode solver hit max_iters={cfg.max_iters}")
+        modes[k] = m
+        u_traces.append(np.array(trace))
+    return modes, u_traces, warnings
+
+
+def test_modes_match_per_cluster_oracle():
+    rng = np.random.default_rng(8)
+    centers = np.array([[5.0, 5.0], [9.0, 5.0], [5.0, 9.0], [9.0, 9.0]])
+    X = np.vstack([c + 0.05 * rng.standard_normal((6, 2)) for c in centers]
+                  + [5.0 + 4.0 * rng.uniform(size=(6, 2))])
+    S = np.zeros((X.shape[0], 5))
+    # 0: a single point, 3: a tight blob, 4: a weighted blob, which converge;
+    # 1: every point from a far start, hits max_iters; 2: zero mass
+    S[12, 0] = 1.0
+    S[:, 1] = 1.0
+    S[0:6, 3] = 1.0
+    S[6:12, 4] = rng.uniform(0.5, 1.0, 6)
+    M0 = Prototypes(values=np.array([[1.0, 1.0], [20.0, -10.0], [0.0, 0.0], [5.3, 4.8],
+                                     [8.5, 5.5]]), rule="modes")
+    cfg = ModeSolverConfig(sigma2=0.5, tol=1e-4, max_iters=3)
+    M, traces, warns = update_modes(X, S, cfg, M0)
+    modes, ref_traces, ref_warns = modes_oracle(X, S, cfg, M0)
+    assert warns == ref_warns
+    assert warns == ["cluster 1: mode solver hit max_iters=3",
+                     "cluster 2: zero assignment mass, mode kept"]
+    np.testing.assert_allclose(M.values, modes, rtol=1e-12, atol=0.0)
+    assert M.values[2].tolist() == [0.0, 0.0]
+    assert [len(t) for t in traces] == [len(t) for t in ref_traces] == [2, 3, 0, 3, 3]
+    for got, ref in zip(traces, ref_traces):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 def test_modes_zero_mass_cluster_flagged():
     X = np.array([[0.0], [1.0]])
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -198,6 +256,17 @@ def test_scores_at_prototype_modes():
     a = prototype_scores(np.array([[1.0, 2.0]]), M, sigma2=1.0)
     assert a[0, 0] == pytest.approx(1.0)
     assert a[0, 0] == a[0].max()
+
+
+def test_scores_precise_far_from_origin():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((200, 8)) + 1e6
+    M = Prototypes(values=rng.standard_normal((5, 8)) + 1e6, rule="means")
+    diff = X[:, None, :] - M.values[None, :, :]
+    direct = np.einsum("nkd,nkd->nk", diff, diff)
+    a = prototype_scores(X, M)
+    np.testing.assert_allclose(-a, direct, rtol=1e-9, atol=0.0)
+    np.testing.assert_array_equal(np.argmax(a, axis=1), np.argmin(direct, axis=1))
 
 
 def test_scores_modes_requires_sigma2():
