@@ -2,8 +2,11 @@
 
 The affinity graph connects each point to its rho nearest neighbors (squared
 Euclidean distance, binary weights). Neighbor search is exact and chunked, so
-no dense N x N matrix is ever materialized; ties are broken toward the lower
-point index for cross-platform determinism.
+no dense N x N matrix is ever materialized. Its distances come from the
+package's one centered kernel (``prototypes.CenteredFeatures``), which keeps
+neighbor sets exact far from the origin; ties are broken toward the lower
+point index for cross-platform determinism. The graph keeps the distances, so
+``estimate_sigma2`` takes the kernel width from it without a second search.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
-from .io import validate_features
+from .prototypes import CenteredFeatures
 
 _CHUNK_BUDGET = 16_000_000  # scratch floats per distance chunk
 
@@ -25,13 +28,15 @@ class SparseAffinity:
 
     ``diag_shift`` is bookkeeping for the positive-semidefinite correction: it
     is never stored as edges, and is applied where the optimizer needs the
-    shifted matrix.
+    shifted matrix. ``knn_sqdist`` holds the N x rho squared distances of the
+    search that built the graph (``knn_graph``), or None.
     """
 
     matrix: sp.csr_matrix
     degrees: np.ndarray
     diag_shift: float = 0.0
     symmetric: bool = False
+    knn_sqdist: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.matrix
@@ -51,18 +56,6 @@ class SparseAffinity:
     def n_points(self):
         return self.matrix.shape[0]
 
-    @property
-    def row_offsets(self):
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self):
-        return self.matrix.indices
-
-    @property
-    def weights(self):
-        return self.matrix.data
-
     def with_diag_shift(self, delta: float) -> "SparseAffinity":
         return replace(self, diag_shift=float(delta))
 
@@ -80,18 +73,16 @@ def _neighbor_search(X, rho):
     Works in row chunks; candidate selection uses argpartition and ties at the
     cut boundary are resolved by (distance, index) order.
     """
-    X = validate_features(X)
-    n = X.shape[0]
+    P = CenteredFeatures(X)
+    n = P.X.shape[0]
     if not 1 <= rho < n:
         raise DataError(f"rho must satisfy 1 <= rho < n_points, got rho={rho}, n={n}")
-    sq_norms = np.einsum("ij,ij->i", X, X)
     chunk = max(1, min(n, _CHUNK_BUDGET // n))
     idx_out = np.empty((n, rho), dtype=np.int64)
     sqd_out = np.empty((n, rho), dtype=np.float64)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        d = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (X[start:stop] @ X.T)
-        np.maximum(d, 0.0, out=d)
+        d = P.pairwise_rows(start, stop)
         d[np.arange(stop - start), np.arange(start, stop)] = np.inf
         cand = np.argpartition(d, rho - 1, axis=1)[:, :rho]
         cand_d = np.take_along_axis(d, cand, axis=1)
@@ -111,14 +102,14 @@ def _neighbor_search(X, rho):
 
 def knn_graph(X, rho: int) -> SparseAffinity:
     """Directed binary rho-NN graph: w(p,q) = 1 iff q is among p's rho nearest."""
-    idx, _ = _neighbor_search(X, rho)
+    idx, sqd = _neighbor_search(X, rho)
     n = idx.shape[0]
     indptr = np.arange(0, n * rho + 1, rho, dtype=np.int64)
     data = np.ones(n * rho, dtype=np.float64)
     m = sp.csr_matrix((data, idx.ravel(), indptr), shape=(n, n))
     m.sort_indices()
     degrees = np.asarray(m.sum(axis=1)).ravel()
-    return SparseAffinity(matrix=m, degrees=degrees, symmetric=False)
+    return SparseAffinity(matrix=m, degrees=degrees, symmetric=False, knn_sqdist=sqd)
 
 
 def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
@@ -135,12 +126,18 @@ def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
     m.eliminate_zeros()
     m.sort_indices()
     degrees = np.asarray(m.sum(axis=1)).ravel()
-    return SparseAffinity(matrix=m, degrees=degrees, diag_shift=W.diag_shift, symmetric=True)
+    return replace(W, matrix=m, degrees=degrees, symmetric=True)
 
 
 def estimate_sigma2(X, rho: int) -> float:
-    """Kernel width: mean squared distance to the rho nearest neighbors."""
-    _, sqd = _neighbor_search(X, rho)
+    """Kernel width: mean squared distance to the rho nearest neighbors.
+
+    X is a feature matrix, or a graph from ``knn_graph(X, rho)``, whose search
+    distances are used instead of a second search.
+    """
+    sqd = X.knn_sqdist if isinstance(X, SparseAffinity) else _neighbor_search(X, rho)[1]
+    if sqd is None or sqd.shape[1] != rho:
+        raise DataError(f"graph carries no rho={rho} neighbor distances; pass the features")
     sigma2 = float(sqd.sum()) / (sqd.shape[0] * rho)
     if sigma2 <= 0.0:
         raise DegenerateDataError("all rho-NN distances are zero; kernel width undefined")

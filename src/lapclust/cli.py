@@ -104,11 +104,7 @@ def _resolve_config(args):
 
 def _solver_config(args, rule, lam, sigma2=None):
     return SolverConfig(lam=lam, rule=rule, sigma2=sigma2, inner_tol=args.inner_tol,
-                        outer_tol=args.outer_tol, seed=args.seed)
-
-
-def _empty_affinity(n):
-    return SparseAffinity(matrix=sp.csr_matrix((n, n)), degrees=np.zeros(n))
+                        outer_tol=args.outer_tol)
 
 
 def _echo_config(args, out_dir, extra=None):
@@ -131,12 +127,14 @@ def _write_trace(report, path):
 def _run_cluster_solve(args):
     rule, lam = _resolve_config(args)
     X = io.load_features(args.features, format=_feature_format(args.features))
-    sigma2 = estimate_sigma2(X, args.rho) if rule == "modes" else None
-    cfg = _solver_config(args, rule, lam, sigma2)
     if lam > 0.0:
         W = symmetrize(knn_graph(X, args.rho), args.sym).with_diag_shift(args.delta)
     else:
-        W = _empty_affinity(X.shape[0])
+        n = X.shape[0]
+        W = SparseAffinity(matrix=sp.csr_matrix((n, n)), degrees=np.zeros(n))
+    # the graph keeps its search distances; at lambda 0 no graph is searched
+    sigma2 = estimate_sigma2(W if lam > 0.0 else X, args.rho) if rule == "modes" else None
+    cfg = _solver_config(args, rule, lam, sigma2)
     rng = np.random.default_rng(args.seed)
     M0 = Prototypes(values=kmeans_pp_seeds(X, args.k, rng), rule=rule)
     S, M, report = solve(X, W, M0, cfg)

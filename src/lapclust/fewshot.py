@@ -109,7 +109,7 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
 
     W = symmetrize(knn_graph(Xe, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
-        cfg = replace(cfg, sigma2=estimate_sigma2(Xe, rho))
+        cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
     M0 = init_prototypes(local_task, Xe, rule=cfg.rule)
     S, _, report = solve(Xe, W, M0, cfg, clamps=local_task.support)
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .affinity import SparseAffinity, laplacian_quadratic
 from .errors import DataError
-from .io import validate_features
 from .prototypes import (
     CenteredFeatures,
     ModeSolverConfig,
@@ -69,14 +68,15 @@ class SoftAssignment:
                 raise DataError("assignment entries must be finite and >= 0")
             if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
                 raise DataError("assignment rows must sum to 1 within 1e-9")
-        for p in np.nonzero(clamped)[0]:
-            c = clamp_class[p]
+        idx = np.flatnonzero(clamped)
+        cls = clamp_class[idx]
+        one_hot = cls[:, None] == np.arange(k)  # all False for a class out of range
+        bad = (cls < 0) | (cls >= k) | np.any(rows[idx] != one_hot, axis=1)
+        if bad.any():
+            p, c = idx[bad][0], cls[bad][0]
             if not 0 <= c < k:
                 raise DataError(f"clamp class {c} outside [0, {k})")
-            expected = np.zeros(k)
-            expected[c] = 1.0
-            if not np.array_equal(rows[p], expected):
-                raise DataError(f"clamped row {p} is not the one-hot of class {c}")
+            raise DataError(f"clamped row {p} is not the one-hot of class {c}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "clamped", clamped)
         object.__setattr__(self, "clamp_class", clamp_class)
@@ -136,7 +136,6 @@ class SolverConfig:
     outer_max: int = 100
     mode_tol: float = 1e-6
     mode_max_iters: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:
@@ -200,16 +199,17 @@ def _s_block(W, a, S, cfg):
     if not free.any():
         return S, 0, []
     rows = S.rows
+    a_free = a[free]
     warnings = []
     if cfg.lam == 0.0:
         new = rows.copy()
-        new[free] = s_inner_update(a[free])
+        new[free] = s_inner_update(a_free)
         return S.replace_rows(new), 1, warnings
     iters = 0
     for _ in range(cfg.inner_max):
         b = neighbor_votes(W, rows)
         new = rows.copy()
-        new[free] = s_inner_update(a, b, cfg.lam)[free]
+        new[free] = s_inner_update(a_free, b[free], cfg.lam)
         delta = np.abs(new[free] - rows[free]).max()
         rows = new
         iters += 1
@@ -224,11 +224,6 @@ def _entropy(rows):
     """sum_p s_p . log s_p with the 0 log 0 := 0 convention."""
     r = rows[rows > 0]
     return float(np.sum(r * np.log(r)))
-
-
-def _prototype_term(X, S_rows, M, cfg):
-    a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
-    return -float(np.sum(S_rows * a))
 
 
 def _pairwise_relaxed(W, rows, lam):
@@ -259,7 +254,7 @@ def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverC
     rows = np.asarray(getattr(S_hard, "rows", S_hard), dtype=np.float64)
     if not np.all((rows == 0.0) | (rows == 1.0)) or np.any(rows.sum(axis=1) != 1.0):
         raise DataError("discrete objective requires binary row-stochastic assignments")
-    value = _prototype_term(X, rows, M, cfg)
+    value = -float(np.sum(rows * prototype_scores(X, M, cfg.rule, cfg.sigma2)))
     if cfg.lam != 0.0:
         value += 0.5 * cfg.lam * laplacian_quadratic(W, rows)
     return value
@@ -381,21 +376,21 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
 
 def kmeans_pp_seeds(X, k, rng) -> np.ndarray:
     """K-means++ seeding: iteratively sample centers by squared distance."""
-    X = validate_features(X)
-    n = X.shape[0]
+    P = CenteredFeatures(X)
+    n = P.X.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"need 1 <= k <= n_points, got k={k}, n={n}")
-    centers = np.empty((k, X.shape[1]))
+    centers = np.empty((k, P.X.shape[1]))
     first = int(rng.integers(n))
-    centers[0] = X[first]
-    sqd = np.einsum("ij,ij->i", X - centers[0], X - centers[0])
+    centers[0] = P.X[first]
+    sqd = P.sqdist(centers[0:1])[:, 0]
     for j in range(1, k):
         total = sqd.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=sqd / total))
-        centers[j] = X[idx]
-        new = np.einsum("ij,ij->i", X - centers[j], X - centers[j])
+        centers[j] = P.X[idx]
+        new = P.sqdist(centers[j:j + 1])[:, 0]
         np.minimum(sqd, new, out=sqd)
     return centers

@@ -5,16 +5,16 @@ of the weighted kernel average g(m). The mode solver also exposes the total
 kernel mass u^n at each iterate, which is monotonically increasing along the
 fixed-point sequence and is used by the test suite.
 
-Every squared distance ||x_p - v_k||^2 (prototype scores, kernel weights,
-mean-shift steps) comes from one path, ``CenteredFeatures.sqdist``: one GEMM
-in the expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0. The expansion
-cancels, and its rounding error grows with ||x||^2 rather than with the
-distance, so X and the prototypes are first shifted by the column mean of X;
-the shift leaves every distance unchanged. On 8-D standard normal points
-offset by 1e6, the uncentered expansion is off by up to 1.5e-3 relative per
-entry, the centered one by under 1e-15. The mode update steps every cluster
-with positive mass at once; a cluster leaves the active set when its own step
-falls below the tolerance.
+Every squared distance in the package (prototype scores, kernel weights,
+mean-shift steps, k-means++ seeding, the rho-NN search) is one GEMM in the
+expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through CenteredFeatures.
+The expansion cancels, and its rounding error grows with ||x||^2 rather than
+with the distance, so X and the prototypes are first shifted by the column
+mean of X; the shift leaves every distance unchanged. On 8-D standard normal
+points offset by 1e6, the uncentered expansion is off by up to 1.5e-3
+relative per entry, the centered one by under 1e-15. The mode update steps
+every cluster with positive mass at once; a cluster leaves the active set
+when its own step falls below the tolerance.
 """
 
 from __future__ import annotations
@@ -90,9 +90,18 @@ class CenteredFeatures:
     def sqdist(self, V):
         """N x K squared distances ||x_p - v_k||^2 to the rows of V, clamped at 0."""
         Vc = V - self.mean
-        sqd = (self.sq_norms[:, None] + np.einsum("ij,ij->i", Vc, Vc)[None, :]
-               - 2.0 * (self.centered @ Vc.T))
-        return np.maximum(sqd, 0.0, out=sqd)
+        return _sqdist(self.centered, self.sq_norms, Vc, np.einsum("ij,ij->i", Vc, Vc))
+
+    def pairwise_rows(self, start, stop):
+        """(stop - start) x N squared distances from points start..stop-1 to all."""
+        return _sqdist(self.centered[start:stop], self.sq_norms[start:stop],
+                       self.centered, self.sq_norms)
+
+
+def _sqdist(A, a_norms, B, b_norms):
+    """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j over the rows of A and B, clamped at 0."""
+    sqd = a_norms[:, None] + b_norms[None, :] - 2.0 * (A @ B.T)
+    return np.maximum(sqd, 0.0, out=sqd)
 
 
 def _centered(X) -> CenteredFeatures:

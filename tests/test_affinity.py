@@ -46,6 +46,16 @@ def test_knn_matches_brute_force():
         np.testing.assert_array_equal(got, np.sort(expected[p]))
 
 
+def test_knn_exact_far_from_origin():
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((300, 8)) + 1e7
+    W = knn_graph(X, 5)
+    expected = brute_force_neighbors(X, 5)
+    for p in range(300):
+        got = np.sort(W.matrix.indices[W.matrix.indptr[p]:W.matrix.indptr[p + 1]])
+        np.testing.assert_array_equal(got, np.sort(expected[p]))
+
+
 def test_knn_rho_out_of_range():
     with pytest.raises(DataError):
         knn_graph(np.zeros((3, 2)), 3)
@@ -92,6 +102,9 @@ def test_sigma2_two_points():
 def test_sigma2_degenerate():
     with pytest.raises(DegenerateDataError):
         estimate_sigma2(np.ones((4, 2)), 2)
+    # duplicates far from the origin: an uncentered expansion leaves ~1e-10 residues
+    with pytest.raises(DegenerateDataError):
+        estimate_sigma2(np.tile(np.random.default_rng(0).standard_normal(8) * 1e3, (20, 1)), 3)
 
 
 def test_sigma2_matches_naive_loop():
@@ -103,6 +116,37 @@ def test_sigma2_matches_naive_loop():
         float(np.sum((X[p] - X[q]) ** 2)) for p in range(15) for q in nbrs[p]
     )
     assert estimate_sigma2(X, rho) == pytest.approx(total / (15 * rho), rel=1e-12)
+
+
+def test_sigma2_far_from_origin():
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((60, 8)) + 1e8
+    rho = 4
+    nbrs = brute_force_neighbors(X, rho)
+    total = sum(float(np.sum((X[p] - X[q]) ** 2)) for p in range(60) for q in nbrs[p])
+    assert estimate_sigma2(X, rho) == pytest.approx(total / (60 * rho), rel=1e-9)
+
+
+def test_sigma2_from_graph_is_bitwise_the_search_value():
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((40, 3))
+    W = knn_graph(X, 3)
+    assert W.knn_sqdist.shape == (40, 3)
+    expected = estimate_sigma2(X, 3)
+    assert estimate_sigma2(W, 3) == expected
+    for mode in ("max", "mean", "none"):
+        shifted = symmetrize(W, mode).with_diag_shift(0.5)
+        assert estimate_sigma2(shifted, 3) == expected
+
+
+def test_sigma2_graph_without_matching_distances_rejected():
+    m = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(2, 2))
+    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 1.0]))
+    with pytest.raises(DataError):
+        estimate_sigma2(W, 1)
+    X = np.random.default_rng(16).standard_normal((10, 2))
+    with pytest.raises(DataError):
+        estimate_sigma2(knn_graph(X, 3), 2)
 
 
 def test_laplacian_constant_rows_zero():

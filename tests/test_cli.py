@@ -186,6 +186,14 @@ def test_eval_hand_contingency(tmp_path, capsys):
     assert out["acc"] == pytest.approx(4 / 6, abs=1e-12)
 
 
+@pytest.mark.parametrize("algo", ["slk-ms", "kmodes"])
+def test_modes_cluster_searches_once(blob_data, tmp_path, neighbor_searches, algo):
+    fpath, _ = blob_data
+    assert main(["cluster", "--features", str(fpath), "--k", "2", "--algo", algo,
+                 "--rho", "4", "--out-dir", str(tmp_path / "ms")]) == 0
+    assert neighbor_searches == [4]
+
+
 def test_slk_ms_end_to_end(blob_data, tmp_path):
     fpath, lpath = blob_data
     out = tmp_path / "ms"

@@ -185,3 +185,11 @@ def test_support_rows_stay_clamped_through_episode():
     result = run_episode(task, X, PreprocessConfig(), cfg, truth=truth)
     # query labels are within range and supports anchored each class
     assert set(result.query_labels) <= {0, 1, 2}
+
+
+def test_modes_episode_searches_once(neighbor_searches):
+    X, task, truth = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=0)
+    cfg = SolverConfig(lam=1.0, rule="modes")
+    result = run_episode(task, X, PreprocessConfig(), cfg, rho=3, truth=truth)
+    assert result.accuracy is not None
+    assert neighbor_searches == [3]

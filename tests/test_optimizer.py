@@ -420,6 +420,36 @@ def test_soft_assignment_validation():
     with pytest.raises(DataError):
         SoftAssignment(rows=np.array([[0.5, 0.5]]), clamped=np.array([True]),
                        clamp_class=np.array([0]))
+    eye = np.eye(2)[[0, 1, 0]]
+    with pytest.raises(DataError, match=r"^clamp class 2 outside \[0, 2\)$"):
+        SoftAssignment(rows=eye, clamped=np.array([False, True, True]),
+                       clamp_class=np.array([-1, 2, 1]))
+    with pytest.raises(DataError, match=r"^clamped row 1 is not the one-hot of class 0$"):
+        SoftAssignment(rows=eye, clamped=np.array([False, True, True]),
+                       clamp_class=np.array([-1, 0, -1]))
+
+
+def kmeans_pp_oracle(X, k, rng):
+    """Direct-difference k-means++: the distance loop the shared kernel replaced."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    sqd = np.einsum("ij,ij->i", X - centers[0], X - centers[0])
+    for j in range(1, k):
+        total = sqd.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=sqd / total))
+        centers[j] = X[idx]
+        np.minimum(sqd, np.einsum("ij,ij->i", X - centers[j], X - centers[j]), out=sqd)
+    return centers
+
+
+def test_kmeans_pp_seeds_match_direct_difference_oracle():
+    X = np.random.default_rng(20).standard_normal((200, 5))
+    for offset in (0.0, 1e6):
+        for seed in range(5):
+            got = kmeans_pp_seeds(X + offset, 8, np.random.default_rng(seed))
+            want = kmeans_pp_oracle(X + offset, 8, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_kmeans_pp_seeds_basic():
