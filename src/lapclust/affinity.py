@@ -7,6 +7,8 @@ package's one centered kernel (``prototypes.CenteredFeatures``), which keeps
 neighbor sets exact far from the origin; ties are broken toward the lower
 point index for cross-platform determinism. The graph keeps the distances, so
 ``estimate_sigma2`` takes the kernel width from it without a second search.
+Every function here that takes a feature matrix also accepts a
+``CenteredFeatures``, so a caller that already centered X does not do it again.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
-from .prototypes import CenteredFeatures
+from .prototypes import _centered
 
 _CHUNK_BUDGET = 16_000_000  # scratch floats per distance chunk
 
@@ -73,7 +75,7 @@ def _neighbor_search(X, rho):
     Works in row chunks; candidate selection uses argpartition and ties at the
     cut boundary are resolved by (distance, index) order.
     """
-    P = CenteredFeatures(X)
+    P = _centered(X)
     n = P.X.shape[0]
     if not 1 <= rho < n:
         raise DataError(f"rho must satisfy 1 <= rho < n_points, got rho={rho}, n={n}")

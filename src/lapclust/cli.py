@@ -23,7 +23,7 @@ from .errors import ConfigError, LapclustError
 from .fewshot import PreprocessConfig, run_episode
 from .metrics import accuracy_hungarian, fewshot_accuracy, nmi
 from .optimizer import SolverConfig, kmeans_pp_seeds, solve
-from .prototypes import Prototypes
+from .prototypes import CenteredFeatures, Prototypes
 
 ALGOS = {
     "kmeans": ("means", False),
@@ -48,8 +48,6 @@ def _add_solver_flags(p):
     p.add_argument("--rho", type=int, default=3)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="0 = all cores; results are thread-count invariant")
     p.add_argument("--inner-tol", type=float, default=1e-6)
     p.add_argument("--outer-tol", type=float, default=1e-6)
     p.add_argument("--sym", choices=["max", "mean", "none"], default="max")
@@ -127,17 +125,18 @@ def _write_trace(report, path):
 def _run_cluster_solve(args):
     rule, lam = _resolve_config(args)
     X = io.load_features(args.features, format=_feature_format(args.features))
+    P = CenteredFeatures(X)  # the search, sigma2, the seeding and the solve share it
     if lam > 0.0:
-        W = symmetrize(knn_graph(X, args.rho), args.sym).with_diag_shift(args.delta)
+        W = symmetrize(knn_graph(P, args.rho), args.sym).with_diag_shift(args.delta)
     else:
         n = X.shape[0]
         W = SparseAffinity(matrix=sp.csr_matrix((n, n)), degrees=np.zeros(n))
     # the graph keeps its search distances; at lambda 0 no graph is searched
-    sigma2 = estimate_sigma2(W if lam > 0.0 else X, args.rho) if rule == "modes" else None
+    sigma2 = estimate_sigma2(W if lam > 0.0 else P, args.rho) if rule == "modes" else None
     cfg = _solver_config(args, rule, lam, sigma2)
     rng = np.random.default_rng(args.seed)
-    M0 = Prototypes(values=kmeans_pp_seeds(X, args.k, rng), rule=rule)
-    S, M, report = solve(X, W, M0, cfg)
+    M0 = Prototypes(values=kmeans_pp_seeds(P, args.k, rng), rule=rule)
+    S, M, report = solve(P, W, M0, cfg)
     return X, S, M, report, cfg
 
 

@@ -19,7 +19,7 @@ from .errors import DataError, ZeroVectorError
 from .io import TaskSpec, validate_features
 from .metrics import fewshot_accuracy
 from .optimizer import SolveReport, SolverConfig, solve
-from .prototypes import Prototypes, RULE_MODES
+from .prototypes import CenteredFeatures, Prototypes, RULE_MODES
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,16 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
     ``task.queries``) and enables the accuracy field.
     """
     start = time.perf_counter()
+    episode, cfg = _prepare_episode(task, X_raw, pre, cfg, rho, sym)
+    return _solve_episode(episode, cfg, truth, start)
+
+
+def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
+    """Everything of an episode that lambda does not change.
+
+    Returns ((P, W, M0, local support), cfg with sigma2 set); the tuple is None
+    when the task has no queries.
+    """
     X_raw = validate_features(X_raw)
     task.validate_indices(X_raw.shape[0])
 
@@ -103,23 +113,28 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
         Xe = bias_correct(local_task, Xe)
 
     if not task.queries:
-        return EpisodeResult(query_labels=np.empty(0, dtype=np.int64), accuracy=None,
-                             solve_report=SolveReport(),
-                             wall_time=time.perf_counter() - start)
+        return None, cfg
 
-    W = symmetrize(knn_graph(Xe, rho), sym)
+    P = CenteredFeatures(Xe)
+    W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
     M0 = init_prototypes(local_task, Xe, rule=cfg.rule)
-    S, _, report = solve(Xe, W, M0, cfg, clamps=local_task.support)
+    return (P, W, M0, local_task.support), cfg
 
-    labels = np.argmax(S.rows[n_s:], axis=1)
-    accuracy = None
-    if truth is not None:
-        truth = np.asarray(truth, dtype=np.int64)
-        if truth.shape != labels.shape:
-            raise DataError("truth length does not match query count")
-        accuracy = float(np.mean(labels == truth))
+
+def _solve_episode(episode, cfg, truth, start):
+    """The clamped solve of a prepared episode; wall time counts from ``start``."""
+    labels, accuracy, report = np.empty(0, dtype=np.int64), None, SolveReport()
+    if episode is not None:
+        P, W, M0, support = episode
+        S, _, report = solve(P, W, M0, cfg, clamps=support)
+        labels = np.argmax(S.rows[len(support):], axis=1)
+        if truth is not None:
+            truth = np.asarray(truth, dtype=np.int64)
+            if truth.shape != labels.shape:
+                raise DataError("truth length does not match query count")
+            accuracy = float(np.mean(labels == truth))
     return EpisodeResult(query_labels=labels, accuracy=accuracy, solve_report=report,
                          wall_time=time.perf_counter() - start)
 
@@ -170,14 +185,18 @@ def tune_lambda(candidates, episodes, cfg: SolverConfig, pre: PreprocessConfig |
     if not candidates or not episodes:
         raise DataError("need at least one candidate and one episode")
     pre = pre or PreprocessConfig()
+    grid = sorted(candidates)
+    accs = [[] for _ in grid]
+    for X, task, truth in episodes:
+        episode, episode_cfg = _prepare_episode(task, X, pre, cfg, rho, sym)
+        for lam, lam_accs in zip(grid, accs):
+            result = _solve_episode(episode, replace(episode_cfg, lam=lam), truth,
+                                    time.perf_counter())
+            lam_accs.append(result.accuracy)
+        del episode  # one prepared episode alive at a time, so memory does not grow
     best_lam, best_acc = None, -1.0
-    for lam in sorted(candidates):
-        accs = []
-        for X, task, truth in episodes:
-            result = run_episode(task, X, pre, replace(cfg, lam=lam), rho=rho,
-                                 sym=sym, truth=truth)
-            accs.append(result.accuracy)
-        mean, _ = fewshot_accuracy(accs)
+    for lam, lam_accs in zip(grid, accs):
+        mean, _ = fewshot_accuracy(lam_accs)
         if mean > best_acc:
             best_lam, best_acc = lam, mean
     return best_lam

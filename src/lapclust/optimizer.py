@@ -31,11 +31,11 @@ import numpy as np
 from .affinity import SparseAffinity, laplacian_quadratic
 from .errors import DataError
 from .prototypes import (
-    CenteredFeatures,
     ModeSolverConfig,
     Prototypes,
     RULE_MEANS,
     RULE_MODES,
+    _centered,
     prototype_scores,
     update_means,
     update_modes,
@@ -82,19 +82,12 @@ class SoftAssignment:
         object.__setattr__(self, "clamp_class", clamp_class)
 
     @property
-    def n_points(self):
-        return self.rows.shape[0]
-
-    @property
     def k(self):
         return self.rows.shape[1]
 
     def hard_labels(self):
         """Row argmax; ties resolve to the lowest index."""
         return np.argmax(self.rows, axis=1)
-
-    def replace_rows(self, rows) -> "SoftAssignment":
-        return SoftAssignment(rows=rows, clamped=self.clamped, clamp_class=self.clamp_class)
 
     @staticmethod
     def unclamped(rows) -> "SoftAssignment":
@@ -112,7 +105,7 @@ class SoftAssignment:
 
 
 def make_clamps(n_points, k, support):
-    """Build (clamped, clamp_class) arrays from (index, class) pairs."""
+    """Build (clamped, clamp_class) arrays from (index, class) pairs; one class per point."""
     clamped = np.zeros(n_points, dtype=bool)
     clamp_class = np.full(n_points, -1, dtype=np.int64)
     for p, c in support:
@@ -120,6 +113,8 @@ def make_clamps(n_points, k, support):
             raise DataError(f"clamp index {p} out of range")
         if not 0 <= c < k:
             raise DataError(f"clamp class {c} outside [0, {k})")
+        if clamped[p] and clamp_class[p] != c:
+            raise DataError(f"point {p} clamped to both class {clamp_class[p]} and class {c}")
         clamped[p] = True
         clamp_class[p] = c
     return clamped, clamp_class
@@ -148,10 +143,6 @@ class SolverConfig:
             raise DataError("tolerances must be > 0")
         if min(self.inner_max, self.outer_max, self.mode_max_iters) < 1:
             raise DataError("iteration caps must be >= 1")
-
-    def mode_config(self) -> ModeSolverConfig:
-        return ModeSolverConfig(sigma2=self.sigma2, tol=self.mode_tol,
-                                max_iters=self.mode_max_iters)
 
 
 @dataclass
@@ -190,34 +181,30 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
     update is synchronous and order-independent. Returns
     (SoftAssignment, n_inner_iters, warnings).
     """
-    return _s_block(W, prototype_scores(X, M, cfg.rule, cfg.sigma2), S, cfg)
+    a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
+    rows, iters, warnings = _s_block(W, a, S.rows, ~S.clamped, cfg)
+    return (SoftAssignment(rows=rows, clamped=S.clamped, clamp_class=S.clamp_class),
+            iters, warnings)
 
 
-def _s_block(W, a, S, cfg):
-    """s_block from the prototype scores a of the current prototypes."""
-    free = ~S.clamped
+def _s_block(W, a, rows, free, cfg):
+    """s_block on plain rows from the prototype scores a; only the ``free`` rows change."""
     if not free.any():
-        return S, 0, []
-    rows = S.rows
+        return rows, 0, []
     a_free = a[free]
-    warnings = []
     if cfg.lam == 0.0:
         new = rows.copy()
         new[free] = s_inner_update(a_free)
-        return S.replace_rows(new), 1, warnings
-    iters = 0
-    for _ in range(cfg.inner_max):
+        return new, 1, []
+    for iters in range(1, cfg.inner_max + 1):
         b = neighbor_votes(W, rows)
         new = rows.copy()
         new[free] = s_inner_update(a_free, b[free], cfg.lam)
         delta = np.abs(new[free] - rows[free]).max()
         rows = new
-        iters += 1
         if delta < cfg.inner_tol:
-            break
-    if delta >= cfg.inner_tol:
-        warnings.append(f"inner loop hit inner_max={cfg.inner_max} (last delta {delta:.3e})")
-    return S.replace_rows(rows), iters, warnings
+            return rows, iters, []
+    return rows, iters, [f"inner loop hit inner_max={cfg.inner_max} (last delta {delta:.3e})"]
 
 
 def _entropy(rows):
@@ -281,31 +268,30 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
     return value
 
 
-def _update_prototypes(P, S, M, cfg):
-    warnings = []
-    if cfg.rule == RULE_MEANS:
-        M_new, empty = update_means(P.X, S.rows, prev=M)
-        for k in np.nonzero(empty)[0]:
-            warnings.append(f"cluster {int(k)}: zero mass, previous mean kept")
-    else:
-        M_new, _, mode_warnings = update_modes(P, S.rows, cfg.mode_config(), M)
-        warnings.extend(mode_warnings)
-    return M_new, warnings
+def _update_prototypes(P, rows, M, mode_cfg):
+    """One prototype block: weighted means, or modes when ``mode_cfg`` is given."""
+    if mode_cfg is not None:
+        M_new, _, warnings = update_modes(P, rows, mode_cfg, M)
+        return M_new, warnings
+    M_new, empty = update_means(P, rows, prev=M)
+    return M_new, [f"cluster {int(k)}: zero mass, previous mean kept"
+                   for k in np.flatnonzero(empty)]
 
 
-def _refit_hard(P, W, S, M, cfg, warnings):
+def _refit_hard(P, W, rows, M, cfg, mode_cfg, warnings):
     """Round to hard labels, re-fit prototypes once, and evaluate E.
 
     A re-fit that fails keeps the soft prototypes M for E and says so in
     ``warnings``.
     """
-    hard = SoftAssignment.from_hard(S.hard_labels(), S.k)
+    hard = np.zeros_like(rows)
+    hard[np.arange(rows.shape[0]), np.argmax(rows, axis=1)] = 1.0
     try:
-        M_hard, _ = _update_prototypes(P, hard, M, cfg)
+        M_hard, _ = _update_prototypes(P, hard, M, mode_cfg)
     except DataError as exc:
         warnings.append(f"hard re-fit failed ({exc}); discrete objective uses the soft prototypes")
         M_hard = M
-    return discrete_objective(P, W, hard.rows, M_hard, cfg)
+    return discrete_objective(P, W, hard, M_hard, cfg)
 
 
 def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
@@ -316,67 +302,64 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
     frozen one-hot; it cannot be combined with ``S0``, which carries its own
     clamps. Returns (SoftAssignment, Prototypes, SolveReport).
 
-    X is validated and centered once, and the prototype scores are computed
-    once per prototype state: the scores of R at the new prototypes are the
-    ones the next assignment block starts from.
+    X (or its CenteredFeatures) is centered once, the loop works on plain rows,
+    and the prototype scores are computed once per prototype state: the scores
+    of R at the new prototypes are the ones the next assignment block starts from.
     """
-    P = CenteredFeatures(X)
+    P = _centered(X)
     n = P.X.shape[0]
     if W.n_points != n:
         raise DataError(f"graph has {W.n_points} points, features have {n}")
     if S0 is not None and clamps:
         raise DataError("clamps cannot be combined with S0; clamp the rows of S0 instead")
     M = M0
-    k = M.k
     report = SolveReport()
 
     a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
-    if S0 is not None:
-        S = S0
-    else:
+    mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(
+        sigma2=cfg.sigma2, tol=cfg.mode_tol, max_iters=cfg.mode_max_iters)
+    if S0 is None:
+        clamped, clamp_class = make_clamps(n, M.k, clamps or ())
         rows = s_inner_update(a)
-        if clamps:
-            clamped, clamp_class = make_clamps(n, k, clamps)
-            idx = np.nonzero(clamped)[0]
-            rows[idx] = 0.0
-            rows[idx, clamp_class[idx]] = 1.0
-            S = SoftAssignment(rows=rows, clamped=clamped, clamp_class=clamp_class)
-        else:
-            S = SoftAssignment.unclamped(rows)
+        idx = np.flatnonzero(clamped)
+        rows[idx] = 0.0
+        rows[idx, clamp_class[idx]] = 1.0
+    else:
+        rows, clamped, clamp_class = S0.rows, S0.clamped, S0.clamp_class
+    free = ~clamped
 
-    r_prev = _relaxed(W, S.rows, a, cfg.lam)
+    r_prev = _relaxed(W, rows, a, cfg.lam)
     report.relaxed_trace.append(r_prev)
     report.inner_iters_per_outer.append(0)
 
     for _ in range(cfg.outer_max):
-        S, inner_iters, w_inner = _s_block(W, a, S, cfg)
-        M, w_proto = _update_prototypes(P, S, M, cfg)
+        rows, inner_iters, w_inner = _s_block(W, a, rows, free, cfg)
+        M, w_proto = _update_prototypes(P, rows, M, mode_cfg)
         report.warnings.extend(w_inner)
         report.warnings.extend(w_proto)
         report.inner_iters_total += inner_iters
         report.inner_iters_per_outer.append(inner_iters)
         report.outer_iters += 1
         a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
-        r = _relaxed(W, S.rows, a, cfg.lam)
+        r = _relaxed(W, rows, a, cfg.lam)
         report.relaxed_trace.append(r)
         if r > r_prev + 1e-9 * (1.0 + abs(r_prev)):
             report.warnings.append(
                 f"relaxed objective increased at outer iteration {report.outer_iters} "
                 f"({r_prev:.12g} -> {r:.12g}); affinity matrix may not be psd")
         if abs(r - r_prev) <= cfg.outer_tol * (1.0 + abs(r_prev)):
-            r_prev = r
             break
         r_prev = r
     else:
         report.warnings.append(f"outer loop hit outer_max={cfg.outer_max}")
 
-    report.discrete_objective = _refit_hard(P, W, S, M, cfg, report.warnings)
-    return S, M, report
+    report.discrete_objective = _refit_hard(P, W, rows, M, cfg, mode_cfg, report.warnings)
+    return SoftAssignment(rows=rows, clamped=clamped, clamp_class=clamp_class), M, report
 
 
 def kmeans_pp_seeds(X, k, rng) -> np.ndarray:
     """K-means++ seeding: iteratively sample centers by squared distance."""
-    P = CenteredFeatures(X)
+    P = _centered(X)
     n = P.X.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"need 1 <= k <= n_points, got k={k}, n={n}")

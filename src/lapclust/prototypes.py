@@ -15,6 +15,11 @@ points offset by 1e6, the uncentered expansion is off by up to 1.5e-3
 relative per entry, the centered one by under 1e-15. The mode update steps
 every cluster with positive mass at once; a cluster leaves the active set
 when its own step falls below the tolerance.
+
+Every function here and in ``affinity`` that takes a feature matrix also
+accepts a CenteredFeatures in its place, so a run validates and centers its
+features once and hands the same object to the search, the seeding and the
+solve.
 """
 
 from __future__ import annotations
@@ -53,10 +58,6 @@ class Prototypes:
     def k(self):
         return self.values.shape[0]
 
-    @property
-    def n_dims(self):
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ModeSolverConfig:
@@ -72,12 +73,7 @@ class ModeSolverConfig:
 
 
 class CenteredFeatures:
-    """A validated feature matrix with its column mean, shifted rows and their norms.
-
-    The functions of this module accept one in place of a feature matrix, so a
-    caller that scores many prototype sets against the same points (``solve``)
-    validates and centers X once.
-    """
+    """A validated feature matrix with its column mean, shifted rows and their norms."""
 
     __slots__ = ("X", "mean", "centered", "sq_norms")
 
@@ -130,7 +126,7 @@ def update_means(X, S, prev: Prototypes | None = None):
     A zero-mass column raises EmptyClusterError unless ``prev`` supplies a
     prototype to keep. Returns (Prototypes, empty_mask).
     """
-    X = validate_features(X)
+    X = _centered(X).X
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
     mass = rows.sum(axis=0)
     empty = mass <= 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lapclust import affinity
+from lapclust import affinity, prototypes
 
 
 @pytest.fixture
@@ -17,3 +17,17 @@ def neighbor_searches(monkeypatch):
 
     monkeypatch.setattr(affinity, "_neighbor_search", counting)
     return calls
+
+
+@pytest.fixture
+def centered_builds(monkeypatch):
+    """The shape of every CenteredFeatures built while the test runs."""
+    shapes = []
+    init = prototypes.CenteredFeatures.__init__
+
+    def counting(self, X):
+        init(self, X)
+        shapes.append(self.X.shape)
+
+    monkeypatch.setattr(prototypes.CenteredFeatures, "__init__", counting)
+    return shapes

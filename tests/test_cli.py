@@ -203,3 +203,11 @@ def test_slk_ms_end_to_end(blob_data, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["acc"] == 1.0
+
+
+@pytest.mark.parametrize("algo", ["slk-means", "slk-ms", "kmodes"])
+def test_cluster_centers_features_once(blob_data, tmp_path, centered_builds, algo):
+    fpath, _ = blob_data
+    assert main(["cluster", "--features", str(fpath), "--k", "2", "--algo", algo,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert centered_builds == [(40, 2)]

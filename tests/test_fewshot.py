@@ -1,5 +1,7 @@
 """Few-shot episodes: preprocessing, clamped inference, synthetic generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lapclust import (
     TaskSpec,
     bias_correct,
     cl2_normalize,
+    fewshot_accuracy,
     generate_synthetic_episode,
     init_prototypes,
     run_episode,
@@ -193,3 +196,35 @@ def test_modes_episode_searches_once(neighbor_searches):
     result = run_episode(task, X, PreprocessConfig(), cfg, rho=3, truth=truth)
     assert result.accuracy is not None
     assert neighbor_searches == [3]
+
+
+@pytest.mark.parametrize("rule", ["means", "modes"])
+def test_episode_centers_features_once(centered_builds, rule):
+    X, task, truth = generate_synthetic_episode(3, 2, 5, 6, 6.0, seed=0)
+    run_episode(task, X, PreprocessConfig(), SolverConfig(lam=1.0, rule=rule), truth=truth)
+    assert centered_builds == [(21, 6)]
+
+
+def tune_lambda_oracle(candidates, episodes, cfg, pre):
+    """The per-candidate loop: every episode is run from scratch for every lambda."""
+    best_lam, best_acc = None, -1.0
+    for lam in sorted(candidates):
+        accs = [run_episode(task, X, pre, replace(cfg, lam=lam), truth=truth).accuracy
+                for X, task, truth in episodes]
+        mean, _ = fewshot_accuracy(accs)
+        if mean > best_acc:
+            best_lam, best_acc = lam, mean
+    return best_lam
+
+
+# separation 3.0 has one best candidate; at 2.0 all six tie; at 1.5 the means
+# of 0.0 and 2.0 differ only in their last bit, so the sums must keep their order
+@pytest.mark.parametrize("separation, expected", [(3.0, 0.5), (2.0, 0.0), (1.5, 2.0)])
+def test_tune_lambda_prepares_each_episode_once(neighbor_searches, separation, expected):
+    episodes = [generate_synthetic_episode(4, 1, 6, 8, separation, seed=s) for s in range(3)]
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    cfg = SolverConfig(lam=1.0, rule="modes")
+    grid = [8.0, 0.5, 0.0, 2.0, 0.1, 1.0]
+    assert tune_lambda(grid, episodes, cfg, pre) == expected
+    assert neighbor_searches == [3, 3, 3]
+    assert tune_lambda_oracle(grid, episodes, cfg, pre) == expected

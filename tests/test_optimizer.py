@@ -372,6 +372,17 @@ def test_solve_clamps_held_exactly():
     np.testing.assert_allclose(S.rows.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_clamps_reject_two_classes_for_one_point():
+    with pytest.raises(DataError, match="point 0 clamped to both class 0 and class 1"):
+        optimizer.make_clamps(3, 2, [(0, 0), (0, 1)])
+    clamped, clamp_class = optimizer.make_clamps(3, 2, [(1, 1), (1, 1)])
+    assert clamped.tolist() == [False, True, False] and clamp_class.tolist() == [-1, 1, -1]
+    X = np.random.default_rng(21).standard_normal((6, 2))
+    with pytest.raises(DataError, match="point 0"):
+        solve(X, empty_graph(6), Prototypes(values=X[:2], rule="means"),
+              SolverConfig(rule="means"), clamps=[(0, 0), (0, 1)])
+
+
 def test_solve_rejects_clamps_with_initial_assignment():
     X = np.random.default_rng(17).standard_normal((6, 2))
     S0 = SoftAssignment.unclamped(np.full((6, 2), 0.5))

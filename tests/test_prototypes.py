@@ -5,6 +5,9 @@ import pytest
 
 from lapclust import (
     ModeSolverConfig,
+    estimate_sigma2,
+    kmeans_pp_seeds,
+    knn_graph,
     Prototypes,
     meanshift_step,
     prototype_scores,
@@ -13,7 +16,7 @@ from lapclust import (
 )
 from lapclust.errors import DataError, EmptyClusterError
 from lapclust.optimizer import s_inner_update
-from lapclust.prototypes import rbf_weights
+from lapclust.prototypes import CenteredFeatures, rbf_weights
 
 
 def test_means_hard_assignment():
@@ -287,3 +290,20 @@ def test_softmax_argmax_matches_nearest_prototype():
 def test_rbf_exponent_clamped():
     w = rbf_weights(np.array([[1e6]]), np.array([0.0]), sigma2=1.0)
     assert w[0] > 0.0
+
+
+def test_centered_features_accepted_in_place_of_x():
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((30, 4)) + 1e3
+    P = CenteredFeatures(X)
+    S = rng.dirichlet(np.ones(3), size=30)
+    M_x, empty_x = update_means(X, S)
+    M_p, empty_p = update_means(P, S)
+    np.testing.assert_array_equal(M_x.values, M_p.values)
+    np.testing.assert_array_equal(empty_x, empty_p)
+    G_x, G_p = knn_graph(X, 3), knn_graph(P, 3)
+    assert (G_x.matrix != G_p.matrix).nnz == 0
+    np.testing.assert_array_equal(G_x.knn_sqdist, G_p.knn_sqdist)
+    assert estimate_sigma2(X, 3) == estimate_sigma2(P, 3)
+    np.testing.assert_array_equal(kmeans_pp_seeds(X, 3, np.random.default_rng(5)),
+                                  kmeans_pp_seeds(P, 3, np.random.default_rng(5)))
