@@ -1,19 +1,26 @@
 """Sparse neighborhood affinities and graph-Laplacian quantities.
 
 The affinity graph connects each point to its rho nearest neighbors (squared
-Euclidean distance, binary weights). Neighbor search is exact and chunked, so
-no dense N x N matrix is ever materialized. Its distances come from the
-package's one centered kernel (``prototypes.CenteredFeatures``), which keeps
-neighbor sets exact far from the origin; ties are broken toward the lower
-point index for cross-platform determinism. The graph keeps the distances, so
+Euclidean distance, binary weights). Neighbor search is exact brute force in
+row blocks of at most ``_CHUNK_BUDGET`` distances (8 MB), written in place
+into two buffers allocated once per search, so its memory is bounded by that
+budget whatever N is and no dense N x N matrix is ever materialized. Its
+distances come from the package's one centered kernel
+(``prototypes.CenteredFeatures``), which keeps neighbor sets exact far from
+the origin; ties are broken toward the lower point index for cross-platform
+determinism, and only a row whose rho-th and (rho+1)-th distances are equal
+takes the per-row tie pass. The graph keeps the distances, so
 ``estimate_sigma2`` takes the kernel width from it without a second search.
-Every function here that takes a feature matrix also accepts a
+A graph built directly is checked in full; ``symmetrize`` and
+``with_diag_shift`` derive valid graphs from a checked one and skip that
+O(nnz) check. Every function here that takes a feature matrix also accepts a
 ``CenteredFeatures``, so a caller that already centered X does not do it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +28,7 @@ import scipy.sparse as sp
 from .errors import DataError, DegenerateDataError
 from .prototypes import _centered
 
-_CHUNK_BUDGET = 16_000_000  # scratch floats per distance chunk
+_CHUNK_BUDGET = 1_000_000  # distances per search block
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,10 @@ class SparseAffinity:
         return self.matrix.shape[0]
 
     def with_diag_shift(self, delta: float) -> "SparseAffinity":
-        return replace(self, diag_shift=float(delta))
+        delta = float(delta)
+        if delta < 0:
+            raise DataError("diag_shift must be >= 0")
+        return _derived(self, diag_shift=delta)
 
     def dump(self, path) -> None:
         """Write stored edges as 'p q w' triplets (debug aid)."""
@@ -69,33 +79,50 @@ class SparseAffinity:
                 fh.write(f"{int(p)} {int(q)} {float(w)!r}\n")
 
 
+def _derived(W, **changes):
+    """W with ``changes`` applied, skipping the O(nnz) checks of ``__post_init__``.
+
+    Only for graphs derived from a checked one whose edges stay finite,
+    non-negative, loop-free and summed into ``degrees`` by construction.
+    """
+    out = copy.copy(W)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 def _neighbor_search(X, rho):
     """Exact rho-NN per row. Returns (indices, sqdists), both (N, rho).
 
-    Works in row chunks; candidate selection uses argpartition and ties at the
-    cut boundary are resolved by (distance, index) order.
+    Works in row blocks of at most ``_CHUNK_BUDGET`` distances, filled in place
+    into two buffers allocated once. argpartition at rho puts each row's rho
+    nearest first and its (rho+1)-th nearest next; only a row where the two
+    are equally far has a tie at the cut and is resolved in full by
+    (distance, index) order.
     """
     P = _centered(X)
     n = P.X.shape[0]
     if not 1 <= rho < n:
         raise DataError(f"rho must satisfy 1 <= rho < n_points, got rho={rho}, n={n}")
     chunk = max(1, min(n, _CHUNK_BUDGET // n))
+    buffers = np.empty((2, chunk, n))
     idx_out = np.empty((n, rho), dtype=np.int64)
     sqd_out = np.empty((n, rho), dtype=np.float64)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        d = P.pairwise_rows(start, stop)
-        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        cand = np.argpartition(d, rho - 1, axis=1)[:, :rho]
+        rows = np.arange(stop - start)
+        d = P.pairwise_rows(start, stop, out=buffers[:, :stop - start])
+        d[rows, np.arange(start, stop)] = np.inf
+        part = np.argpartition(d, rho, axis=1)[:, :rho + 1].copy()  # frees the N-wide block
+        cand = part[:, :rho]
         cand_d = np.take_along_axis(d, cand, axis=1)
-        # boundary ties: rows where more than rho entries are <= cutoff
         cutoff = cand_d.max(axis=1)
-        counts = (d <= cutoff[:, None]).sum(axis=1)
+        tied = d[rows, part[:, rho]] == cutoff
         order = np.lexsort((cand, cand_d), axis=1)
         idx_out[start:stop] = np.take_along_axis(cand, order, axis=1)
         sqd_out[start:stop] = np.take_along_axis(cand_d, order, axis=1)
-        for r in np.nonzero(counts > rho)[0]:
-            full = np.nonzero(d[r] <= cutoff[r])[0]
+        for r in np.flatnonzero(tied):
+            full = np.flatnonzero(d[r] <= cutoff[r])
             keep = full[np.lexsort((full, d[r, full]))][:rho]
             idx_out[start + r] = keep
             sqd_out[start + r] = d[r, keep]
@@ -117,7 +144,7 @@ def knn_graph(X, rho: int) -> SparseAffinity:
 def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
     """Symmetrize stored weights: elementwise max, mean, or leave untouched."""
     if mode == "none":
-        return replace(W)
+        return W
     if mode == "max":
         m = W.matrix.maximum(W.matrix.T)
     elif mode == "mean":
@@ -128,7 +155,7 @@ def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
     m.eliminate_zeros()
     m.sort_indices()
     degrees = np.asarray(m.sum(axis=1)).ravel()
-    return replace(W, matrix=m, degrees=degrees, symmetric=True)
+    return _derived(W, matrix=m, degrees=degrees, symmetric=True)
 
 
 def estimate_sigma2(X, rho: int) -> float:

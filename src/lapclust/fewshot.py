@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affinity import estimate_sigma2, knn_graph, symmetrize
-from .errors import DataError, ZeroVectorError
+from .errors import DataError, NonFiniteValueError, ZeroVectorError
 from .io import TaskSpec, validate_features
 from .metrics import fewshot_accuracy
 from .optimizer import SolveReport, SolverConfig, solve
@@ -39,7 +39,10 @@ class EpisodeResult:
 
 def cl2_normalize(X, base_mean) -> np.ndarray:
     """Center on the base-class mean, then L2-normalize each row."""
-    X = validate_features(X)
+    return _cl2_normalize(validate_features(X), base_mean)
+
+
+def _cl2_normalize(X, base_mean):
     mean = np.asarray(base_mean, dtype=np.float64)
     if mean.shape != (X.shape[1],):
         raise DataError(f"base mean has shape {mean.shape}, expected ({X.shape[1]},)")
@@ -55,6 +58,10 @@ def bias_correct(task: TaskSpec, X) -> np.ndarray:
     """Shift each query row by (mean support - mean query); supports untouched."""
     X = validate_features(X)
     task.validate_indices(X.shape[0])
+    return _bias_correct(task, X)
+
+
+def _bias_correct(task, X):
     out = X.copy()
     queries = np.asarray(task.queries, dtype=np.int64)
     if queries.size == 0:
@@ -69,6 +76,10 @@ def init_prototypes(task: TaskSpec, X, rule="means") -> Prototypes:
     """Per-class support means (the support point itself in the 1-shot case)."""
     X = validate_features(X)
     task.validate_indices(X.shape[0])
+    return _init_prototypes(task, X, rule)
+
+
+def _init_prototypes(task, X, rule):
     M = np.empty((task.k_way, X.shape[1]))
     for k in range(task.k_way):
         idx = [p for p, c in task.support if c == k]
@@ -92,14 +103,21 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     """Everything of an episode that lambda does not change.
 
     Returns ((P, W, M0, local support), cfg with sigma2 set); the tuple is None
-    when the task has no queries.
+    when the task has no queries. Only the episode's rows of ``X_raw`` are
+    read and validated, once; a non-finite value is reported at its row in
+    ``X_raw``.
     """
-    X_raw = validate_features(X_raw)
+    X_raw = np.asarray(X_raw)
+    if X_raw.ndim != 2:
+        raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X_raw.shape}")
     task.validate_indices(X_raw.shape[0])
 
     n_s = len(task.support)
     episode_idx = np.array([*task.support_indices, *task.queries], dtype=np.int64)
-    Xe = X_raw[episode_idx].copy()
+    try:
+        Xe = validate_features(X_raw[episode_idx])
+    except NonFiniteValueError as exc:
+        raise NonFiniteValueError(int(episode_idx[exc.row]), exc.col) from None
     local_task = TaskSpec(
         k_way=task.k_way,
         support=tuple((i, c) for i, (_, c) in enumerate(task.support)),
@@ -108,18 +126,18 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
 
     if pre.apply_cl2:
         mean = pre.base_mean if pre.base_mean is not None else Xe.mean(axis=0)
-        Xe = cl2_normalize(Xe, mean)
+        Xe = _cl2_normalize(Xe, mean)
     if pre.apply_bias:
-        Xe = bias_correct(local_task, Xe)
+        Xe = _bias_correct(local_task, Xe)
 
     if not task.queries:
         return None, cfg
 
-    P = CenteredFeatures(Xe)
+    P = CenteredFeatures._of_valid(Xe)
     W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
-    M0 = init_prototypes(local_task, Xe, rule=cfg.rule)
+    M0 = _init_prototypes(local_task, Xe, cfg.rule)
     return (P, W, M0, local_task.support), cfg
 
 

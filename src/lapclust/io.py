@@ -3,6 +3,13 @@
 Feature matrices travel either as headerless CSV or as ``slkbin``, a fixed
 little-endian binary layout (magic ``SLKB``, u32 version, u64 n_points,
 u64 n_dims, row-major f64 payload) used for bit-exact round trips.
+
+The CSV reader parses each row with one numpy call, which reads a cell as
+Python's ``float()`` does. Only a row that fails to parse or holds a
+non-finite value is read again one cell at a time, to name the first bad
+cell by its row (blank lines counted) and column. ``load_labels`` reads the
+first column of a label file or of an ``assignments.csv``, soft columns and
+header included.
 """
 
 from __future__ import annotations
@@ -116,19 +123,30 @@ def _load_csv(path, header=False) -> np.ndarray:
             width = len(cells)
         elif len(cells) != width:
             raise NonRectangularRowError(r, width, len(cells))
-        parsed = []
-        for c, cell in enumerate(cells):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(f"row {r}, col {c}: cannot parse {cell!r}") from None
-            if not np.isfinite(v):
-                raise NonFiniteValueError(r, c)
-            parsed.append(v)
-        rows.append(parsed)
+        try:
+            row = np.array(cells, dtype=np.float64)
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            row = _parse_cells(r, cells)
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return validate_features(np.array(rows, dtype=np.float64))
+
+
+def _parse_cells(r, cells):
+    """Row r one cell at a time, raising on its first bad cell in column order."""
+    parsed = []
+    for c, cell in enumerate(cells):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DataError(f"row {r}, col {c}: cannot parse {cell!r}") from None
+        if not np.isfinite(v):
+            raise NonFiniteValueError(r, c)
+        parsed.append(v)
+    return parsed
 
 
 def _load_slkbin(path) -> np.ndarray:
@@ -172,14 +190,14 @@ def save_assignments(S, path, include_soft=False) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read one integer label per line."""
+    """Read one integer label per line, the first cell of each; a ``label`` header is skipped."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for r, line in enumerate(fh):
             line = line.strip()
-            if not line or line == "label":  # tolerate assignment-file header
-                continue
             cell = line.split(",")[0]
+            if not line or cell == "label":  # tolerate an assignment-file header
+                continue
             try:
                 labels.append(int(cell))
             except ValueError:

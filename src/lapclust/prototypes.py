@@ -78,7 +78,17 @@ class CenteredFeatures:
     __slots__ = ("X", "mean", "centered", "sq_norms")
 
     def __init__(self, X):
-        self.X = validate_features(X)
+        self._center(validate_features(X))
+
+    @classmethod
+    def _of_valid(cls, X):
+        """One built from a matrix that its caller has already validated."""
+        P = cls.__new__(cls)
+        P._center(X)
+        return P
+
+    def _center(self, X):
+        self.X = X
         self.mean = self.X.mean(axis=0)
         self.centered = self.X - self.mean
         self.sq_norms = np.einsum("ij,ij->i", self.centered, self.centered)
@@ -88,15 +98,23 @@ class CenteredFeatures:
         Vc = V - self.mean
         return _sqdist(self.centered, self.sq_norms, Vc, np.einsum("ij,ij->i", Vc, Vc))
 
-    def pairwise_rows(self, start, stop):
+    def pairwise_rows(self, start, stop, out=None):
         """(stop - start) x N squared distances from points start..stop-1 to all."""
         return _sqdist(self.centered[start:stop], self.sq_norms[start:stop],
-                       self.centered, self.sq_norms)
+                       self.centered, self.sq_norms, out)
 
 
-def _sqdist(A, a_norms, B, b_norms):
-    """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j over the rows of A and B, clamped at 0."""
-    sqd = a_norms[:, None] + b_norms[None, :] - 2.0 * (A @ B.T)
+def _sqdist(A, a_norms, B, b_norms, out=None):
+    """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j over the rows of A and B, clamped at 0.
+
+    ``out``, when given, is a pair of len(A) x len(B) buffers: the result is
+    written into the first and the second is scratch for the GEMM.
+    """
+    sqd, g = out if out is not None else (None, None)
+    g = np.matmul(A, B.T, out=g)
+    g *= 2.0
+    sqd = np.add(a_norms[:, None], b_norms[None, :], out=sqd)
+    sqd -= g
     return np.maximum(sqd, 0.0, out=sqd)
 
 

@@ -1,10 +1,13 @@
 """Sparse affinity graphs: neighbor search, symmetrization, kernel width."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from lapclust import estimate_sigma2, knn_graph, laplacian_quadratic, symmetrize
+from lapclust import affinity
 from lapclust.affinity import SparseAffinity
 from lapclust.errors import DataError, DegenerateDataError
 
@@ -54,6 +57,71 @@ def test_knn_exact_far_from_origin():
     for p in range(300):
         got = np.sort(W.matrix.indices[W.matrix.indptr[p]:W.matrix.indptr[p + 1]])
         np.testing.assert_array_equal(got, np.sort(expected[p]))
+
+
+def integer_grid():
+    """27 points of a 5x5 integer grid, (1, 0) and (-1, 0) doubled: mean 0, so
+    the centered distances are exact integers and many rows tie at the cut."""
+    g = np.arange(-2.0, 3.0)
+    X = np.array([(x, y) for x in g for y in g] + [(1.0, 0.0), (-1.0, 0.0)])
+    assert not X.mean(axis=0).any()
+    return X
+
+
+def brute_force_sqdist(X, nbrs):
+    return np.array([[np.sum((X[p] - X[q]) ** 2) for q in row] for p, row in enumerate(nbrs)])
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 4, 10])
+@pytest.mark.parametrize("rho", [3, 4, 26])
+def test_knn_blocked_search_matches_one_block(monkeypatch, rows_per_block, rho):
+    X = integer_grid()
+    n = X.shape[0]
+    one_idx, one_sqd = affinity._neighbor_search(X, rho)
+    monkeypatch.setattr(affinity, "_CHUNK_BUDGET", rows_per_block * n)  # 27 rows: ragged last block
+    W = knn_graph(X, rho)
+    idx, sqd = affinity._neighbor_search(X, rho)
+    expected = brute_force_neighbors(X, rho)
+    np.testing.assert_array_equal(idx, expected)
+    np.testing.assert_array_equal(one_idx, expected)
+    assert sqd.tobytes() == one_sqd.tobytes() == W.knn_sqdist.tobytes()
+    np.testing.assert_array_equal(sqd, brute_force_sqdist(X, expected))
+    if rho < n - 1:  # the input has ties at the cut: rho-th and (rho+1)-th equally far
+        wider = brute_force_sqdist(X, brute_force_neighbors(X, rho + 1))
+        assert (wider[:, rho - 1] == wider[:, rho]).any()
+
+
+def test_knn_search_memory_is_bounded_by_its_block():
+    # the search's scratch is two blocks of 1M distances and one index block of
+    # the same size, 8 MB each; X and the N x rho outputs are small beside them
+    block_bytes = 8 * 1_000_000
+    assert affinity._CHUNK_BUDGET * 8 <= block_bytes
+    X = np.random.default_rng(17).standard_normal((4000, 8))
+    knn_graph(X[:50], 5)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        knn_graph(X, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * block_bytes
+
+
+def test_derived_graphs_are_not_checked_again(monkeypatch):
+    checks = []
+    post_init = SparseAffinity.__post_init__
+    monkeypatch.setattr(SparseAffinity, "__post_init__",
+                        lambda self: (checks.append(self.n_points), post_init(self)))
+    W = knn_graph(np.random.default_rng(18).standard_normal((30, 3)), 4)
+    for mode in ("max", "mean", "none"):
+        shifted = symmetrize(W, mode).with_diag_shift(0.25)
+        assert shifted.diag_shift == 0.25
+        assert shifted.knn_sqdist is W.knn_sqdist
+        np.testing.assert_array_equal(shifted.degrees,
+                                      np.asarray(shifted.matrix.sum(axis=1)).ravel())
+    assert checks == [30]
+    with pytest.raises(DataError):
+        W.with_diag_shift(-1.0)
 
 
 def test_knn_rho_out_of_range():

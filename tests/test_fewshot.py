@@ -17,7 +17,7 @@ from lapclust import (
     run_episode,
     tune_lambda,
 )
-from lapclust.errors import DataError, ZeroVectorError
+from lapclust.errors import DataError, NonFiniteValueError, ZeroVectorError
 
 
 def test_cl2_unit_direction():
@@ -228,3 +228,57 @@ def test_tune_lambda_prepares_each_episode_once(neighbor_searches, separation, e
     assert tune_lambda(grid, episodes, cfg, pre) == expected
     assert neighbor_searches == [3, 3, 3]
     assert tune_lambda_oracle(grid, episodes, cfg, pre) == expected
+
+
+def embedded_episode(n_rows=2000, seed=0):
+    """A 3-way 2-shot episode scattered over the rows of a larger feature matrix.
+
+    Returns (big matrix, task on its rows, truth, compact matrix, compact task).
+    """
+    X, task, truth = generate_synthetic_episode(3, 2, 5, 6, 6.0, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    big = rng.standard_normal((n_rows, X.shape[1]))
+    rows = rng.choice(n_rows, size=X.shape[0], replace=False)
+    big[rows] = X
+    big_task = TaskSpec(k_way=task.k_way,
+                        support=tuple((int(rows[p]), c) for p, c in task.support),
+                        queries=tuple(int(rows[q]) for q in task.queries))
+    return big, big_task, truth, X, task
+
+
+@pytest.mark.parametrize("rule", ["means", "modes"])
+def test_episode_validates_its_rows_once(feature_validations, rule):
+    big, task, truth, _, _ = embedded_episode()
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    run_episode(task, big, pre, SolverConfig(lam=1.0, rule=rule), truth=truth)
+    assert feature_validations == [(21, 6)]
+
+
+def test_tune_lambda_validates_each_episode_once(feature_validations):
+    episodes = [embedded_episode(200, seed=s)[:3] for s in range(3)]
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    tune_lambda([0.0, 0.5, 1.0], episodes, SolverConfig(lam=1.0, rule="modes"), pre)
+    assert feature_validations == [(21, 6)] * 3
+
+
+def test_episode_ignores_nan_outside_its_rows():
+    big, task, truth, X, small_task = embedded_episode()
+    used = set(task.support_indices) | set(task.queries)
+    unused = next(r for r in range(big.shape[0]) if r not in used)
+    big[unused, 3] = np.nan
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    cfg = SolverConfig(lam=1.0, rule="modes")
+    got = run_episode(task, big, pre, cfg, truth=truth)
+    want = run_episode(small_task, X, pre, cfg, truth=truth)
+    np.testing.assert_array_equal(got.query_labels, want.query_labels)
+    assert got.accuracy == want.accuracy
+
+
+@pytest.mark.parametrize("which", ["support", "query"])
+def test_episode_nan_names_its_row_in_the_full_matrix(which):
+    big, task, truth, _, _ = embedded_episode()
+    row = task.support_indices[1] if which == "support" else task.queries[4]
+    big[row, 2] = np.inf
+    with pytest.raises(NonFiniteValueError) as exc:
+        run_episode(task, big, PreprocessConfig(), SolverConfig(lam=1.0), truth=truth)
+    assert (exc.value.row, exc.value.col) == (row, 2)

@@ -70,6 +70,49 @@ def test_csv_unparseable_cell_rejected(tmp_path):
         load_features(path, format="csv")
 
 
+def float_oracle(text):
+    """Headerless CSV parsed one cell at a time with float(), blank lines skipped."""
+    return np.array([[float(c) for c in ln.split(",")]
+                     for ln in text.splitlines() if ln.strip()], dtype=np.float64)
+
+
+def test_csv_awkward_spellings_match_float(tmp_path):
+    rows = [
+        " 1.5,2 ,\t3\t,4",
+        "1_0,.5,5.,-0.0",
+        "4.9e-324,2.2250738585072011e-308,-1e-310,1E5",
+        "12345678901234567890,0.12345678901234567890123,+7,00012",
+        "1_000.000_1,-.25e-3,1e-400,\u0661\u0662",
+    ]
+    text = "\r\n".join(rows) + "\r\n\r\n"
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = load_features(path, format="csv")
+    want = float_oracle(text)
+    assert got.shape == (5, 4)
+    assert got.tobytes() == want.tobytes()  # bitwise: -0.0 and subnormals included
+
+
+@pytest.mark.parametrize("tail", ["8", "abc"])  # the row parses as a whole, or does not
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "-Infinity", "1e400"])
+def test_csv_non_finite_position_after_blank_line(tmp_path, cell, tail):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2,3\n\n4,5,6\n7,{cell},{tail}\n")
+    with pytest.raises(NonFiniteValueError) as exc:
+        load_features(path, format="csv")
+    assert (exc.value.row, exc.value.col) == (3, 1)  # blank lines keep their row number
+
+
+@pytest.mark.parametrize("cell", ["abc", "", "1e", "0x10", "1__0", "nan(1)"])
+def test_csv_unparseable_cell_message(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2,3\n\n4,{cell},nan\n")
+    with pytest.raises(DataError) as exc:
+        load_features(path, format="csv")
+    assert type(exc.value) is DataError
+    assert str(exc.value) == f"row 2, col 1: cannot parse {cell!r}"
+
+
 def test_slkbin_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.slkbin"
     path.write_bytes(b"XXXX" + b"\x00" * 20)
@@ -141,6 +184,14 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "l.txt"
     save_labels(labels, path)
     np.testing.assert_array_equal(load_labels(path), labels)
+
+
+@pytest.mark.parametrize("include_soft", [False, True])
+def test_labels_read_assignment_files(tmp_path, include_soft):
+    S = np.array([[0.1, 0.7, 0.2], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.5, 0.5, 0.0]])
+    path = tmp_path / "assignments.csv"
+    save_assignments(S, path, include_soft=include_soft)
+    np.testing.assert_array_equal(load_labels(path), [1, 0, 2, 0])
 
 
 def test_labels_negative_rejected(tmp_path):
