@@ -71,13 +71,6 @@ class SparseAffinity:
             raise DataError("diag_shift must be >= 0")
         return _derived(self, diag_shift=delta)
 
-    def dump(self, path) -> None:
-        """Write stored edges as 'p q w' triplets (debug aid)."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            for p, q, w in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{int(p)} {int(q)} {float(w)!r}\n")
-
 
 def _derived(W, **changes):
     """W with ``changes`` applied, skipping the O(nnz) checks of ``__post_init__``.

@@ -46,7 +46,6 @@ def _add_solver_flags(p):
     p.add_argument("--algo", choices=sorted(ALGOS), default="slk-means")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--rho", type=int, default=3)
-    p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inner-tol", type=float, default=1e-6)
     p.add_argument("--outer-tol", type=float, default=1e-6)
@@ -54,6 +53,12 @@ def _add_solver_flags(p):
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the solver reports numerical warnings")
     p.add_argument("--out-dir", default=".")
+
+
+def _add_delta_flag(p):
+    """Clustering runs only: an episode's graph is never shifted."""
+    p.add_argument("--delta", type=float, default=0.0,
+                   help="diagonal shift added to the affinity graph")
 
 
 def build_parser():
@@ -66,6 +71,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--soft", action="store_true", help="also write soft assignment rows")
     _add_solver_flags(p)
+    _add_delta_flag(p)
 
     p = sub.add_parser("fewshot", help="run a batch of few-shot episodes")
     p.add_argument("--features", required=True)
@@ -85,6 +91,7 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--k", type=int, required=True)
     _add_solver_flags(p)
+    _add_delta_flag(p)
 
     return parser
 
@@ -125,7 +132,9 @@ def _write_trace(report, path):
 def _run_cluster_solve(args):
     rule, lam = _resolve_config(args)
     X = io.load_features(args.features, format=_feature_format(args.features))
-    P = CenteredFeatures(X)  # the search, sigma2, the seeding and the solve share it
+    # load_features returns a valid matrix; the search, sigma2, the seeding and
+    # the solve share one CenteredFeatures of it
+    P = CenteredFeatures._of_valid(X)
     if lam > 0.0:
         W = symmetrize(knn_graph(P, args.rho), args.sym).with_diag_shift(args.delta)
     else:

@@ -94,8 +94,8 @@ def save_features(X, path, format="csv", header=False) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             if header:
                 fh.write(",".join(f"f{j}" for j in range(X.shape[1])) + "\n")
-            for row in X:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in X.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
     elif format == "slkbin":
         n, d = X.shape
         with open(path, "wb") as fh:
@@ -132,7 +132,7 @@ def _load_csv(path, header=False) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return validate_features(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)  # rows checked finite and of one width
 
 
 def _parse_cells(r, cells):
@@ -182,10 +182,11 @@ def save_assignments(S, path, include_soft=False) -> None:
         if rows.shape[0] == 0:
             return
         hard = np.argmax(rows, axis=1)
-        for lab, row in zip(hard, rows):
-            if include_soft:
-                fh.write(f"{lab}," + ",".join(repr(float(v)) for v in row) + "\n")
-            else:
+        if include_soft:
+            for lab, row in zip(hard, rows.tolist()):
+                fh.write(f"{lab}," + ",".join(map(repr, row)) + "\n")
+        else:
+            for lab in hard:
                 fh.write(f"{lab}\n")
 
 

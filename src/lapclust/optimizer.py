@@ -166,12 +166,18 @@ def neighbor_votes(W: SparseAffinity, S):
 
 def s_inner_update(a, b=None, lam=0.0):
     """Closed-form row minimizer: softmax(a + lambda*b), max-shifted for safety."""
-    z = np.asarray(a, dtype=np.float64)
+    z = np.array(a, dtype=np.float64)
     if lam != 0.0 and b is not None:
-        z = z + lam * np.asarray(b, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+        z += lam * np.asarray(b, dtype=np.float64)
+    return _softmax_in_place(z)
+
+
+def _softmax_in_place(z):
+    """Row softmax of z, max-shifted, computed in place; returns z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverConfig):
@@ -188,23 +194,47 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
 
 
 def _s_block(W, a, rows, free, cfg):
-    """s_block on plain rows from the prototype scores a; only the ``free`` rows change."""
-    if not free.any():
+    """s_block on plain rows from the prototype scores a; only the ``free`` rows change.
+
+    The free rows are addressed through one selector: a slice when they are
+    contiguous (all rows when clustering, the queries after an episode's
+    leading supports), otherwise their index array. The block works on one
+    copy of ``rows``, so the caller's array is never written, and each sweep
+    reuses two (n_free, K) buffers, the new rows and their change: beyond the
+    votes, a sweep allocates nothing N x K.
+    """
+    sel = _selector(free)
+    if sel is None:
         return rows, 0, []
-    a_free = a[free]
+    rows = rows.copy()
+    a_sel = a[sel]
     if cfg.lam == 0.0:
-        new = rows.copy()
-        new[free] = s_inner_update(a_free)
-        return new, 1, []
+        rows[sel] = s_inner_update(a_sel)
+        return rows, 1, []
+    z = np.empty_like(a_sel)
+    d = np.empty_like(a_sel)
     for iters in range(1, cfg.inner_max + 1):
         b = neighbor_votes(W, rows)
-        new = rows.copy()
-        new[free] = s_inner_update(a_free, b[free], cfg.lam)
-        delta = np.abs(new[free] - rows[free]).max()
-        rows = new
+        np.multiply(b[sel], cfg.lam, out=z)
+        z += a_sel
+        _softmax_in_place(z)
+        np.subtract(z, rows[sel], out=d)
+        delta = max(d.max(), -d.min())
+        rows[sel] = z
         if delta < cfg.inner_tol:
             return rows, iters, []
     return rows, iters, [f"inner loop hit inner_max={cfg.inner_max} (last delta {delta:.3e})"]
+
+
+def _selector(free):
+    """The rows where ``free`` holds: a slice if they are contiguous, else an
+    index array; None when there are none."""
+    idx = np.flatnonzero(free)
+    if idx.size == 0:
+        return None
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _entropy(rows):

@@ -133,11 +133,6 @@ def _meanshift_sums(P: CenteredFeatures, S_cols, V, sigma2):
     return w.sum(axis=0), w.T @ P.X
 
 
-def rbf_weights(X, m, sigma2):
-    """exp(-||x_p - m||^2 / (2 sigma^2)), exponent clamped against underflow."""
-    return _rbf(_centered(X).sqdist(np.asarray(m, dtype=np.float64)[None, :]), sigma2)[:, 0]
-
-
 def update_means(X, S, prev: Prototypes | None = None):
     """Weighted means m_k = X^t S_k / 1^t S_k.
 

@@ -271,11 +271,3 @@ def test_self_loops_rejected():
     m = sp.csr_matrix(([1.0], ([0], [0])), shape=(2, 2))
     with pytest.raises(DataError):
         SparseAffinity(matrix=m, degrees=np.array([1.0, 0.0]))
-
-
-def test_dump_triplets(tmp_path):
-    m = sp.csr_matrix(([1.0], ([0], [1])), shape=(2, 2))
-    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 0.0]))
-    path = tmp_path / "g.txt"
-    W.dump(path)
-    assert path.read_text() == "0 1 1.0\n"

@@ -211,3 +211,39 @@ def test_cluster_centers_features_once(blob_data, tmp_path, centered_builds, alg
     assert main(["cluster", "--features", str(fpath), "--k", "2", "--algo", algo,
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert centered_builds == [(40, 2)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "slkbin"])
+def test_cluster_checks_loaded_features_once(blob_data, tmp_path, feature_validations, fmt):
+    # the CSV reader checks each row as it parses it; an slkbin file is checked whole
+    # once; the run builds its CenteredFeatures without checking the matrix again
+    X = np.loadtxt(blob_data[0], delimiter=",")
+    fpath = tmp_path / f"features.{fmt}"
+    save_features(X, fpath, format=fmt)
+    feature_validations.clear()
+    assert main(["cluster", "--features", str(fpath), "--k", "2",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert feature_validations == {"csv": [], "slkbin": [(40, 2)]}[fmt]
+
+
+def test_fewshot_has_no_delta_flag(episode_batch, tmp_path, capsys):
+    fpath, _, tasks_dir = episode_batch
+    code = main(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir),
+                 "--delta", "1", "--out-dir", str(tmp_path / "fs")])
+    assert code == 1
+    assert "error: unrecognized arguments: --delta 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "trace"])
+def test_delta_shifts_the_cluster_graph(tmp_path, command):
+    # overlapping points keep soft rows, where the shift changes the objective
+    fpath = tmp_path / "f.csv"
+    save_features(np.random.default_rng(0).standard_normal((60, 2)), fpath)
+    traces = []
+    for delta in ("0", "3"):
+        out = tmp_path / delta
+        assert main([command, "--features", str(fpath), "--k", "3", "--delta", delta,
+                     "--out-dir", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["delta"] == float(delta)
+        traces.append((out / "trace.csv").read_text())
+    assert traces[0] != traces[1]

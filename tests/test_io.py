@@ -209,3 +209,36 @@ def test_rejection_is_total_random_round_trips(tmp_path):
             path = tmp_path / f"r{trial}.{fmt}"
             save_features(X, path, format=fmt)
             np.testing.assert_array_equal(load_features(path, format=fmt), X)
+
+
+AWKWARD_FLOATS = np.array([
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300],
+    [3.0, -1.0, 1e16, 0.1, 1.7976931348623157e308],
+    [0.30000000000000004, 2.718281828459045, -1.2345678901234567e-05, 123456789.12345679,
+     9007199254740993.0],
+])
+
+
+def test_csv_writers_match_per_cell_repr(tmp_path):
+    # the bytes as written one repr(float(v)) per cell; np.savetxt would differ
+    def cells(row):
+        return ",".join(repr(float(v)) for v in row)
+
+    X = AWKWARD_FLOATS
+    save_features(X, tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_bytes() == "".join(cells(r) + "\n" for r in X).encode()
+    save_features(X, tmp_path / "h.csv", header=True)
+    assert (tmp_path / "h.csv").read_bytes() == \
+        ("f0,f1,f2,f3,f4\n" + "".join(cells(r) + "\n" for r in X)).encode()
+    S = np.abs(X) / np.abs(X).sum(axis=1, keepdims=True)
+    S[0] = [0.0, 0.5, 5e-324, 0.5, 0.0]
+    for soft in (False, True):
+        path = tmp_path / f"a{soft}.csv"
+        save_assignments(S, path, include_soft=soft)
+        labels = np.argmax(S, axis=1)
+        if soft:
+            want = "label,s0,s1,s2,s3,s4\n" + "".join(
+                f"{lab},{cells(r)}\n" for lab, r in zip(labels, S))
+        else:
+            want = "label\n" + "".join(f"{lab}\n" for lab in labels)
+        assert path.read_bytes() == want.encode()

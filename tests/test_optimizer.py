@@ -157,6 +157,88 @@ def test_s_block_preserves_simplex_and_clamps():
     np.testing.assert_array_equal(S2.rows[0], [1.0, 0.0, 0.0])
 
 
+def s_block_oracle(W, a, rows, free, cfg):
+    """The sweep as first written: boolean gathers and fresh arrays every sweep."""
+    if not free.any():
+        return rows, 0, []
+    a_free = a[free]
+    if cfg.lam == 0.0:
+        new = rows.copy()
+        new[free] = s_inner_update(a_free)
+        return new, 1, []
+    for iters in range(1, cfg.inner_max + 1):
+        b = neighbor_votes(W, rows)
+        new = rows.copy()
+        new[free] = s_inner_update(a_free, b[free], cfg.lam)
+        delta = np.abs(new[free] - rows[free]).max()
+        rows = new
+        if delta < cfg.inner_tol:
+            return rows, iters, []
+    return rows, iters, [f"inner loop hit inner_max={cfg.inner_max} (last delta {delta:.3e})"]
+
+
+def clamped_layout(rng, n, k, layout):
+    """A SoftAssignment whose clamped rows are none, a prefix (an episode's
+    supports) or scattered."""
+    rows = random_simplex(rng, n, k)
+    idx = {"all_free": [], "free_suffix": list(range(5)),
+           "scattered": [0, 7, 8, 23, n - 1]}[layout]
+    clamped = np.zeros(n, dtype=bool)
+    clamp_class = np.full(n, -1)
+    clamped[idx] = True
+    clamp_class[idx] = np.arange(len(idx)) % k
+    rows[idx] = np.eye(k)[clamp_class[idx]]
+    return SoftAssignment(rows=rows, clamped=clamped, clamp_class=clamp_class)
+
+
+SWEEP_CASES = {  # solver settings and the graph's diagonal shift
+    "lam1": (dict(lam=1.0), 0.0),
+    "lam0": (dict(lam=0.0), 0.0),
+    "inner_cap": (dict(lam=2.0, inner_tol=1e-300, inner_max=3), 0.0),
+    "diag_shift": (dict(lam=1.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("layout, selector", [("all_free", slice), ("free_suffix", slice),
+                                              ("scattered", np.ndarray)])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_s_block_bitwise_equals_oracle(layout, selector, case):
+    rng = np.random.default_rng(31)
+    n, k = 40, 4
+    X = rng.standard_normal((n, 3)) + rng.integers(3, size=(n, 1)) * 3.0
+    settings, shift = SWEEP_CASES[case]
+    W = symmetrize(knn_graph(X, 4), "max").with_diag_shift(shift)
+    cfg = SolverConfig(rule="means", **settings)
+    S = clamped_layout(rng, n, k, layout)
+    M = Prototypes(values=X[[0, 10, 20, 30]], rule="means")
+    assert isinstance(optimizer._selector(~S.clamped), selector)
+
+    want, want_iters, want_warns = s_block_oracle(W, prototype_scores(X, M), S.rows,
+                                                  ~S.clamped, cfg)
+    got, iters, warns = s_block(W, X, M, S, cfg)
+    assert got.rows.tobytes() == want.tobytes()
+    assert (iters, warns) == (want_iters, want_warns)
+    if case == "inner_cap":
+        assert iters == 3 and warns[0].startswith("inner loop hit inner_max=3 (last delta ")
+
+
+@pytest.mark.parametrize("layout", ["all_free", "free_suffix", "scattered"])
+def test_s_block_and_solve_leave_their_inputs_unchanged(layout):
+    rng = np.random.default_rng(32)
+    n, k = 30, 3
+    X = rng.standard_normal((n, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    M = Prototypes(values=X[:k], rule="means")
+    S0 = clamped_layout(rng, n, k, layout)
+    before = S0.rows.copy()
+    cfg = SolverConfig(lam=1.0, rule="means")
+    S1, _, _ = s_block(W, X, M, S0, cfg)
+    rows, _, _ = optimizer._s_block(W, prototype_scores(X, M), S0.rows, ~S0.clamped, cfg)
+    S2, _, _ = solve(X, W, M, cfg, S0=S0)
+    assert S0.rows.tobytes() == before.tobytes()
+    assert S1.rows is not S0.rows and rows is not S0.rows and S2.rows is not S0.rows
+
+
 def test_relaxed_equals_discrete_at_vertices_lambda_zero():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((9, 2))

@@ -16,7 +16,7 @@ from lapclust import (
 )
 from lapclust.errors import DataError, EmptyClusterError
 from lapclust.optimizer import s_inner_update
-from lapclust.prototypes import CenteredFeatures, rbf_weights
+from lapclust.prototypes import CenteredFeatures
 
 
 def test_means_hard_assignment():
@@ -288,8 +288,9 @@ def test_softmax_argmax_matches_nearest_prototype():
 
 
 def test_rbf_exponent_clamped():
-    w = rbf_weights(np.array([[1e6]]), np.array([0.0]), sigma2=1.0)
-    assert w[0] > 0.0
+    M = Prototypes(values=[[0.0]], rule="modes")
+    w = prototype_scores(np.array([[1e6]]), M, "modes", 1.0)
+    assert w[0, 0] > 0.0
 
 
 def test_centered_features_accepted_in_place_of_x():
