@@ -186,8 +186,7 @@ def save_assignments(S, path, include_soft=False) -> None:
             for lab, row in zip(hard, rows.tolist()):
                 fh.write(f"{lab}," + ",".join(map(repr, row)) + "\n")
         else:
-            for lab in hard:
-                fh.write(f"{lab}\n")
+            fh.write("".join(f"{lab}\n" for lab in hard.tolist()))
 
 
 def load_labels(path) -> np.ndarray:

@@ -160,7 +160,7 @@ def neighbor_votes(W: SparseAffinity, S):
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
     b = W.matrix @ rows
     if W.diag_shift > 0.0:
-        b = b + W.diag_shift * rows
+        b += W.diag_shift * rows
     return b
 
 

@@ -6,8 +6,11 @@ kernel mass u^n at each iterate, which is monotonically increasing along the
 fixed-point sequence and is used by the test suite.
 
 Every squared distance in the package (prototype scores, kernel weights,
-mean-shift steps, k-means++ seeding, the rho-NN search) is one GEMM in the
-expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through CenteredFeatures.
+mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
+GEMM in the expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through
+CenteredFeatures. The kd-tree search of low-dimensional features only picks
+candidate pairs; their distances come from the same expansion with each dot
+product taken row by row (``CenteredFeatures.pair_sqdist``).
 The expansion cancels, and its rounding error grows with ||x||^2 rather than
 with the distance, so X and the prototypes are first shifted by the column
 mean of X; the shift leaves every distance unchanged. On 8-D standard normal
@@ -98,10 +101,26 @@ class CenteredFeatures:
         Vc = V - self.mean
         return _sqdist(self.centered, self.sq_norms, Vc, np.einsum("ij,ij->i", Vc, Vc))
 
-    def pairwise_rows(self, start, stop, out=None):
-        """(stop - start) x N squared distances from points start..stop-1 to all."""
-        return _sqdist(self.centered[start:stop], self.sq_norms[start:stop],
+    def pairwise_rows(self, rows, out=None):
+        """len(rows) x N squared distances from the points ``rows`` (a slice or
+        an index array) to all."""
+        return _sqdist(self.centered[rows], self.sq_norms[rows],
                        self.centered, self.sq_norms, out)
+
+    def pair_sqdist(self, nbrs):
+        """N x r squared distances from each point p to the points nbrs[p], clamped at 0.
+
+        The expansion and its order of operations are those of ``_sqdist``; each
+        dot product is taken row by row instead of by one GEMM, so a value can
+        differ from the GEMM's in the last bits.
+        """
+        dots = np.empty(nbrs.shape)
+        for j in range(nbrs.shape[1]):
+            dots[:, j] = np.einsum("ij,ij->i", self.centered, self.centered[nbrs[:, j]])
+        dots *= 2.0
+        sqd = self.sq_norms[:, None] + self.sq_norms[nbrs]
+        sqd -= dots
+        return np.maximum(sqd, 0.0, out=sqd)
 
 
 def _sqdist(A, a_norms, B, b_norms, out=None):

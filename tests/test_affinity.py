@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from lapclust import estimate_sigma2, knn_graph, laplacian_quadratic, symmetrize
 from lapclust import affinity
 from lapclust.affinity import SparseAffinity
 from lapclust.errors import DataError, DegenerateDataError
+from lapclust.prototypes import CenteredFeatures
 
 
 def brute_force_neighbors(X, rho):
@@ -23,12 +25,34 @@ def brute_force_neighbors(X, rho):
     return out
 
 
+SEARCH_PATHS = {"tree": affinity._tree_search, "brute": affinity._brute_search}
+
+
+def path_searches(X, rho):
+    """(path name, indices, squared distances) from each search path, called directly."""
+    P = CenteredFeatures(X)
+    return [(name, *search(P, rho)) for name, search in SEARCH_PATHS.items()]
+
+
+def assert_paths_match(X, rho, expected):
+    """knn_graph and both search paths give the oracle's neighbors, in
+    (distance, index) order from the paths."""
+    W = knn_graph(X, rho)
+    for p in range(X.shape[0]):
+        got = W.matrix.indices[W.matrix.indptr[p]:W.matrix.indptr[p + 1]]
+        np.testing.assert_array_equal(got, np.sort(expected[p]))
+    for name, idx, sqd in path_searches(X, rho):
+        np.testing.assert_array_equal(idx, expected, err_msg=name)
+        assert (np.diff(sqd, axis=1) >= 0).all(), name
+
+
 def test_knn_line_nearest():
     X = np.array([[0.0], [1.0], [10.0]])
     W = knn_graph(X, 1)
     dense = W.matrix.toarray()
     assert dense[0, 1] == 1 and dense[1, 0] == 1 and dense[2, 1] == 1
     assert W.matrix.nnz == 3
+    assert_paths_match(X, 1, [[1], [0], [1]])
 
 
 def test_knn_duplicate_tie_to_lower_index():
@@ -37,26 +61,43 @@ def test_knn_duplicate_tie_to_lower_index():
     assert W[0, 1] == 1  # the duplicate, not the far point
     assert W[1, 0] == 1  # tie among equal distances resolves to index 0
     assert W[2, 0] == 1  # equidistant 0 and 1 -> lower index
+    assert_paths_match(X, 1, [[1], [0], [0]])
+
+
+def test_knn_point_with_more_copies_than_the_tree_returns():
+    # rho + 3 copies of the origin: the tree's rho + 2 nearest of a copy can
+    # all be other copies, without the point itself
+    rho = 3
+    X = np.vstack([np.zeros((rho + 4, 2)), np.random.default_rng(20).standard_normal((6, 2)) + 3])
+    own = cKDTree(X, leafsize=32).query(X, k=rho + 2)[1] == np.arange(len(X))[:, None]
+    assert not own.any(axis=1).all()
+    assert_paths_match(X, rho, brute_force_neighbors(X, rho))
+
+
+@pytest.mark.parametrize("rho", [1, 2, 4, 8])
+def test_knn_tree_keeps_the_kernels_sets_where_rounding_decides(rho):
+    # two jittered integer grids at +-1e4: the jitter (1e-10) is below the
+    # centered kernel's rounding (~1e-8 here), so the kernel's sets differ from
+    # the exact oracle's, and the tree must send those rows to the kernel
+    g = np.arange(-2.0, 3.0)
+    grid = np.array([(x, y) for x in g for y in g])
+    X = np.vstack([grid + 1e4, grid - 1e4])
+    X += np.random.default_rng(22).standard_normal(X.shape) * 1e-10
+    (_, tree_idx, _), (_, brute_idx, _) = path_searches(X, rho)
+    assert (np.sort(brute_idx, axis=1) != np.sort(brute_force_neighbors(X, rho), axis=1)).any()
+    np.testing.assert_array_equal(np.sort(tree_idx, axis=1), np.sort(brute_idx, axis=1))
 
 
 def test_knn_matches_brute_force():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((20, 3))
-    W = knn_graph(X, 4)
-    expected = brute_force_neighbors(X, 4)
-    for p in range(20):
-        got = np.sort(W.matrix.indices[W.matrix.indptr[p]:W.matrix.indptr[p + 1]])
-        np.testing.assert_array_equal(got, np.sort(expected[p]))
+    assert_paths_match(X, 4, brute_force_neighbors(X, 4))
 
 
 def test_knn_exact_far_from_origin():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((300, 8)) + 1e7
-    W = knn_graph(X, 5)
-    expected = brute_force_neighbors(X, 5)
-    for p in range(300):
-        got = np.sort(W.matrix.indices[W.matrix.indptr[p]:W.matrix.indptr[p + 1]])
-        np.testing.assert_array_equal(got, np.sort(expected[p]))
+    assert_paths_match(X, 5, brute_force_neighbors(X, 5))
 
 
 def integer_grid():
@@ -75,36 +116,82 @@ def brute_force_sqdist(X, nbrs):
 @pytest.mark.parametrize("rows_per_block", [1, 4, 10])
 @pytest.mark.parametrize("rho", [3, 4, 26])
 def test_knn_blocked_search_matches_one_block(monkeypatch, rows_per_block, rho):
+    # the tree path sends the rows tied at the cut through the same blocks
     X = integer_grid()
     n = X.shape[0]
-    one_idx, one_sqd = affinity._neighbor_search(X, rho)
+    one_block = path_searches(X, rho)
     monkeypatch.setattr(affinity, "_CHUNK_BUDGET", rows_per_block * n)  # 27 rows: ragged last block
-    W = knn_graph(X, rho)
-    idx, sqd = affinity._neighbor_search(X, rho)
     expected = brute_force_neighbors(X, rho)
-    np.testing.assert_array_equal(idx, expected)
-    np.testing.assert_array_equal(one_idx, expected)
-    assert sqd.tobytes() == one_sqd.tobytes() == W.knn_sqdist.tobytes()
-    np.testing.assert_array_equal(sqd, brute_force_sqdist(X, expected))
+    expected_sqd = brute_force_sqdist(X, expected)
+    for (name, idx, sqd), (_, one_idx, one_sqd) in zip(path_searches(X, rho), one_block):
+        np.testing.assert_array_equal(idx, expected, err_msg=name)
+        np.testing.assert_array_equal(one_idx, expected, err_msg=name)
+        assert sqd.tobytes() == one_sqd.tobytes(), name
+        np.testing.assert_array_equal(sqd, expected_sqd, err_msg=name)
+    assert knn_graph(X, rho).knn_sqdist.tobytes() == expected_sqd.tobytes()
     if rho < n - 1:  # the input has ties at the cut: rho-th and (rho+1)-th equally far
         wider = brute_force_sqdist(X, brute_force_neighbors(X, rho + 1))
         assert (wider[:, rho - 1] == wider[:, rho]).any()
 
 
-def test_knn_search_memory_is_bounded_by_its_block():
-    # the search's scratch is two blocks of 1M distances and one index block of
-    # the same size, 8 MB each; X and the N x rho outputs are small beside them
-    block_bytes = 8 * 1_000_000
-    assert affinity._CHUNK_BUDGET * 8 <= block_bytes
-    X = np.random.default_rng(17).standard_normal((4000, 8))
-    knn_graph(X[:50], 5)  # first-call allocations out of the measurement
+def traced_peak(search, X, rho):
+    """Peak traced bytes of centering X and searching it on one path."""
+    search(CenteredFeatures(X[:50]), rho)  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
-        knn_graph(X, 5)
+        search(CenteredFeatures(X), rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * block_bytes
+    return peak
+
+
+def test_knn_search_memory_is_bounded_by_its_block():
+    # the brute path's scratch is two blocks of 1M distances and one index
+    # block of the same size, 8 MB each; X and the N x rho outputs are small
+    # beside them
+    block_bytes = 8 * 1_000_000
+    assert affinity._CHUNK_BUDGET * 8 <= block_bytes
+    X = np.random.default_rng(17).standard_normal((4000, 8))
+    assert traced_peak(affinity._brute_search, X, 5) < 4 * block_bytes
+
+
+def test_knn_tree_search_memory_is_linear_in_n():
+    # the tree path holds a few N x (rho + 2) arrays and N x d copies of X
+    # (d <= 10 on this path); about 7.5 of those units are measured
+    rho = 5
+    for n in (4000, 16000):
+        X = np.random.default_rng(17).standard_normal((n, 8))
+        assert traced_peak(affinity._tree_search, X, rho) < 10 * n * (rho + 2) * 8
+
+
+def test_knn_path_is_chosen_by_dimension(monkeypatch):
+    taken = []
+
+    def spy(name, search):
+        def run(P, rho):
+            taken.append((name, P.X.shape[1]))
+            return search(P, rho)
+        return run
+
+    for name, search in SEARCH_PATHS.items():
+        monkeypatch.setattr(affinity, f"_{name}_search", spy(name, search))
+    rng = np.random.default_rng(21)
+    d = affinity._TREE_MAX_DIM
+    for dim in (1, d, d + 1, 128):
+        knn_graph(rng.standard_normal((30, dim)), 3)
+    assert taken == [("tree", 1), ("tree", d), ("brute", d + 1), ("brute", 128)]
+
+
+def test_knn_paths_agree_on_the_scalability_stream():
+    # the acceptance test's N=50k input (stream 1111, d=10, k=10) at N=10k
+    rng = np.random.default_rng(1111)
+    n, d, k, rho = 10_000, 10, 10, 5
+    centers = rng.standard_normal((k, d)) * 4.0
+    X = centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+    (_, tree_idx, tree_sqd), (_, brute_idx, brute_sqd) = path_searches(X, rho)
+    np.testing.assert_array_equal(tree_idx, brute_idx)
+    np.testing.assert_allclose(tree_sqd, brute_sqd, rtol=1e-10)
 
 
 def test_derived_graphs_are_not_checked_again(monkeypatch):
@@ -184,6 +271,9 @@ def test_sigma2_matches_naive_loop():
         float(np.sum((X[p] - X[q]) ** 2)) for p in range(15) for q in nbrs[p]
     )
     assert estimate_sigma2(X, rho) == pytest.approx(total / (15 * rho), rel=1e-12)
+    for name, idx, sqd in path_searches(X, rho):
+        np.testing.assert_array_equal(idx, nbrs, err_msg=name)
+        assert sqd.mean() == pytest.approx(total / (15 * rho), rel=1e-12), name
 
 
 def test_sigma2_far_from_origin():
@@ -193,6 +283,9 @@ def test_sigma2_far_from_origin():
     nbrs = brute_force_neighbors(X, rho)
     total = sum(float(np.sum((X[p] - X[q]) ** 2)) for p in range(60) for q in nbrs[p])
     assert estimate_sigma2(X, rho) == pytest.approx(total / (60 * rho), rel=1e-9)
+    for name, idx, sqd in path_searches(X, rho):
+        np.testing.assert_array_equal(idx, nbrs, err_msg=name)
+        assert sqd.mean() == pytest.approx(total / (60 * rho), rel=1e-9), name
 
 
 def test_sigma2_from_graph_is_bitwise_the_search_value():

@@ -141,6 +141,22 @@ def test_save_assignments_empty_is_header_only(tmp_path):
     assert path.read_text() == "label\n"
 
 
+@pytest.mark.parametrize("n, k", [(0, 3), (7, 1), (1000, 10)])
+def test_save_assignments_labels_match_per_line_writes(tmp_path, n, k):
+    def per_line(rows, path):  # one write per label, as the writer once did
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("label\n")
+            for lab in np.argmax(rows, axis=1):
+                fh.write(f"{lab}\n")
+
+    rows = np.random.default_rng(19).random((n, k))
+    if n:
+        rows[0] = 0.5  # a row of ties goes to column 0
+    save_assignments(rows, tmp_path / "a.csv")
+    per_line(rows, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_save_assignments_soft_columns(tmp_path):
     path = tmp_path / "a.csv"
     save_assignments(np.array([[0.25, 0.75]]), path, include_soft=True)
