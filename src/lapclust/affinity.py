@@ -17,13 +17,21 @@ the feature dimension d:
 - wider features: exact brute force in row blocks of at most
   ``_CHUNK_BUDGET`` distances (8 MB), written in place into two buffers
   allocated once per search, so its memory is bounded by that budget whatever
-  N is and no dense N x N matrix is ever materialized. Only a row whose rho-th
-  and (rho+1)-th distances are equal takes the per-row tie pass.
+  N is and no dense N x N matrix is ever materialized. A block holds half
+  distances, made by the product and two elementwise passes; only the entries
+  a row keeps are doubled and clamped, which gives the kernel's values
+  bitwise. A row's rho + 1 nearest are selected in two stages: the minimum of
+  each strided group of ``_GROUP_SIZE`` columns, then only the rho + 1 groups
+  with the smallest minima. Only a row whose rho-th and (rho+1)-th distances
+  are equal takes the per-row tie pass.
 
-The threshold is measured (N=10k, rho=5, one core of a 2-core VM): on
-unclustered Gaussians the tree takes 0.74 / 1.11 / 1.00 s at d = 10 / 11 / 12,
-against 1.11 / 1.06 / 0.91 s for brute force; on clustered blobs it takes about
-0.2 s at those d, and at d=128 18.6 s against 2.5 s.
+The threshold is measured (N=10k, rho=5, one core of a 2-core VM, best of 3,
+two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
+1.11-1.20 s at d = 10 / 11 / 12, against 0.65-0.75 / 0.57-0.75 / 0.67-0.69 s
+for brute force; on clustered blobs it takes about 0.2 s at those d, against
+0.63-0.75 s. At d = 10 the tree is 3x faster on clustered data and about as
+fast on unclustered data, so the tree keeps d <= 10. At d=128 the tree took
+18.6 s, against 2.5 s for the brute force before its two-stage selection.
 
 The graph keeps the distances of its search, so ``estimate_sigma2`` takes the
 kernel width from it without a second search.
@@ -40,13 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import DataError, DegenerateDataError
 from .prototypes import _centered
 
 _CHUNK_BUDGET = 1_000_000  # distances per search block
-_TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force keeps up
+_GROUP_SIZE = 32  # columns per strided group of the two-stage selection
+_TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force is faster
 # A tree row is searched again when its rho-th and (rho+1)-th squared distances
 # differ by at most this times (|c_p|^2 + dist); the kernel's rounding is about
 # (d + 3) eps times that, under 1e-14 for d <= 10.
@@ -145,6 +153,8 @@ def _tree_search(P, rho):
     rounding cannot move a point across the cut, so the set is the kernel's;
     its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
     """
+    from scipy.spatial import cKDTree  # imported here: a run at d > 10 never loads it
+
     n = P.X.shape[0]
     dist, nbr = cKDTree(P.centered, leafsize=32).query(P.centered, k=rho + 2)
     own = nbr == np.arange(n)[:, None]
@@ -167,34 +177,77 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out):
     idx_out and sqd_out, from the centered kernel's distances to every point.
 
     Works in blocks of at most ``_CHUNK_BUDGET`` distances, filled in place
-    into two buffers allocated once. argpartition at rho puts each row's rho
-    nearest first and its (rho+1)-th nearest next; only a row where the two
-    are equally far has a tie at the cut and is resolved in full by
-    (distance, index) order.
+    into two buffers allocated once. A block holds half distances
+    (``CenteredFeatures.half_sqdist_rows``), which rank as the kernel's
+    unclamped values do; only the entries a row keeps are doubled and clamped
+    at 0, which gives the kernel's values bitwise. Each row's rho nearest and
+    its (rho+1)-th come from ``_nearest_columns`` when N holds more than
+    rho + 1 groups of ``_GROUP_SIZE`` columns, else from one argpartition of
+    the row. Only a row where the two are equally far after the clamp has a
+    tie at the cut; it is resolved in full by (distance, index) order over
+    every point within its cutoff.
     """
     n = P.X.shape[0]
     chunk = max(1, min(ids.size, _CHUNK_BUDGET // n))
     buffers = np.empty((2, chunk, n))
+    half_norms = 0.5 * P.sq_norms
+    grouped = n > (rho + 1) * _GROUP_SIZE
     for start in range(0, ids.size, chunk):
         block = ids[start:start + chunk]
         rows = np.arange(block.size)
         contiguous = block[-1] - block[0] + 1 == block.size
         sel = slice(int(block[0]), int(block[-1]) + 1) if contiguous else block
-        d = P.pairwise_rows(sel, out=buffers[:, :block.size])
-        d[rows, block] = np.inf
-        part = np.argpartition(d, rho, axis=1)[:, :rho + 1].copy()  # frees the N-wide block
-        cand = part[:, :rho]
-        cand_d = np.take_along_axis(d, cand, axis=1)
+        h = P.half_sqdist_rows(sel, half_norms, out=buffers[:, :block.size])
+        h[rows, block] = np.inf
+        if grouped:
+            part = _nearest_columns(h, rho)
+        else:
+            part = np.argpartition(h, rho, axis=1)[:, :rho + 1].copy()  # frees the N-wide block
+        part_d = np.maximum(2.0 * np.take_along_axis(h, part, axis=1), 0.0)
+        cand, cand_d = part[:, :rho], part_d[:, :rho]
         cutoff = cand_d.max(axis=1)
-        tied = d[rows, part[:, rho]] == cutoff
+        tied = part_d[:, rho] == cutoff
         order = np.lexsort((cand, cand_d), axis=1)
         idx_out[block] = np.take_along_axis(cand, order, axis=1)
         sqd_out[block] = np.take_along_axis(cand_d, order, axis=1)
         for r in np.flatnonzero(tied):
-            full = np.flatnonzero(d[r] <= cutoff[r])
-            keep = full[np.lexsort((full, d[r, full]))][:rho]
-            idx_out[block[r]] = keep
-            sqd_out[block[r]] = d[r, keep]
+            # max(2h, 0) <= cutoff iff h <= cutoff / 2: the cutoff is 0 or
+            # twice a half distance, which halving gives back exactly
+            full = np.flatnonzero(h[r] <= 0.5 * cutoff[r])
+            full_d = np.maximum(2.0 * h[r, full], 0.0)
+            keep = np.lexsort((full, full_d))[:rho]
+            idx_out[block[r]] = full[keep]
+            sqd_out[block[r]] = full_d[keep]
+
+
+def _nearest_columns(h, rho):
+    """Per row of h, the columns of its rho + 1 smallest values, the (rho+1)-th
+    last, found in two stages.
+
+    The columns fall into ng > rho + 1 strided groups of at most
+    ``_GROUP_SIZE`` (columns j, j + ng, j + 2 ng, ...). One reduction gives
+    every group's minimum, and only the rho + 1 groups with the smallest minima
+    are searched. With t the largest of their minima, the searched columns hold
+    every column below t and at least rho + 1 at or below t, and every column
+    left out is at t or above. So a column left out can come before a searched
+    one in (distance, index) order only when the searched rho-th and (rho+1)-th
+    are as far as it, also after the clamp at 0: a tie at the cut, which
+    ``_exact_rows`` resolves over the whole row. A row whose groups tie at t
+    needs no second search.
+    """
+    b, n = h.shape
+    ng = -(-n // _GROUP_SIZE)
+    full = n // ng  # complete strides; the last n - full * ng columns start another
+    mins = h[:, :full * ng].reshape(b, full, ng).min(axis=1)
+    tail = n - full * ng
+    if tail:
+        np.minimum(mins[:, :tail], h[:, full * ng:], out=mins[:, :tail])
+    groups = np.argpartition(mins, rho, axis=1)[:, :rho + 1]
+    cols = (groups[:, :, None] + ng * np.arange(full + (tail > 0))).reshape(b, -1)
+    past = cols >= n  # groups from the tail on have no column in the last stride
+    vals = np.take_along_axis(h, np.where(past, 0, cols), axis=1)
+    vals[past] = np.inf
+    return np.take_along_axis(cols, np.argpartition(vals, rho, axis=1)[:, :rho + 1], axis=1)
 
 
 def knn_graph(X, rho: int) -> SparseAffinity:

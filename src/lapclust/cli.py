@@ -104,6 +104,10 @@ def _resolve_config(args):
         lam = 0.0
     else:
         lam = 1.0 if args.lam is None else args.lam
+    if lam > 0.0 and args.sym == "none":
+        # the bound's monotone descent needs a symmetric affinity graph
+        raise ConfigError(f"--sym none leaves the graph non-symmetric, which --lambda {lam} "
+                          "> 0 does not allow; use --sym max or --sym mean")
     return rule, lam
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
 
@@ -56,6 +55,10 @@ def accuracy_hungarian(pred, truth) -> float:
     Solved as a max-weight assignment on the contingency table, zero-padded
     to square so cluster and class counts may differ.
     """
+    # imported here: scipy.optimize loads scipy.spatial, about half a second
+    # that a run without truth labels never needs
+    from scipy.optimize import linear_sum_assignment
+
     counts = contingency_table(pred, truth)
     dim = max(counts.shape)
     padded = np.zeros((dim, dim), dtype=np.int64)

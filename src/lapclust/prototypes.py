@@ -8,9 +8,13 @@ fixed-point sequence and is used by the test suite.
 Every squared distance in the package (prototype scores, kernel weights,
 mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
 GEMM in the expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through
-CenteredFeatures. The kd-tree search of low-dimensional features only picks
-candidate pairs; their distances come from the same expansion with each dot
-product taken row by row (``CenteredFeatures.pair_sqdist``).
+CenteredFeatures. The brute-force search ranks on half of it,
+(||x||^2/2 + ||v||^2/2) - x.v (``CenteredFeatures.half_sqdist_rows``), and
+doubles and clamps only the distances it keeps; halving is exact, so those
+are the expansion's values bitwise. The kd-tree search of low-dimensional
+features only picks candidate pairs; their distances come from the same
+expansion with each dot product taken row by row
+(``CenteredFeatures.pair_sqdist``).
 The expansion cancels, and its rounding error grows with ||x||^2 rather than
 with the distance, so X and the prototypes are first shifted by the column
 mean of X; the shift leaves every distance unchanged. On 8-D standard normal
@@ -101,11 +105,21 @@ class CenteredFeatures:
         Vc = V - self.mean
         return _sqdist(self.centered, self.sq_norms, Vc, np.einsum("ij,ij->i", Vc, Vc))
 
-    def pairwise_rows(self, rows, out=None):
-        """len(rows) x N squared distances from the points ``rows`` (a slice or
-        an index array) to all."""
-        return _sqdist(self.centered[rows], self.sq_norms[rows],
-                       self.centered, self.sq_norms, out)
+    def half_sqdist_rows(self, rows, half_norms, out):
+        """len(rows) x N half squared distances from the points ``rows`` (a slice
+        or an index array) to all: (|c_i|^2/2 + |c_j|^2/2) - c_i.c_j, unclamped.
+
+        ``half_norms`` is ``sq_norms / 2``. Halving is exact outside the
+        subnormal range, so twice a value is bitwise ``_sqdist``'s value before
+        its clamp at 0. ``out`` is a pair of len(rows) x N buffers: the result is
+        written into the first and the second is scratch for the product, which
+        is a SYRK when ``rows`` is every point.
+        """
+        h, g = out
+        np.matmul(self.centered[rows], self.centered.T, out=g)
+        np.add(half_norms[rows, None], half_norms[None, :], out=h)
+        h -= g
+        return h
 
     def pair_sqdist(self, nbrs):
         """N x r squared distances from each point p to the points nbrs[p], clamped at 0.
@@ -123,16 +137,11 @@ class CenteredFeatures:
         return np.maximum(sqd, 0.0, out=sqd)
 
 
-def _sqdist(A, a_norms, B, b_norms, out=None):
-    """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j over the rows of A and B, clamped at 0.
-
-    ``out``, when given, is a pair of len(A) x len(B) buffers: the result is
-    written into the first and the second is scratch for the GEMM.
-    """
-    sqd, g = out if out is not None else (None, None)
-    g = np.matmul(A, B.T, out=g)
+def _sqdist(A, a_norms, B, b_norms):
+    """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j over the rows of A and B, clamped at 0."""
+    g = A @ B.T
     g *= 2.0
-    sqd = np.add(a_norms[:, None], b_norms[None, :], out=sqd)
+    sqd = a_norms[:, None] + b_norms[None, :]
     sqd -= g
     return np.maximum(sqd, 0.0, out=sqd)
 

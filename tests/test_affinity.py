@@ -1,5 +1,8 @@
 """Sparse affinity graphs: neighbor search, symmetrization, kernel width."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +14,7 @@ from lapclust import estimate_sigma2, knn_graph, laplacian_quadratic, symmetrize
 from lapclust import affinity
 from lapclust.affinity import SparseAffinity
 from lapclust.errors import DataError, DegenerateDataError
-from lapclust.prototypes import CenteredFeatures
+from lapclust.prototypes import CenteredFeatures, _sqdist
 
 
 def brute_force_neighbors(X, rho):
@@ -192,6 +195,198 @@ def test_knn_paths_agree_on_the_scalability_stream():
     (_, tree_idx, tree_sqd), (_, brute_idx, brute_sqd) = path_searches(X, rho)
     np.testing.assert_array_equal(tree_idx, brute_idx)
     np.testing.assert_allclose(tree_sqd, brute_sqd, rtol=1e-10)
+
+
+def exact_rows_oracle(P, rho, ids):
+    """The search's block body before half distances and the two-stage
+    selection: clamped distances and one argpartition over every column."""
+    n = P.X.shape[0]
+    idx_out = np.empty((n, rho), dtype=np.int64)
+    sqd_out = np.empty((n, rho), dtype=np.float64)
+    chunk = max(1, min(ids.size, affinity._CHUNK_BUDGET // n))
+    for start in range(0, ids.size, chunk):
+        block = ids[start:start + chunk]
+        rows = np.arange(block.size)
+        contiguous = block[-1] - block[0] + 1 == block.size
+        sel = slice(int(block[0]), int(block[-1]) + 1) if contiguous else block
+        d = _sqdist(P.centered[sel], P.sq_norms[sel], P.centered, P.sq_norms)
+        d[rows, block] = np.inf
+        part = np.argpartition(d, rho, axis=1)[:, :rho + 1]
+        cand = part[:, :rho]
+        cand_d = np.take_along_axis(d, cand, axis=1)
+        cutoff = cand_d.max(axis=1)
+        tied = d[rows, part[:, rho]] == cutoff
+        order = np.lexsort((cand, cand_d), axis=1)
+        idx_out[block] = np.take_along_axis(cand, order, axis=1)
+        sqd_out[block] = np.take_along_axis(cand_d, order, axis=1)
+        for r in np.flatnonzero(tied):
+            full = np.flatnonzero(d[r] <= cutoff[r])
+            keep = full[np.lexsort((full, d[r, full]))][:rho]
+            idx_out[block[r]] = keep
+            sqd_out[block[r]] = d[r, keep]
+    return idx_out[ids], sqd_out[ids]
+
+
+def group_minima(h):
+    """Each strided group's minimum, the way the two-stage selection groups columns."""
+    n = h.shape[1]
+    ng = -(-n // affinity._GROUP_SIZE)
+    return np.stack([h[:, j::ng].min(axis=1) for j in range(ng)], axis=1)
+
+
+def two_stage_input(case):
+    """(X, rho, ids) large enough for the two-stage selection."""
+    rng = np.random.default_rng(23)
+    if case in ("grid", "grid_ids"):
+        # 33 x 33 integer grid with mean 0, so centered distances are exact
+        # integers: rows tie at the cut and groups tie at their rho + 1-th minimum
+        g = np.arange(-16.0, 17.0)
+        X = np.array([(x, y) for x in g for y in g])
+        ids = np.arange(len(X))
+        if case == "grid_ids":
+            ids = np.unique(np.r_[ids[::3], rng.choice(len(X), 100, replace=False)])
+        return X, 4, ids
+    if case == "copies":
+        # 3 (rho + 1) copies of one point, at indices in different groups
+        rho = 4
+        X = rng.standard_normal((600, 3))
+        X[np.arange(3 * (rho + 1)) * 41] = X[0]
+        return X, rho, np.arange(len(X))
+    if case == "near_copies":
+        # 8 jittered copies of each of 61 points far from the origin: the
+        # kernel's rounding leaves distinct negative values, all clamped to 0
+        X = np.repeat(rng.standard_normal((61, 7)) * 1e3, 8, axis=0)
+        X += rng.standard_normal(X.shape) * 1e-9
+        return X, 4, np.arange(len(X))
+    if case == "tail":
+        X = rng.standard_normal((7 * affinity._GROUP_SIZE + 5, 5))
+        return X, 5, np.arange(len(X))
+    if case == "offset":
+        X = rng.standard_normal((400, 6)) + 1e7
+        return X, 5, np.arange(len(X))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("rows_per_block", [7, 100])
+@pytest.mark.parametrize("case", ["grid", "grid_ids", "copies", "near_copies", "tail", "offset"])
+def test_two_stage_selection_matches_the_parent_block_body(monkeypatch, case, rows_per_block):
+    X, rho, ids = two_stage_input(case)
+    n = len(X)
+    assert n >= (rho + 2) * affinity._GROUP_SIZE
+    assert n % -(-n // affinity._GROUP_SIZE), "the last stride is a partial one"
+    monkeypatch.setattr(affinity, "_CHUNK_BUDGET", rows_per_block * n)
+    rows_tied_at_t = []
+    nearest_columns = affinity._nearest_columns
+
+    def spy(h, rho):
+        mins = group_minima(h)
+        t = np.sort(mins, axis=1)[:, rho]
+        rows_tied_at_t.append(int(np.count_nonzero((mins <= t[:, None]).sum(axis=1) > rho + 1)))
+        return nearest_columns(h, rho)
+
+    monkeypatch.setattr(affinity, "_nearest_columns", spy)
+    P = CenteredFeatures(X)
+    idx = np.full((n, rho), -1, dtype=np.int64)
+    sqd = np.full((n, rho), np.nan)
+    affinity._exact_rows(P, rho, ids, idx, sqd)
+    want_idx, want_sqd = exact_rows_oracle(P, rho, ids)
+    np.testing.assert_array_equal(idx[ids], want_idx)
+    assert sqd[ids].tobytes() == want_sqd.tobytes()
+    assert len(rows_tied_at_t) == -(-ids.size // rows_per_block)  # every block took it
+    if case == "near_copies":
+        assert (want_sqd == 0).all(axis=1).any()
+    if case in ("grid", "grid_ids", "copies"):
+        # rows whose groups tie at t, where more than rho + 1 groups could hold
+        # a nearest point
+        assert sum(rows_tied_at_t) > 0
+
+
+@pytest.mark.parametrize("group_size", [2, 3, 8])
+def test_two_stage_selection_on_tie_heavy_random_inputs(monkeypatch, group_size):
+    # small groups make rows whose group minima tie at t common; none of them
+    # needs more than the tie pass at the cut
+    monkeypatch.setattr(affinity, "_GROUP_SIZE", group_size)
+    rows_tied_at_t = 0
+    rng = np.random.default_rng(26 + group_size)
+    for _ in range(25):
+        rho = int(rng.integers(1, 8))
+        n = int(rng.integers((rho + 2) * group_size, (rho + 2) * group_size + 200))
+        d = int(rng.integers(1, 4))
+        kind = rng.integers(3)
+        if kind == 0:
+            X = rng.integers(-2, 3, size=(n, d)).astype(float)
+        elif kind == 1:
+            X = rng.integers(0, 2, size=(n, d)) + 1e7
+        else:
+            X = rng.standard_normal((max(1, n // 10), d))[rng.integers(max(1, n // 10), size=n)]
+        monkeypatch.setattr(affinity, "_CHUNK_BUDGET", int(rng.choice([7, 50, 1000])) * n)
+        ids = np.arange(n) if rng.integers(2) else \
+            np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        P = CenteredFeatures(X)
+        idx = np.full((n, rho), -1, dtype=np.int64)
+        sqd = np.full((n, rho), np.nan)
+        affinity._exact_rows(P, rho, ids, idx, sqd)
+        want_idx, want_sqd = exact_rows_oracle(P, rho, ids)
+        np.testing.assert_array_equal(idx[ids], want_idx)
+        assert sqd[ids].tobytes() == want_sqd.tobytes()
+        h = P.half_sqdist_rows(ids, 0.5 * P.sq_norms, out=np.empty((2, ids.size, n)))
+        h[np.arange(ids.size), ids] = np.inf
+        mins = group_minima(h)
+        t = np.sort(mins, axis=1)[:, rho]
+        rows_tied_at_t += int(np.count_nonzero((mins <= t[:, None]).sum(axis=1) > rho + 1))
+    assert rows_tied_at_t > 1000
+
+
+def test_two_stage_selection_needs_more_groups_than_it_keeps(monkeypatch):
+    calls = []
+    nearest_columns = affinity._nearest_columns
+    monkeypatch.setattr(affinity, "_nearest_columns",
+                        lambda h, rho: (calls.append(h.shape), nearest_columns(h, rho))[1])
+    rng = np.random.default_rng(24)
+    rho = 3
+    edge = (rho + 1) * affinity._GROUP_SIZE
+    for n in (edge, edge + 1):
+        X = rng.standard_normal((n, 12))
+        idx, sqd = affinity._brute_search(CenteredFeatures(X), rho)
+        np.testing.assert_array_equal(idx, brute_force_neighbors(X, rho))
+    assert calls == [(edge + 1, edge + 1)]
+
+
+@pytest.mark.parametrize("block", ["whole", "rows"])
+def test_half_distance_block_doubles_to_the_kernels_unclamped_value(block):
+    # near-duplicates far from the origin leave negative unclamped values
+    rng = np.random.default_rng(25)
+    X = np.repeat(rng.standard_normal((30, 7)) * 1e3, 4, axis=0)
+    X += rng.standard_normal(X.shape) * 1e-9
+    P = CenteredFeatures(X)
+    n = len(X)
+    sel = slice(0, n) if block == "whole" else slice(10, 50)  # SYRK, then GEMM
+    A = P.centered[sel]
+    g = A @ P.centered.T
+    g *= 2.0
+    unclamped = P.sq_norms[sel, None] + P.sq_norms[None, :]
+    unclamped -= g
+    assert (unclamped < 0).any()
+    h = P.half_sqdist_rows(sel, 0.5 * P.sq_norms, out=np.empty((2, A.shape[0], n)))
+    assert (2.0 * h).tobytes() == unclamped.tobytes()
+    clamped = _sqdist(A, P.sq_norms[sel], P.centered, P.sq_norms)
+    assert np.maximum(2.0 * h, 0.0).tobytes() == clamped.tobytes()
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the kd-tree's import is paid only by a search of narrow features
+    code = ("import sys, lapclust.cli; "
+            "assert 'scipy.spatial' not in sys.modules, 'imported at load'; "
+            "from lapclust import knn_graph; import numpy as np; "
+            "knn_graph(np.random.default_rng(0).standard_normal((40, 11)), 3); "
+            "assert 'scipy.spatial' not in sys.modules, 'imported by the brute path'; "
+            "knn_graph(np.random.default_rng(0).standard_normal((40, 10)), 3); "
+            "assert 'scipy.spatial' in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(affinity.__file__)), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_derived_graphs_are_not_checked_again(monkeypatch):

@@ -247,3 +247,37 @@ def test_delta_shifts_the_cluster_graph(tmp_path, command):
         assert json.loads((out / "config.json").read_text())["delta"] == float(delta)
         traces.append((out / "trace.csv").read_text())
     assert traces[0] != traces[1]
+
+
+def _sym_none_argv(command, fpath, tasks_dir, out):
+    if command == "fewshot":
+        return ["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir),
+                "--sym", "none", "--out-dir", str(out)]
+    return [command, "--features", str(fpath), "--k", "2", "--sym", "none", "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("lam", [None, "0.5"])
+@pytest.mark.parametrize("command", ["cluster", "trace", "fewshot"])
+def test_sym_none_with_positive_lambda_is_a_config_error(episode_batch, tmp_path, capsys,
+                                                         command, lam):
+    # a non-symmetric graph voids the bound's monotone descent
+    fpath, _, tasks_dir = episode_batch
+    out = tmp_path / "out"
+    argv = _sym_none_argv(command, fpath, tasks_dir, out) + ["--algo", "slk-ms"]
+    if lam is not None:
+        argv += ["--lambda", lam]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lapclust: config error:")
+    assert "--sym none" in err and "--lambda" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo, lam", [("kmeans", None), ("kmodes", None), ("slk-means", "0")])
+@pytest.mark.parametrize("command", ["cluster", "trace", "fewshot"])
+def test_sym_none_without_lambda_is_accepted(episode_batch, tmp_path, command, algo, lam):
+    fpath, _, tasks_dir = episode_batch
+    argv = _sym_none_argv(command, fpath, tasks_dir, tmp_path / "out") + ["--algo", algo]
+    if lam is not None:
+        argv += ["--lambda", lam]
+    assert main(argv) == 0
