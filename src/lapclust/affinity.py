@@ -23,7 +23,7 @@ the feature dimension d:
   bitwise. A row's rho + 1 nearest are selected in two stages: the minimum of
   each strided group of ``_GROUP_SIZE`` columns, then only the rho + 1 groups
   with the smallest minima. Only a row whose rho-th and (rho+1)-th distances
-  are equal takes the per-row tie pass.
+  are equal takes the tie pass.
 
 The threshold is measured (N=10k, rho=5, one core of a 2-core VM, best of 3,
 two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
@@ -210,14 +210,27 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out):
         order = np.lexsort((cand, cand_d), axis=1)
         idx_out[block] = np.take_along_axis(cand, order, axis=1)
         sqd_out[block] = np.take_along_axis(cand_d, order, axis=1)
-        for r in np.flatnonzero(tied):
-            # max(2h, 0) <= cutoff iff h <= cutoff / 2: the cutoff is 0 or
-            # twice a half distance, which halving gives back exactly
-            full = np.flatnonzero(h[r] <= 0.5 * cutoff[r])
-            full_d = np.maximum(2.0 * h[r, full], 0.0)
-            keep = np.lexsort((full, full_d))[:rho]
-            idx_out[block[r]] = full[keep]
-            sqd_out[block[r]] = full_d[keep]
+        if tied.any():
+            _resolve_ties(h, block, np.flatnonzero(tied), cutoff, rho, idx_out, sqd_out)
+
+
+def _resolve_ties(h, block, tied, cutoff, rho, idx_out, sqd_out):
+    """Rows ``tied`` of the block h: their rho nearest in (distance, index) order
+    over every column within the row's cutoff, from one mask and one nonzero.
+
+    max(2h, 0) <= cutoff iff h <= cutoff / 2: the cutoff is 0 or twice a half
+    distance, which halving gives back exactly. Each row has at least rho such
+    columns, its candidates.
+    """
+    rows = h if tied.size == h.shape[0] else h[tied]  # no copy when every row ties
+    r, col = np.divmod(np.flatnonzero(rows <= 0.5 * cutoff[tied, None]), h.shape[1])
+    dist = np.maximum(2.0 * h[tied[r], col], 0.0)
+    # stable: a row's equal distances keep the increasing column order of nonzero
+    order = np.lexsort((dist, r))
+    first = np.searchsorted(r, np.arange(tied.size))
+    keep = order[first[:, None] + np.arange(rho)]
+    idx_out[block[tied]] = col[keep]
+    sqd_out[block[tied]] = dist[keep]
 
 
 def _nearest_columns(h, rho):

@@ -9,17 +9,26 @@ negative-entropy barrier:
 where F is the prototype term and the pairwise part is the linearizable
 (concave, for psd affinities) form of the Laplacian penalty. The lambda/2
 weight is what makes the closed-form row update softmax(a + lambda*b) the
-exact minimizer of a tight upper bound on R: linearizing the concave
-quadratic -(lambda/2) s'Ws at an anchor produces the linear term
--lambda s.b(anchor), so descent of R is guaranteed at every inner step
-whenever the (shifted) affinity matrix is psd. The discrete objective keeps
-its full weight, E = F + (lambda/2) sum_{p,q} w ||s_p - s_q||^2; halving the
-relaxed pairwise weight only reparameterizes the lambda scale, it does not
-change the family of solutions swept as lambda varies.
+exact minimizer of the per-point bound A(S; anchor) obtained by linearizing
+-(lambda/2) s'Ws at an anchor. The discrete objective keeps its full weight,
+E = F + (lambda/2) sum_{p,q} w ||s_p - s_q||^2; halving the relaxed pairwise
+weight only reparameterizes the lambda scale, it does not change the family
+of solutions swept as lambda varies.
 
 Assignment rows are updated jointly (Jacobi style) by the closed-form softmax
 minimizer of the per-point bound, so updates are order-independent and the
 result does not depend on thread count.
+
+Descent is certified sweep by sweep, for any symmetric affinity, without a
+diagonal shift. The bound's gap is exact: A - R = (lambda/2) q'Wq with q the
+sweep's change, and Wq is the difference of the votes after and before the
+sweep, which the next sweep needs anyway. A sweep with q'Wq < 0 (possible when
+W is not psd) is redone as softmax((a + lambda*b + c log anchor) / (1 + c)),
+the minimizer of A + c KL(s || anchor); with c = lambda * max(0, max degree -
+diag_shift), at least |lambda_min| by Gershgorin, Pinsker's inequality makes
+that a majorization step, so R never rises inside an assignment block. So any
+number of sweeps per block keeps the descent guarantee: ``inner_max`` is a
+budget, and a block that spends it is counted, not warned about.
 """
 
 from __future__ import annotations
@@ -126,7 +135,7 @@ class SolverConfig:
     rule: str = RULE_MEANS
     sigma2: float | None = None
     inner_tol: float = 1e-6
-    inner_max: int = 100
+    inner_max: int = 10  # sweeps per assignment block; every sweep is certified
     outer_tol: float = 1e-6
     outer_max: int = 100
     mode_tol: float = 1e-6
@@ -152,6 +161,8 @@ class SolveReport:
     discrete_objective: float = np.nan
     outer_iters: int = 0
     inner_iters_total: int = 0
+    inner_cap_hits: int = 0  # assignment blocks that spent inner_max sweeps
+    redone_sweeps: int = 0  # sweeps whose bound gap was negative, redone with the KL term
     warnings: list = field(default_factory=list)
 
 
@@ -185,45 +196,102 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
 
     The votes b are always computed from the previous inner iterate, so the
     update is synchronous and order-independent. Returns
-    (SoftAssignment, n_inner_iters, warnings).
+    (SoftAssignment, n_inner_iters, n_redone_sweeps).
     """
     a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
-    rows, iters, warnings = _s_block(W, a, S.rows, ~S.clamped, cfg)
+    rows, _, iters, redone, _ = _s_block(W, a, S.rows, ~S.clamped, cfg)
     return (SoftAssignment(rows=rows, clamped=S.clamped, clamp_class=S.clamp_class),
-            iters, warnings)
+            iters, redone)
 
 
-def _s_block(W, a, rows, free, cfg):
+# A sweep is certified when q'Wq >= -_CERT_RTOL * max|q| * (total degree). The
+# votes of a row sum to its degree (plus the shift), so that scale bounds
+# sum |q| |b|; the rounding of the votes difference and of its dot with q is
+# about (max degree + log2(N K)) eps times the scale, far below 1e-12 of it.
+_CERT_RTOL = 1e-12
+
+
+def _s_block(W, a, rows, free, cfg, b=None):
     """s_block on plain rows from the prototype scores a; only the ``free`` rows change.
+
+    ``b``, when given, holds the votes of ``rows``; the block keeps the votes
+    of its current rows in that one array. Returns (rows, b, iters, redone,
+    delta): the votes of the returned rows (None at lambda 0), the sweeps made
+    and how many of them were redone, and the last sweep's largest change. A
+    block stops when that change is below ``inner_tol`` or after ``inner_max``
+    sweeps.
+
+    Each sweep is checked with the votes of its result, which the next sweep
+    (or the next block: votes do not depend on the prototypes) starts from:
+    its bound gap is (lambda/2) q'(b_next - b) over the free rows, the only
+    ones where q is not 0. A sweep whose gap is negative is redone from the
+    same anchor by ``_redo_sweep``, which costs two more products: the
+    anchor's votes again, and the redone rows'.
 
     The free rows are addressed through one selector: a slice when they are
     contiguous (all rows when clustering, the queries after an episode's
     leading supports), otherwise their index array. The block works on one
     copy of ``rows``, so the caller's array is never written, and each sweep
-    reuses two (n_free, K) buffers, the new rows and their change: beyond the
-    votes, a sweep allocates nothing N x K.
+    reuses two (n_free, K) buffers, the anchor's free rows and the new rows
+    (then their change q). The votes difference is taken in b, whose anchor
+    votes no later sweep reads: beyond the votes, a sweep allocates nothing
+    N x K.
     """
     sel = _selector(free)
     if sel is None:
-        return rows, 0, []
+        return rows, b, 0, 0, 0.0
     rows = rows.copy()
     a_sel = a[sel]
     if cfg.lam == 0.0:
         rows[sel] = s_inner_update(a_sel)
-        return rows, 1, []
-    z = np.empty_like(a_sel)
-    d = np.empty_like(a_sel)
-    for iters in range(1, cfg.inner_max + 1):
+        return rows, None, 1, 0, 0.0
+    if b is None:
         b = neighbor_votes(W, rows)
+    scale = _CERT_RTOL * (float(W.degrees.sum()) + W.diag_shift * rows.shape[0])
+    z = np.empty_like(a_sel)
+    anchor = np.empty_like(a_sel)
+    redone = 0
+    for iters in range(1, cfg.inner_max + 1):
+        anchor[...] = rows[sel]
         np.multiply(b[sel], cfg.lam, out=z)
         z += a_sel
         _softmax_in_place(z)
-        np.subtract(z, rows[sel], out=d)
-        delta = max(d.max(), -d.min())
         rows[sel] = z
+        b_next = neighbor_votes(W, rows)
+        z -= anchor
+        delta = max(z.max(), -z.min())
+        np.subtract(b_next, b, out=b)
+        z *= b[sel]
+        if z.sum() < -scale * delta:
+            c = cfg.lam * max(0.0, float(W.degrees.max()) - W.diag_shift)
+            if c > 0.0:  # else W + diag_shift is diagonally dominant: the gap is rounding
+                rows[sel] = anchor
+                del b_next  # the anchor's votes again, with two votes arrays alive at most
+                b[...] = neighbor_votes(W, rows)
+                _redo_sweep(z, a_sel, cfg.lam * b[sel], anchor, c)
+                rows[sel] = z
+                b_next = neighbor_votes(W, rows)
+                z -= anchor
+                delta = max(z.max(), -z.min())
+                redone += 1
+        b[...] = b_next  # in place: a caller's reference to b holds no stale votes
+        del b_next
         if delta < cfg.inner_tol:
-            return rows, iters, []
-    return rows, iters, [f"inner loop hit inner_max={cfg.inner_max} (last delta {delta:.3e})"]
+            break
+    return rows, b, iters, redone, delta
+
+
+def _redo_sweep(z, a_sel, lam_b, anchor, c):
+    """z := softmax((a + lambda*b + c log anchor) / (1 + c)), the exact minimizer
+    of the bound plus c KL(s || anchor). An anchor entry at 0 has log -inf and
+    stays 0, without a log of 0 being taken."""
+    z.fill(-np.inf)
+    np.log(anchor, out=z, where=anchor > 0.0)
+    z *= c
+    z += a_sel
+    z += lam_b
+    z /= 1.0 + c
+    _softmax_in_place(z)
 
 
 def _selector(free):
@@ -243,16 +311,15 @@ def _entropy(rows):
     return float(np.sum(r * np.log(r)))
 
 
-def _pairwise_relaxed(W, rows, lam):
-    """(lambda/2) * (sum_p d_p - sum_{p,q} w s_p.s_q), including the delta shift."""
+def _pairwise_relaxed(W, rows, lam, b=None):
+    """(lambda/2) * (sum_p d_p - sum_{p,q} w s_p.s_q), including the delta shift;
+    ``b``, when given, holds the votes of ``rows``."""
     if lam == 0.0:
         return 0.0
-    n = rows.shape[0]
-    cross = float(np.sum(rows * (W.matrix @ rows)))
-    total = float(W.degrees.sum()) - cross
-    if W.diag_shift > 0.0:
-        total += W.diag_shift * (n - float(np.einsum("ij,ij->", rows, rows)))
-    return 0.5 * lam * total
+    if b is None:
+        b = neighbor_votes(W, rows)
+    total = float(W.degrees.sum()) + W.diag_shift * rows.shape[0]
+    return 0.5 * lam * (total - float(np.sum(rows * b)))
 
 
 def relaxed_objective(X, W: SparseAffinity, S, M: Prototypes, cfg: SolverConfig) -> float:
@@ -261,9 +328,9 @@ def relaxed_objective(X, W: SparseAffinity, S, M: Prototypes, cfg: SolverConfig)
     return _relaxed(W, rows, prototype_scores(X, M, cfg.rule, cfg.sigma2), cfg.lam)
 
 
-def _relaxed(W, rows, a, lam):
-    """R from the prototype scores a of M."""
-    return -float(np.sum(rows * a)) + _pairwise_relaxed(W, rows, lam) + _entropy(rows)
+def _relaxed(W, rows, a, lam, b=None):
+    """R from the prototype scores a of M (and the votes b of the rows, when given)."""
+    return -float(np.sum(rows * a)) + _pairwise_relaxed(W, rows, lam, b) + _entropy(rows)
 
 
 def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverConfig) -> float:
@@ -342,6 +409,10 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
         raise DataError(f"graph has {W.n_points} points, features have {n}")
     if S0 is not None and clamps:
         raise DataError("clamps cannot be combined with S0; clamp the rows of S0 instead")
+    # W.symmetric is trusted; a graph without the flag gets one O(nnz) comparison
+    if cfg.lam > 0.0 and not (W.symmetric or (W.matrix != W.matrix.T).nnz == 0):
+        raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
+                        "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
     M = M0
     report = SolveReport()
 
@@ -358,25 +429,29 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
         rows, clamped, clamp_class = S0.rows, S0.clamped, S0.clamp_class
     free = ~clamped
 
-    r_prev = _relaxed(W, rows, a, cfg.lam)
+    # the votes of the current rows: each block starts from the previous one's,
+    # and R at the block's end is evaluated from them
+    b = neighbor_votes(W, rows) if cfg.lam != 0.0 else None
+    r_prev = _relaxed(W, rows, a, cfg.lam, b)
     report.relaxed_trace.append(r_prev)
     report.inner_iters_per_outer.append(0)
 
     for _ in range(cfg.outer_max):
-        rows, inner_iters, w_inner = _s_block(W, a, rows, free, cfg)
+        rows, b, inner_iters, redone, delta = _s_block(W, a, rows, free, cfg, b)
         M, w_proto = _update_prototypes(P, rows, M, mode_cfg)
-        report.warnings.extend(w_inner)
         report.warnings.extend(w_proto)
         report.inner_iters_total += inner_iters
         report.inner_iters_per_outer.append(inner_iters)
+        report.inner_cap_hits += int(inner_iters == cfg.inner_max and delta >= cfg.inner_tol)
+        report.redone_sweeps += redone
         report.outer_iters += 1
         a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
-        r = _relaxed(W, rows, a, cfg.lam)
+        r = _relaxed(W, rows, a, cfg.lam, b)
         report.relaxed_trace.append(r)
         if r > r_prev + 1e-9 * (1.0 + abs(r_prev)):
             report.warnings.append(
                 f"relaxed objective increased at outer iteration {report.outer_iters} "
-                f"({r_prev:.12g} -> {r:.12g}); affinity matrix may not be psd")
+                f"({r_prev:.12g} -> {r:.12g})")
         if abs(r - r_prev) <= cfg.outer_tol * (1.0 + abs(r_prev)):
             break
         r_prev = r

@@ -70,14 +70,29 @@ def test_usage_error_exit_1():
 
 
 def test_strict_escalates_warnings(tmp_path):
-    # overlapping data plus an unreachable inner tolerance forces inner_max warnings
+    # uniform data, whose prototypes settle slowly, and an outer tolerance that
+    # only an unchanged objective meets force the outer_max warning
+    rng = np.random.default_rng(0)
+    fpath = tmp_path / "f.csv"
+    save_features(rng.uniform(size=(500, 2)), fpath)
+    argv = ["cluster", "--features", str(fpath), "--k", "6", "--algo", "slk-means",
+            "--lambda", "1.0", "--outer-tol", "1e-300", "--out-dir", str(tmp_path / "s")]
+    assert main(argv + ["--strict"]) == 3
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["warnings"] == ["outer loop hit outer_max=100"]
+    assert main(argv) == 0
+
+
+def test_spent_inner_budget_is_counted_not_warned(tmp_path):
     rng = np.random.default_rng(0)
     fpath = tmp_path / "f.csv"
     save_features(rng.standard_normal((60, 2)), fpath)
     code = main(["cluster", "--features", str(fpath), "--k", "3",
                  "--algo", "slk-means", "--lambda", "5.0", "--inner-tol", "1e-18",
                  "--strict", "--out-dir", str(tmp_path / "s")])
-    assert code == 3
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert code == 0 and report["warnings"] == []
+    assert report["inner_cap_hits"] == report["iters"] > 0
 
 
 def test_trace_subcommand(blob_data, tmp_path):

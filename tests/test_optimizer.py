@@ -1,5 +1,8 @@
 """Bound optimizer: inner updates, objectives, bound properties, full solves."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -134,8 +137,8 @@ def test_s_block_chain_graph_fixed_point():
     M = Prototypes(values=X[:k], rule="means")
     cfg = SolverConfig(lam=0.5, rule="means", inner_tol=1e-10, inner_max=500)
     S0 = SoftAssignment.unclamped(np.full((n, k), 0.5))
-    S, _, warns = s_block(W, X, M, S0, cfg)
-    assert not warns
+    S, iters, _ = s_block(W, X, M, S0, cfg)
+    assert iters < cfg.inner_max
     a = prototype_scores(X, M)
     b = neighbor_votes(W, S.rows)
     np.testing.assert_allclose(S.rows, s_inner_update(a, b, cfg.lam), atol=1e-6)
@@ -158,23 +161,36 @@ def test_s_block_preserves_simplex_and_clamps():
 
 
 def s_block_oracle(W, a, rows, free, cfg):
-    """The sweep as first written: boolean gathers and fresh arrays every sweep."""
+    """The sweep as first written, with boolean gathers and fresh arrays every
+    sweep, and certified against the dense matrix: a sweep whose change q has
+    q'(W + shift)q < 0 beyond rounding is redone with the KL term."""
     if not free.any():
-        return rows, 0, []
+        return rows, 0, 0
     a_free = a[free]
     if cfg.lam == 0.0:
         new = rows.copy()
         new[free] = s_inner_update(a_free)
-        return new, 1, []
+        return new, 1, 0
+    dense = W.matrix.toarray() + W.diag_shift * np.eye(W.n_points)
+    c = cfg.lam * max(0.0, dense.sum(axis=1).max() - 2 * W.diag_shift)
+    redone = 0
     for iters in range(1, cfg.inner_max + 1):
         b = neighbor_votes(W, rows)
         new = rows.copy()
         new[free] = s_inner_update(a_free, b[free], cfg.lam)
-        delta = np.abs(new[free] - rows[free]).max()
+        q = new - rows
+        delta = np.abs(q).max()
+        if np.sum(q * (dense @ q)) < -1e-12 * delta * dense.sum() and c > 0.0:
+            anchor = rows[free]
+            log_anchor = np.full_like(anchor, -np.inf)
+            np.log(anchor, out=log_anchor, where=anchor > 0.0)
+            new[free] = s_inner_update((c * log_anchor + a_free + cfg.lam * b[free]) / (1.0 + c))
+            delta = np.abs(new - rows).max()
+            redone += 1
         rows = new
         if delta < cfg.inner_tol:
-            return rows, iters, []
-    return rows, iters, [f"inner loop hit inner_max={cfg.inner_max} (last delta {delta:.3e})"]
+            break
+    return rows, iters, redone
 
 
 def clamped_layout(rng, n, k, layout):
@@ -196,6 +212,7 @@ SWEEP_CASES = {  # solver settings and the graph's diagonal shift
     "lam0": (dict(lam=0.0), 0.0),
     "inner_cap": (dict(lam=2.0, inner_tol=1e-300, inner_max=3), 0.0),
     "diag_shift": (dict(lam=1.0), 0.5),
+    "redo": (dict(lam=6.0, inner_max=30), 0.0),  # some sweeps fail the certificate
 }
 
 
@@ -213,13 +230,15 @@ def test_s_block_bitwise_equals_oracle(layout, selector, case):
     M = Prototypes(values=X[[0, 10, 20, 30]], rule="means")
     assert isinstance(optimizer._selector(~S.clamped), selector)
 
-    want, want_iters, want_warns = s_block_oracle(W, prototype_scores(X, M), S.rows,
-                                                  ~S.clamped, cfg)
-    got, iters, warns = s_block(W, X, M, S, cfg)
+    want, want_iters, want_redone = s_block_oracle(W, prototype_scores(X, M), S.rows,
+                                                   ~S.clamped, cfg)
+    got, iters, redone = s_block(W, X, M, S, cfg)
     assert got.rows.tobytes() == want.tobytes()
-    assert (iters, warns) == (want_iters, want_warns)
+    assert (iters, redone) == (want_iters, want_redone)
     if case == "inner_cap":
-        assert iters == 3 and warns[0].startswith("inner loop hit inner_max=3 (last delta ")
+        assert iters == 3
+    # the redo case redoes sweeps through both kinds of selector
+    assert (redone > 0) == (case == "redo" and layout != "free_suffix")
 
 
 @pytest.mark.parametrize("layout", ["all_free", "free_suffix", "scattered"])
@@ -233,7 +252,7 @@ def test_s_block_and_solve_leave_their_inputs_unchanged(layout):
     before = S0.rows.copy()
     cfg = SolverConfig(lam=1.0, rule="means")
     S1, _, _ = s_block(W, X, M, S0, cfg)
-    rows, _, _ = optimizer._s_block(W, prototype_scores(X, M), S0.rows, ~S0.clamped, cfg)
+    rows = optimizer._s_block(W, prototype_scores(X, M), S0.rows, ~S0.clamped, cfg)[0]
     S2, _, _ = solve(X, W, M, cfg, S0=S0)
     assert S0.rows.tobytes() == before.tobytes()
     assert S1.rows is not S0.rows and rows is not S0.rows and S2.rows is not S0.rows
@@ -385,6 +404,85 @@ def test_bound_sandwich_along_inner_iterates():
             assert a_new <= a_old + tol
             assert abs(a_old - r_old) <= tol
             S = S_new
+
+
+def test_cheap_certificate_equals_the_bound_gap_oracle():
+    # (lambda/2) q'(b(next) - b(this)) over the free rows is A(next; this) - R(next)
+    rng = np.random.default_rng(33)
+    for shift in (0.0, 0.8):
+        for _ in range(8):
+            n, k = int(rng.integers(25, 40)), int(rng.integers(2, 5))
+            X = rng.standard_normal((n, 2))
+            W = symmetrize(knn_graph(X, 3), "max").with_diag_shift(shift)
+            M = Prototypes(values=X[:k], rule="means")
+            cfg = SolverConfig(lam=float(rng.uniform(0.5, 8.0)), rule="means")
+            S = clamped_layout(rng, n, k, "scattered")
+            free = ~S.clamped
+            a = prototype_scores(X, M)
+            b_this = neighbor_votes(W, S.rows)
+            new = S.rows.copy()
+            new[free] = s_inner_update(a[free], b_this[free], cfg.lam)
+            b_next = neighbor_votes(W, new)
+            q = (new - S.rows)[free]
+            cheap = 0.5 * cfg.lam * float(np.sum(q * (b_next - b_this)[free]))
+            aux = auxiliary_value(X, W, new, S.rows, M, cfg)
+            rel = relaxed_objective(X, W, new, M, cfg)
+            assert cheap == pytest.approx(aux - rel, rel=1e-9, abs=1e-9 * (abs(aux) + abs(rel)))
+
+
+def raising_case():
+    """A small graph, lambda = 16 and no shift: the plain sweep from the solve's
+    first rows raises R (found by a seeded search)."""
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((10, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    return X, W, Prototypes(values=X[:3], rule="means"), SolverConfig(lam=16.0, rule="means")
+
+
+def test_plain_sweep_can_raise_r_and_the_certified_solve_descends():
+    X, W, M0, cfg = raising_case()
+    a = prototype_scores(X, M0)
+    rows0 = s_inner_update(a)
+    rows1 = s_inner_update(a, neighbor_votes(W, rows0), cfg.lam)
+    assert relaxed_objective(X, W, rows1, M0, cfg) > relaxed_objective(X, W, rows0, M0, cfg) + 1.0
+    assert W.diag_shift == 0.0
+
+    _, _, report = solve(X, W, M0, cfg)
+    trace = np.array(report.relaxed_trace)
+    assert np.all(np.diff(trace) <= 1e-9 * (1.0 + np.abs(trace[:-1])))
+    assert not report.warnings
+    assert report.redone_sweeps > 0
+
+
+def test_redo_sweep_keeps_zero_anchor_entries_at_zero():
+    X, W, M, cfg = raising_case()
+    a = prototype_scores(X, M)
+    rows = s_inner_update(a)
+    rows[::2, 0] = 0.0  # exact zeros, as from an underflowed exp
+    rows /= rows.sum(axis=1, keepdims=True)
+    S0 = SoftAssignment.unclamped(rows)
+    plain = s_inner_update(a, neighbor_votes(W, rows), cfg.lam)
+    assert (plain[::2, 0] > 0).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S1, iters, redone = s_block(W, X, M, S0, replace(cfg, inner_max=1))
+    assert (iters, redone) == (1, 1)
+    assert (S1.rows[::2, 0] == 0.0).all() and (S1.rows[1::2, 0] > 0.0).all()
+    assert relaxed_objective(X, W, S1, M, cfg) <= relaxed_objective(X, W, S0, M, cfg)
+
+
+def test_solve_rejects_a_nonsymmetric_graph_with_positive_lambda():
+    X = np.random.default_rng(34).standard_normal((12, 2))
+    M0 = Prototypes(values=X[:2], rule="means")
+    directed = knn_graph(X, 3)
+    assert not directed.symmetric
+    with pytest.raises(DataError, match="needs a symmetric affinity graph"):
+        solve(X, directed, M0, SolverConfig(lam=0.5, rule="means"))
+    # the flag is trusted; a graph built symmetric without it passes the structural check
+    sym = symmetrize(directed, "max")
+    unflagged = SparseAffinity(matrix=sym.matrix, degrees=sym.degrees)
+    for W, lam in ((directed, 0.0), (empty_graph(12), 0.5), (unflagged, 0.5), (sym, 0.5)):
+        solve(X, W, M0, SolverConfig(lam=lam, rule="means"))
 
 
 def test_solve_k1_gives_centroid():
