@@ -37,14 +37,16 @@ The graph keeps the distances of its search, so ``estimate_sigma2`` takes the
 kernel width from it without a second search.
 A graph built directly is checked in full; ``symmetrize`` and
 ``with_diag_shift`` derive valid graphs from a checked one and skip that
-O(nnz) check. Every function here that takes a feature matrix also accepts a
-``CenteredFeatures``, so a caller that already centered X does not do it again.
+O(nnz) check. Only ``symmetrize`` marks a graph ``symmetric``; ``solve``
+compares any other graph with its transpose. Every function here that takes a
+feature matrix also accepts a ``CenteredFeatures``, so a caller that already
+centered X does not do it again.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,13 +70,14 @@ class SparseAffinity:
     ``diag_shift`` is bookkeeping for the positive-semidefinite correction: it
     is never stored as edges, and is applied where the optimizer needs the
     shifted matrix. ``knn_sqdist`` holds the N x rho squared distances of the
-    search that built the graph (``knn_graph``), or None.
+    search that built the graph (``knn_graph``), or None. ``symmetric`` is not
+    a constructor argument: only ``symmetrize`` sets it.
     """
 
     matrix: sp.csr_matrix
     degrees: np.ndarray
     diag_shift: float = 0.0
-    symmetric: bool = False
+    symmetric: bool = field(default=False, init=False)
     knn_sqdist: np.ndarray | None = None
 
     def __post_init__(self):
@@ -272,13 +275,11 @@ def knn_graph(X, rho: int) -> SparseAffinity:
     m = sp.csr_matrix((data, idx.ravel(), indptr), shape=(n, n))
     m.sort_indices()
     degrees = np.asarray(m.sum(axis=1)).ravel()
-    return SparseAffinity(matrix=m, degrees=degrees, symmetric=False, knn_sqdist=sqd)
+    return SparseAffinity(matrix=m, degrees=degrees, knn_sqdist=sqd)
 
 
 def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
-    """Symmetrize stored weights: elementwise max, mean, or leave untouched."""
-    if mode == "none":
-        return W
+    """Symmetrize stored weights by elementwise max or mean."""
     if mode == "max":
         m = W.matrix.maximum(W.matrix.T)
     elif mode == "mean":

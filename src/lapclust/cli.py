@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,25 +38,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _feature_format(path):
-    return "slkbin" if str(path).endswith(".slkbin") else "csv"
+def _load_features(path):
+    return io.load_features(path, format="slkbin" if str(path).endswith(".slkbin") else "csv")
 
 
 def _add_solver_flags(p):
     p.add_argument("--algo", choices=sorted(ALGOS), default="slk-means")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--rho", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inner-tol", type=float, default=1e-6)
     p.add_argument("--outer-tol", type=float, default=1e-6)
-    p.add_argument("--sym", choices=["max", "mean", "none"], default="max")
+    p.add_argument("--sym", choices=["max", "mean"], default="max")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the solver reports numerical warnings")
     p.add_argument("--out-dir", default=".")
 
 
-def _add_delta_flag(p):
-    """Clustering runs only: an episode's graph is never shifted."""
+def _add_cluster_flags(p):
+    """Clustering runs only: an episode starts from its supports, unseeded, and
+    its graph is never shifted."""
+    p.add_argument("--seed", type=int, default=0, help="seed of the K-means++ seeding")
     p.add_argument("--delta", type=float, default=0.0,
                    help="diagonal shift added to the affinity graph")
 
@@ -71,7 +72,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--soft", action="store_true", help="also write soft assignment rows")
     _add_solver_flags(p)
-    _add_delta_flag(p)
+    _add_cluster_flags(p)
 
     p = sub.add_parser("fewshot", help="run a batch of few-shot episodes")
     p.add_argument("--features", required=True)
@@ -91,12 +92,14 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--k", type=int, required=True)
     _add_solver_flags(p)
-    _add_delta_flag(p)
+    _add_cluster_flags(p)
 
     return parser
 
 
 def _resolve_config(args):
+    """The solver flags as a SolverConfig, checked before any file is read; a
+    modes run sets sigma2 from its data later."""
     rule, regularized = ALGOS[args.algo]
     if not regularized:
         if args.lam not in (None, 0.0):
@@ -104,16 +107,7 @@ def _resolve_config(args):
         lam = 0.0
     else:
         lam = 1.0 if args.lam is None else args.lam
-    if lam > 0.0 and args.sym == "none":
-        # the bound's monotone descent needs a symmetric affinity graph
-        raise ConfigError(f"--sym none leaves the graph non-symmetric, which --lambda {lam} "
-                          "> 0 does not allow; use --sym max or --sym mean")
-    return rule, lam
-
-
-def _solver_config(args, rule, lam, sigma2=None):
-    return SolverConfig(lam=lam, rule=rule, sigma2=sigma2, inner_tol=args.inner_tol,
-                        outer_tol=args.outer_tol)
+    return SolverConfig(lam=lam, rule=rule, inner_tol=args.inner_tol, outer_tol=args.outer_tol)
 
 
 def _echo_config(args, out_dir, extra=None):
@@ -133,28 +127,30 @@ def _write_trace(report, path):
             fh.write(f"{i},{r!r},{ni}\n")
 
 
-def _run_cluster_solve(args):
-    rule, lam = _resolve_config(args)
-    X = io.load_features(args.features, format=_feature_format(args.features))
+def _run_cluster_solve(args, cfg, X):
+    """Seeds and solves a clustering run; returns (S, report, cfg with sigma2 set)."""
     # load_features returns a valid matrix; the search, sigma2, the seeding and
     # the solve share one CenteredFeatures of it
     P = CenteredFeatures._of_valid(X)
-    if lam > 0.0:
+    if cfg.lam > 0.0:
         W = symmetrize(knn_graph(P, args.rho), args.sym).with_diag_shift(args.delta)
     else:
         n = X.shape[0]
         W = SparseAffinity(matrix=sp.csr_matrix((n, n)), degrees=np.zeros(n))
-    # the graph keeps its search distances; at lambda 0 no graph is searched
-    sigma2 = estimate_sigma2(W if lam > 0.0 else P, args.rho) if rule == "modes" else None
-    cfg = _solver_config(args, rule, lam, sigma2)
+    if cfg.rule == "modes":
+        # the graph keeps its search distances; at lambda 0 no graph is searched
+        cfg = replace(cfg, sigma2=estimate_sigma2(W if cfg.lam > 0.0 else P, args.rho))
     rng = np.random.default_rng(args.seed)
-    M0 = Prototypes(values=kmeans_pp_seeds(P, args.k, rng), rule=rule)
-    S, M, report = solve(P, W, M0, cfg)
-    return X, S, M, report, cfg
+    M0 = Prototypes(values=kmeans_pp_seeds(P, args.k, rng), rule=cfg.rule)
+    S, _, report = solve(P, W, M0, cfg)
+    return S, report, cfg
 
 
 def cmd_cluster(args) -> int:
-    X, S, M, report, cfg = _run_cluster_solve(args)
+    cfg = _resolve_config(args)
+    X = _load_features(args.features)
+    truth = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
+    S, report, cfg = _run_cluster_solve(args, cfg, X)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     io.save_assignments(S, os.path.join(out, "assignments.csv"), include_soft=args.soft)
@@ -167,8 +163,7 @@ def cmd_cluster(args) -> int:
         "redone_sweeps": report.redone_sweeps,
         "warnings": report.warnings,
     }
-    if args.labels:
-        truth = io.load_labels(args.labels)
+    if truth is not None:
         pred = S.hard_labels()
         summary["nmi"] = nmi(pred, truth)
         summary["acc"] = accuracy_hungarian(pred, truth)
@@ -180,7 +175,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _, _, _, report, cfg = _run_cluster_solve(args)
+    cfg = _resolve_config(args)
+    _, report, cfg = _run_cluster_solve(args, cfg, _load_features(args.features))
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     _write_trace(report, os.path.join(out, "trace.csv"))
@@ -202,15 +198,14 @@ def _episode_paths(spec):
 
 
 def cmd_fewshot(args) -> int:
-    rule, lam = _resolve_config(args)
-    X = io.load_features(args.features, format=_feature_format(args.features))
-    labels = io.load_labels(args.labels) if args.labels else None
+    cfg = _resolve_config(args)
+    X = _load_features(args.features)
+    labels = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
     base_mean = None
     if args.base_mean:
-        bm = io.load_features(args.base_mean, format=_feature_format(args.base_mean))
+        bm = _load_features(args.base_mean)
         base_mean = bm.ravel() if 1 in bm.shape else bm.mean(axis=0)
     pre = PreprocessConfig(base_mean=base_mean, apply_cl2=args.cl2, apply_bias=args.bias)
-    cfg = _solver_config(args, rule, lam)
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)

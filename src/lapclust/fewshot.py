@@ -2,9 +2,10 @@
 
 An episode couples a handful of labeled support points with unlabeled queries.
 Features are optionally centered and L2-normalized, queries are shifted by the
-support/query mean gap, a rho-NN graph ties queries to supports, and the
-constrained solve keeps support rows clamped one-hot. Because cluster k is
-anchored by the class-k supports, cluster indices are class indices.
+support/query mean gap, a rho-NN graph symmetrized by ``sym`` ("max" or
+"mean") ties queries to supports, and the constrained solve keeps support rows
+clamped one-hot. Because cluster k is anchored by the class-k supports,
+cluster indices are class indices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affinity import estimate_sigma2, knn_graph, symmetrize
-from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
+from .errors import DataError, NonFiniteValueError, ZeroVectorError
 from .io import TaskSpec, validate_features
 from .metrics import fewshot_accuracy
 from .optimizer import SolveReport, SolverConfig, solve
@@ -95,16 +96,8 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
     ``task.queries``) and enables the accuracy field.
     """
     start = time.perf_counter()
-    _check_sym(sym, cfg.lam)
     episode, cfg = _prepare_episode(task, X_raw, pre, cfg, rho, sym)
     return _solve_episode(episode, cfg, truth, start)
-
-
-def _check_sym(sym, lam):
-    """``sym="none"`` leaves the episode graph directed, and lambda > 0 needs it symmetric."""
-    if lam > 0.0 and sym == "none":
-        raise ConfigError(f"sym='none' leaves the graph non-symmetric, which lambda={lam} > 0 "
-                          "does not allow; use sym='max' or 'mean'")
 
 
 def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
@@ -212,7 +205,6 @@ def tune_lambda(candidates, episodes, cfg: SolverConfig, pre: PreprocessConfig |
         raise DataError("need at least one candidate and one episode")
     pre = pre or PreprocessConfig()
     grid = sorted(candidates)
-    _check_sym(sym, grid[-1])
     accs = [[] for _ in grid]
     for X, task, truth in episodes:
         episode, episode_cfg = _prepare_episode(task, X, pre, cfg, rho, sym)

@@ -189,8 +189,11 @@ def save_assignments(S, path, include_soft=False) -> None:
             fh.write("".join(f"{lab}\n" for lab in hard.tolist()))
 
 
-def load_labels(path) -> np.ndarray:
-    """Read one integer label per line, the first cell of each; a ``label`` header is skipped."""
+def load_labels(path, n_points=None) -> np.ndarray:
+    """Read one integer label per line, the first cell of each; a ``label`` header is skipped.
+
+    With ``n_points``, the file must hold exactly one label per feature row.
+    """
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for r, line in enumerate(fh):
@@ -207,6 +210,8 @@ def load_labels(path) -> np.ndarray:
     out = np.array(labels, dtype=np.int64)
     if out.min() < 0:
         raise DataError(f"{path}: negative label {out.min()}")
+    if n_points is not None and out.size != n_points:
+        raise DataError(f"{path}: {out.size} labels for {n_points} feature rows")
     return out
 
 
@@ -237,15 +242,22 @@ def load_task(path, n_points=None) -> TaskSpec:
         raise DataError(f"{path}: bad kway {fields['kway']!r}") from None
     support = []
     for item in filter(None, fields["support"].split(",")):
-        if ":" not in item:
-            raise DataError(f"{path}: bad support entry {item!r}")
-        p, _, c = item.partition(":")
-        support.append((int(p), int(c)))
-    queries = [int(q) for q in filter(None, fields.get("query", "").split(","))]
+        p, _, c = item.partition(":")  # an entry without ':' leaves c empty
+        support.append((_task_int(path, "support", item, p),
+                        _task_int(path, "support", item, c)))
+    queries = [_task_int(path, "query", q, q)
+               for q in filter(None, fields.get("query", "").split(","))]
     task = TaskSpec(k_way=k_way, support=tuple(support), queries=tuple(queries))
     if n_points is not None:
         task.validate_indices(n_points)
     return task
+
+
+def _task_int(path, field, entry, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{path}: bad {field} entry {entry!r}") from None
 
 
 def save_task(task: TaskSpec, path) -> None:

@@ -138,19 +138,17 @@ class SolverConfig:
     inner_max: int = 10  # sweeps per assignment block; every sweep is certified
     outer_tol: float = 1e-6
     outer_max: int = 100
-    mode_tol: float = 1e-6
-    mode_max_iters: int = 100
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DataError("lambda must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise DataError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.rule not in (RULE_MEANS, RULE_MODES):
             raise DataError(f"unknown rule: {self.rule!r}")
         if self.sigma2 is not None and not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise DataError("sigma2 must be finite and > 0 when given")
-        if min(self.inner_tol, self.outer_tol, self.mode_tol) <= 0:
-            raise DataError("tolerances must be > 0")
-        if min(self.inner_max, self.outer_max, self.mode_max_iters) < 1:
+        if not all(np.isfinite(t) and t > 0 for t in (self.inner_tol, self.outer_tol)):
+            raise DataError("tolerances must be finite and > 0")
+        if min(self.inner_max, self.outer_max) < 1:
             raise DataError("iteration caps must be >= 1")
 
 
@@ -409,7 +407,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
         raise DataError(f"graph has {W.n_points} points, features have {n}")
     if S0 is not None and clamps:
         raise DataError("clamps cannot be combined with S0; clamp the rows of S0 instead")
-    # W.symmetric is trusted; a graph without the flag gets one O(nnz) comparison
+    # only symmetrize sets W.symmetric; any other graph gets one O(nnz) comparison
     if cfg.lam > 0.0 and not (W.symmetric or (W.matrix != W.matrix.T).nnz == 0):
         raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
@@ -417,8 +415,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
     report = SolveReport()
 
     a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
-    mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(
-        sigma2=cfg.sigma2, tol=cfg.mode_tol, max_iters=cfg.mode_max_iters)
+    mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
     if S0 is None:
         clamped, clamp_class = make_clamps(n, M.k, clamps or ())
         rows = s_inner_update(a)

@@ -395,7 +395,7 @@ def test_derived_graphs_are_not_checked_again(monkeypatch):
     monkeypatch.setattr(SparseAffinity, "__post_init__",
                         lambda self: (checks.append(self.n_points), post_init(self)))
     W = knn_graph(np.random.default_rng(18).standard_normal((30, 3)), 4)
-    for mode in ("max", "mean", "none"):
+    for mode in ("max", "mean"):
         shifted = symmetrize(W, mode).with_diag_shift(0.25)
         assert shifted.diag_shift == 0.25
         assert shifted.knn_sqdist is W.knn_sqdist
@@ -436,12 +436,11 @@ def test_symmetrize_mean_matches_dense_oracle():
     np.testing.assert_allclose(got, (dense + dense.T) / 2.0, atol=1e-15)
 
 
-def test_symmetrize_none_keeps_weights():
-    rng = np.random.default_rng(7)
-    W = knn_graph(rng.standard_normal((10, 2)), 2)
-    S = symmetrize(W, "none")
-    assert (S.matrix != W.matrix).nnz == 0
-    assert not S.symmetric
+def test_symmetrize_rejects_none():
+    # a directed graph serves only lambda = 0, where no edge is read
+    W = knn_graph(np.random.default_rng(7).standard_normal((10, 2)), 2)
+    with pytest.raises(DataError, match="unknown symmetrization mode: 'none'"):
+        symmetrize(W, "none")
 
 
 def test_sigma2_two_points():
@@ -490,7 +489,7 @@ def test_sigma2_from_graph_is_bitwise_the_search_value():
     assert W.knn_sqdist.shape == (40, 3)
     expected = estimate_sigma2(X, 3)
     assert estimate_sigma2(W, 3) == expected
-    for mode in ("max", "mean", "none"):
+    for mode in ("max", "mean"):
         shifted = symmetrize(W, mode).with_diag_shift(0.5)
         assert estimate_sigma2(shifted, 3) == expected
 

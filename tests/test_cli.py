@@ -1,11 +1,13 @@
 """Command-line front end: artifacts, exit codes, determinism."""
 
+import argparse
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lapclust import generate_synthetic_episode, save_features, save_labels, save_task
+from lapclust import cli, generate_synthetic_episode, save_features, save_labels, save_task
 from lapclust.cli import main
 
 
@@ -249,6 +251,14 @@ def test_fewshot_has_no_delta_flag(episode_batch, tmp_path, capsys):
     assert "error: unrecognized arguments: --delta 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, has_seed", [("cluster", True), ("trace", True),
+                                               ("fewshot", False)])
+def test_seed_is_a_cluster_flag(capsys, command, has_seed):
+    # an episode starts from its supports; nothing of it is seeded
+    assert main([command, "--help"]) == 0
+    assert ("--seed" in capsys.readouterr().out) == has_seed
+
+
 @pytest.mark.parametrize("command", ["cluster", "trace"])
 def test_delta_shifts_the_cluster_graph(tmp_path, command):
     # overlapping points keep soft rows, where the shift changes the objective
@@ -264,35 +274,72 @@ def test_delta_shifts_the_cluster_graph(tmp_path, command):
     assert traces[0] != traces[1]
 
 
-def _sym_none_argv(command, fpath, tasks_dir, out):
+def _run_argv(command, episode_batch, out):
+    """argv of a slk-ms run with lambda > 0 and truth labels (eval: the labels twice)."""
+    fpath, lpath, tasks_dir = map(str, episode_batch)
+    if command == "eval":
+        return ["eval", "--pred", lpath, "--truth", lpath]
     if command == "fewshot":
-        return ["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir),
-                "--sym", "none", "--out-dir", str(out)]
-    return [command, "--features", str(fpath), "--k", "2", "--sym", "none", "--out-dir", str(out)]
+        argv = ["fewshot", "--features", fpath, "--episodes", tasks_dir, "--labels", lpath]
+    else:
+        argv = [command, "--features", fpath, "--k", "3"]
+        argv += ["--labels", lpath] if command == "cluster" else []
+    return argv + ["--algo", "slk-ms", "--lambda", "0.5", "--out-dir", str(out)]
 
 
-@pytest.mark.parametrize("lam", [None, "0.5"])
+@pytest.mark.parametrize("command", ["cluster", "trace", "fewshot", "eval"])
+def test_every_parsed_flag_is_read(episode_batch, tmp_path, monkeypatch, command):
+    # a flag that nothing reads changes no result
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    argv = _run_argv(command, episode_batch, tmp_path / "out")
+    args = Recorder(**vars(cli.build_parser().parse_args(argv)))
+    monkeypatch.setattr(cli, "build_parser", lambda: SimpleNamespace(parse_args=lambda _: args))
+    assert main(argv) == 0
+    assert sorted(set(vars(args)) - reads) == []
+
+
 @pytest.mark.parametrize("command", ["cluster", "trace", "fewshot"])
-def test_sym_none_with_positive_lambda_is_a_config_error(episode_batch, tmp_path, capsys,
-                                                         command, lam):
-    # a non-symmetric graph voids the bound's monotone descent
-    fpath, _, tasks_dir = episode_batch
+def test_sym_none_is_a_usage_error(episode_batch, tmp_path, capsys, command):
+    # a directed graph served only lambda = 0, where no edge is read
     out = tmp_path / "out"
-    argv = _sym_none_argv(command, fpath, tasks_dir, out) + ["--algo", "slk-ms"]
-    if lam is not None:
-        argv += ["--lambda", lam]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("lapclust: config error:")
-    assert "--sym none" in err and "--lambda" in err
+    assert main(_run_argv(command, episode_batch, out) + ["--sym", "none"]) == 1
+    assert "argument --sym: invalid choice: 'none'" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("algo, lam", [("kmeans", None), ("kmodes", None), ("slk-means", "0")])
-@pytest.mark.parametrize("command", ["cluster", "trace", "fewshot"])
-def test_sym_none_without_lambda_is_accepted(episode_batch, tmp_path, command, algo, lam):
-    fpath, _, tasks_dir = episode_batch
-    argv = _sym_none_argv(command, fpath, tasks_dir, tmp_path / "out") + ["--algo", algo]
-    if lam is not None:
-        argv += ["--lambda", lam]
-    assert main(argv) == 0
+@pytest.mark.parametrize("flag", ["--lambda", "--inner-tol", "--outer-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_solver_flags_are_data_errors(blob_data, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["cluster", "--features", str(blob_data[0]), "--k", "2", flag, value,
+                 "--out-dir", str(out)]) == 2
+    what = "lambda" if flag == "--lambda" else "tolerances"
+    assert f"data error: {what} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("command", ["cluster", "fewshot"])
+def test_labels_must_match_the_feature_rows(episode_batch, tmp_path, capsys,
+                                            neighbor_searches, command, extra):
+    lpath = episode_batch[1]
+    labels = np.loadtxt(lpath, dtype=np.int64)
+    save_labels(np.resize(labels, labels.size + extra), lpath)
+    out = tmp_path / "out"
+    assert main(_run_argv(command, episode_batch, out)) == 2
+    assert f"{labels.size + extra} labels for {labels.size} feature rows" in capsys.readouterr().err
+    assert neighbor_searches == []
+    assert not out.exists()
+
+
+def test_fewshot_bad_task_entry_is_a_data_error(episode_batch, tmp_path, capsys):
+    tasks_dir = episode_batch[2]
+    (tasks_dir / "e9.task").write_text("kway=2\nsupport=0:0,1:1,x:2\nquery=3\n")
+    assert main(_run_argv("fewshot", episode_batch, tmp_path / "out")) == 2
+    assert "e9.task: bad support entry 'x:2'" in capsys.readouterr().err

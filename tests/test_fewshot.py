@@ -17,7 +17,7 @@ from lapclust import (
     run_episode,
     tune_lambda,
 )
-from lapclust.errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
+from lapclust.errors import DataError, NonFiniteValueError, ZeroVectorError
 
 
 def test_cl2_unit_direction():
@@ -284,15 +284,12 @@ def test_episode_nan_names_its_row_in_the_full_matrix(which):
     assert (exc.value.row, exc.value.col) == (row, 2)
 
 
-def test_sym_none_with_positive_lambda_is_rejected():
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_sym_none_is_rejected(lam):
     X, task, truth = generate_synthetic_episode(3, 2, 4, dim=4, separation=5.0, seed=9)
     pre = PreprocessConfig()
-    cfg = SolverConfig(lam=0.5, rule="means")
-    with pytest.raises(ConfigError, match="sym='none'"):
+    cfg = SolverConfig(lam=lam, rule="means")
+    with pytest.raises(DataError, match="unknown symmetrization mode: 'none'"):
         run_episode(task, X, pre, cfg, sym="none", truth=truth)
-    with pytest.raises(ConfigError, match="sym='none'"):
-        tune_lambda([0.0, 0.5], [(X, task, truth)], cfg, pre, sym="none")
-    # without the graph term a directed graph is fine
-    zero = replace(cfg, lam=0.0)
-    assert run_episode(task, X, pre, zero, sym="none", truth=truth).accuracy is not None
-    assert tune_lambda([0.0], [(X, task, truth)], zero, pre, sym="none") == 0.0
+    with pytest.raises(DataError, match="unknown symmetrization mode: 'none'"):
+        tune_lambda([lam], [(X, task, truth)], cfg, pre, sym="none")

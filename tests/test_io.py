@@ -188,6 +188,19 @@ def test_task_index_out_of_range(tmp_path):
         load_task(path, n_points=10)
 
 
+@pytest.mark.parametrize("line, entry", [
+    ("support=0:0,1:1,x:2", "support entry 'x:2'"),
+    ("support=0:0,1:1,2:y", "support entry '2:y'"),
+    ("support=0:0,1:1,2", "support entry '2'"),
+    ("support=0:0,1:1,2:2\nquery=3,1.5", "query entry '1.5'"),
+])
+def test_task_non_integer_entry_rejected(tmp_path, line, entry):
+    path = tmp_path / "t.task"
+    path.write_text(f"kway=3\n{line}\n")
+    with pytest.raises(DataError, match=f"t.task: bad {entry}"):
+        load_task(path)
+
+
 def test_task_round_trip(tmp_path):
     task = TaskSpec(k_way=3, support=((0, 0), (4, 1), (2, 2)), queries=(1, 3, 5))
     path = tmp_path / "t.task"
@@ -215,6 +228,15 @@ def test_labels_negative_rejected(tmp_path):
     path.write_text("0\n-1\n")
     with pytest.raises(DataError):
         load_labels(path)
+
+
+@pytest.mark.parametrize("n_points", [3, 5])
+def test_labels_count_must_match_n_points(tmp_path, n_points):
+    path = tmp_path / "l.txt"
+    save_labels([0, 1, 0, 1], path)
+    np.testing.assert_array_equal(load_labels(path, n_points=4), [0, 1, 0, 1])
+    with pytest.raises(DataError, match=f"l.txt: 4 labels for {n_points} feature rows"):
+        load_labels(path, n_points=n_points)
 
 
 def test_rejection_is_total_random_round_trips(tmp_path):

@@ -51,7 +51,7 @@ def test_neighbor_votes_no_edges():
 
 def test_neighbor_votes_single_edge_swaps_rows():
     m = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(2, 2))
-    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 1.0]), symmetric=True)
+    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 1.0]))
     S = np.array([[0.9, 0.1], [0.2, 0.8]])
     b = neighbor_votes(W, S)
     np.testing.assert_allclose(b[0], S[1])
@@ -133,7 +133,7 @@ def test_s_block_chain_graph_fixed_point():
     rows_i = list(range(n - 1)) + list(range(1, n))
     cols_i = list(range(1, n)) + list(range(n - 1))
     m = sp.csr_matrix((np.ones(2 * (n - 1)), (rows_i, cols_i)), shape=(n, n))
-    W = SparseAffinity(matrix=m, degrees=np.asarray(m.sum(axis=1)).ravel(), symmetric=True)
+    W = SparseAffinity(matrix=m, degrees=np.asarray(m.sum(axis=1)).ravel())
     M = Prototypes(values=X[:k], rule="means")
     cfg = SolverConfig(lam=0.5, rule="means", inner_tol=1e-10, inner_max=500)
     S0 = SoftAssignment.unclamped(np.full((n, k), 0.5))
@@ -478,7 +478,14 @@ def test_solve_rejects_a_nonsymmetric_graph_with_positive_lambda():
     assert not directed.symmetric
     with pytest.raises(DataError, match="needs a symmetric affinity graph"):
         solve(X, directed, M0, SolverConfig(lam=0.5, rule="means"))
-    # the flag is trusted; a graph built symmetric without it passes the structural check
+    # only symmetrize marks a graph symmetric; a caller cannot set the flag and
+    # skip the check, which a directed graph built directly fails too
+    with pytest.raises(TypeError, match="symmetric"):
+        SparseAffinity(matrix=directed.matrix, degrees=directed.degrees, symmetric=True)
+    rebuilt = SparseAffinity(matrix=directed.matrix, degrees=directed.degrees)
+    with pytest.raises(DataError, match="needs a symmetric affinity graph"):
+        solve(X, rebuilt, M0, SolverConfig(lam=0.5, rule="means"))
+    # a graph built symmetric directly passes the structural check
     sym = symmetrize(directed, "max")
     unflagged = SparseAffinity(matrix=sym.matrix, degrees=sym.degrees)
     for W, lam in ((directed, 0.0), (empty_graph(12), 0.5), (unflagged, 0.5), (sym, 0.5)):
@@ -603,6 +610,14 @@ def test_solve_deterministic_reruns():
     assert S1.rows.tobytes() == S2.rows.tobytes()
     assert M1.values.tobytes() == M2.values.tobytes()
     assert r1.relaxed_trace == r2.relaxed_trace
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["lam", "inner_tol", "outer_tol"])
+def test_solver_config_rejects_non_finite_values(name, value):
+    # a NaN tolerance would never be met, and a NaN lambda fails only deep in the solve
+    with pytest.raises(DataError, match="must be finite"):
+        SolverConfig(**{name: value})
 
 
 def test_soft_assignment_validation():
