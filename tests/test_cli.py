@@ -304,13 +304,56 @@ def test_every_parsed_flag_is_read(episode_batch, tmp_path, monkeypatch, command
     assert sorted(set(vars(args)) - reads) == []
 
 
+def _sym_argv(command, episode_batch, out, sym):
+    fpath, _, tasks_dir = map(str, episode_batch)
+    if command == "fewshot":
+        return ["fewshot", "--features", fpath, "--episodes", tasks_dir,
+                "--sym", sym, "--out-dir", str(out)]
+    return [command, "--features", fpath, "--k", "2", "--sym", sym, "--out-dir", str(out)]
+
+
+def _sym_result(command, out):
+    """What a run decides: its labels and trace, without wall times or the echoed flags."""
+    if command == "fewshot":
+        rows = (out / "episodes.csv").read_text().splitlines()
+        return [row.split(",")[:2] + row.split(",")[3:] for row in rows]
+    names = ["trace.csv"] if command == "trace" else ["assignments.csv", "trace.csv"]
+    return [(out / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("lam", [None, "0.5"])
 @pytest.mark.parametrize("command", ["cluster", "trace", "fewshot"])
-def test_sym_none_is_a_usage_error(episode_batch, tmp_path, capsys, command):
-    # a directed graph served only lambda = 0, where no edge is read
+def test_sym_none_with_positive_lambda_is_a_config_error(episode_batch, tmp_path, capsys,
+                                                         command, lam):
+    # a non-symmetric graph voids the bound's monotone descent; argparse
+    # rejects --sym none at any lambda, before a file is read
     out = tmp_path / "out"
-    assert main(_run_argv(command, episode_batch, out) + ["--sym", "none"]) == 1
-    assert "argument --sym: invalid choice: 'none'" in capsys.readouterr().err
+    argv = _sym_argv(command, episode_batch, out, "none") + ["--algo", "slk-ms"]
+    if lam is not None:
+        argv += ["--lambda", lam]
+    assert main(argv) == 1
+    assert "argument --sym: invalid choice: 'none' (choose from" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo, lam", [("kmeans", None), ("kmodes", None), ("slk-means", "0")])
+@pytest.mark.parametrize("command", ["cluster", "trace", "fewshot"])
+def test_sym_none_without_lambda_is_accepted(episode_batch, tmp_path, capsys,
+                                             command, algo, lam):
+    # --sym none served only lambda = 0, where no edge is read: those runs are
+    # accepted with either remaining mode and decide the same, and none is gone
+    results = []
+    for sym in ("max", "mean", "none"):
+        out = tmp_path / sym
+        argv = _sym_argv(command, episode_batch, out, sym) + ["--algo", algo]
+        if lam is not None:
+            argv += ["--lambda", lam]
+        assert main(argv) == (1 if sym == "none" else 0)
+        if sym != "none":
+            results.append(_sym_result(command, out))
+    assert results[0] == results[1]
+    assert "argument --sym: invalid choice: 'none'" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("flag", ["--lambda", "--inner-tol", "--outer-tol"])
