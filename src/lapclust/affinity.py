@@ -33,14 +33,14 @@ for brute force; on clustered blobs it takes about 0.2 s at those d, against
 fast on unclustered data, so the tree keeps d <= 10. At d=128 the tree took
 18.6 s, against 2.5 s for the brute force before its two-stage selection.
 
-The graph keeps the distances of its search, so ``estimate_sigma2`` takes the
-kernel width from it without a second search.
-A graph built directly is checked in full; ``symmetrize`` and
-``with_diag_shift`` derive valid graphs from a checked one and skip that
-O(nnz) check. Only ``symmetrize`` marks a graph ``symmetric``; ``solve``
-compares any other graph with its transpose. Every function here that takes a
-feature matrix also accepts a ``CenteredFeatures``, so a caller that already
-centered X does not do it again.
+A graph is built from its matrix alone, checked in full; its degrees are the
+row sums. Only ``knn_graph`` attaches its search distances, from which
+``estimate_sigma2`` takes the kernel width without a second search. Only
+``with_diag_shift`` sets a shift, and only ``symmetrize`` marks a graph
+``symmetric`` (``solve`` compares any other graph with its transpose); both
+derive valid graphs from a checked one and skip that O(nnz) check. Every
+function here that takes a feature matrix also accepts a ``CenteredFeatures``,
+so a caller that already centered X does not do it again.
 """
 
 from __future__ import annotations
@@ -61,38 +61,35 @@ _TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force
 # differ by at most this times (|c_p|^2 + dist); the kernel's rounding is about
 # (d + 3) eps times that, under 1e-14 for d <= 10.
 _TREE_GAP_RTOL = 1e-12
+SYM_MODES = ("max", "mean")  # elementwise max or mean of W and its transpose
 
 
 @dataclass(frozen=True)
 class SparseAffinity:
-    """CSR affinity graph with per-point degrees and an optional diagonal shift.
+    """CSR affinity graph, built from its matrix alone.
 
-    ``diag_shift`` is bookkeeping for the positive-semidefinite correction: it
-    is never stored as edges, and is applied where the optimizer needs the
-    shifted matrix. ``knn_sqdist`` holds the N x rho squared distances of the
-    search that built the graph (``knn_graph``), or None. ``symmetric`` is not
-    a constructor argument: only ``symmetrize`` sets it.
+    Every other field is set by the one function that computes it: ``degrees``
+    (the row sums) here, ``knn_sqdist`` (the N x rho squared distances of the
+    search; None on a graph built directly) by ``knn_graph``, ``diag_shift``
+    (the psd correction, never stored as edges) by ``with_diag_shift``, and
+    ``symmetric`` by ``symmetrize``.
     """
 
     matrix: sp.csr_matrix
-    degrees: np.ndarray
-    diag_shift: float = 0.0
+    degrees: np.ndarray = field(init=False)
+    diag_shift: float = field(default=0.0, init=False)
     symmetric: bool = field(default=False, init=False)
-    knn_sqdist: np.ndarray | None = None
+    knn_sqdist: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         m = self.matrix
         if m.shape[0] != m.shape[1]:
             raise DataError(f"affinity matrix must be square, got {m.shape}")
-        if self.diag_shift < 0:
-            raise DataError("diag_shift must be >= 0")
         if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
             raise DataError("affinity weights must be finite and >= 0")
         if m.diagonal().any():
             raise DataError("affinity graph must not contain self-loops")
-        rowsum = np.asarray(m.sum(axis=1)).ravel()
-        if not np.allclose(self.degrees, rowsum, rtol=1e-12, atol=1e-12):
-            raise DataError("degrees do not match affinity row sums")
+        object.__setattr__(self, "degrees", np.asarray(m.sum(axis=1)).ravel())
 
     @property
     def n_points(self):
@@ -274,18 +271,19 @@ def knn_graph(X, rho: int) -> SparseAffinity:
     data = np.ones(n * rho, dtype=np.float64)
     m = sp.csr_matrix((data, idx.ravel(), indptr), shape=(n, n))
     m.sort_indices()
-    degrees = np.asarray(m.sum(axis=1)).ravel()
-    return SparseAffinity(matrix=m, degrees=degrees, knn_sqdist=sqd)
+    return _derived(SparseAffinity(matrix=m), knn_sqdist=sqd)
+
+
+def _check_sym_mode(mode):
+    """Raises DataError unless ``mode`` is one of ``SYM_MODES``."""
+    if mode not in SYM_MODES:
+        raise DataError(f"unknown symmetrization mode: {mode!r}; expected one of {SYM_MODES}")
 
 
 def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
     """Symmetrize stored weights by elementwise max or mean."""
-    if mode == "max":
-        m = W.matrix.maximum(W.matrix.T)
-    elif mode == "mean":
-        m = (W.matrix + W.matrix.T) * 0.5
-    else:
-        raise DataError(f"unknown symmetrization mode: {mode!r}")
+    _check_sym_mode(mode)
+    m = W.matrix.maximum(W.matrix.T) if mode == "max" else (W.matrix + W.matrix.T) * 0.5
     m = m.tocsr()
     m.eliminate_zeros()
     m.sort_indices()

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import io
-from .affinity import SparseAffinity, estimate_sigma2, knn_graph, symmetrize
+from .affinity import SYM_MODES, SparseAffinity, estimate_sigma2, knn_graph, symmetrize
 from .errors import ConfigError, LapclustError
 from .fewshot import PreprocessConfig, run_episode
 from .metrics import accuracy_hungarian, fewshot_accuracy, nmi
@@ -48,7 +48,7 @@ def _add_solver_flags(p):
     p.add_argument("--rho", type=int, default=3)
     p.add_argument("--inner-tol", type=float, default=1e-6)
     p.add_argument("--outer-tol", type=float, default=1e-6)
-    p.add_argument("--sym", choices=["max", "mean"], default="max")
+    p.add_argument("--sym", choices=SYM_MODES, default="max")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the solver reports numerical warnings")
     p.add_argument("--out-dir", default=".")
@@ -136,7 +136,7 @@ def _run_cluster_solve(args, cfg, X):
         W = symmetrize(knn_graph(P, args.rho), args.sym).with_diag_shift(args.delta)
     else:
         n = X.shape[0]
-        W = SparseAffinity(matrix=sp.csr_matrix((n, n)), degrees=np.zeros(n))
+        W = SparseAffinity(matrix=sp.csr_matrix((n, n)))
     if cfg.rule == "modes":
         # the graph keeps its search distances; at lambda 0 no graph is searched
         cfg = replace(cfg, sigma2=estimate_sigma2(W if cfg.lam > 0.0 else P, args.rho))
@@ -199,13 +199,13 @@ def _episode_paths(spec):
 
 def cmd_fewshot(args) -> int:
     cfg = _resolve_config(args)
-    X = _load_features(args.features)
-    labels = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
     base_mean = None
     if args.base_mean:
         bm = _load_features(args.base_mean)
         base_mean = bm.ravel() if 1 in bm.shape else bm.mean(axis=0)
     pre = PreprocessConfig(base_mean=base_mean, apply_cl2=args.cl2, apply_bias=args.bias)
+    X = _load_features(args.features)
+    labels = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)

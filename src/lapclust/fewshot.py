@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affinity import estimate_sigma2, knn_graph, symmetrize
-from .errors import DataError, NonFiniteValueError, ZeroVectorError
+from .affinity import _check_sym_mode, estimate_sigma2, knn_graph, symmetrize
+from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 from .io import TaskSpec, validate_features
 from .metrics import fewshot_accuracy
 from .optimizer import SolveReport, SolverConfig, solve
@@ -25,9 +25,13 @@ from .prototypes import CenteredFeatures, Prototypes, RULE_MODES
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    base_mean: np.ndarray | None = None
+    base_mean: np.ndarray | None = None  # the center of the CL2 step; needs apply_cl2
     apply_cl2: bool = False
     apply_bias: bool = False
+
+    def __post_init__(self):
+        if self.base_mean is not None and not self.apply_cl2:
+            raise ConfigError("a base mean is read only by CL2 normalization; set apply_cl2")
 
 
 @dataclass
@@ -106,8 +110,11 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     Returns ((P, W, M0, local support), cfg with sigma2 set); the tuple is None
     when the task has no queries. Only the episode's rows of ``X_raw`` are
     read and validated, once; a non-finite value is reported at its row in
-    ``X_raw``.
+    ``X_raw``. A task without queries has no search to bound ``rho`` above.
     """
+    _check_sym_mode(sym)
+    if rho < 1:
+        raise DataError(f"rho must be >= 1, got {rho}")
     X_raw = np.asarray(X_raw)
     if X_raw.ndim != 2:
         raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X_raw.shape}")
@@ -158,12 +165,11 @@ def _solve_episode(episode, cfg, truth, start):
                          wall_time=time.perf_counter() - start)
 
 
-def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed,
-                               within_std=1.0):
+def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed):
     """Reproducible Gaussian-mixture episode.
 
     Class centers are i.i.d. directions on the unit sphere scaled by
-    ``separation``; samples add isotropic noise of scale ``within_std``.
+    ``separation``; samples add isotropic unit-variance noise.
     Returns (features, task, truth) with truth aligned to the query order.
     """
     if min(k_way, n_shot, n_query, dim) < 1:
@@ -181,8 +187,8 @@ def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed,
     support = []
     truth = []
     for k in range(k_way):
-        support_rows.append(centers[k] + within_std * rng.standard_normal((n_shot, dim)))
-        query_rows.append(centers[k] + within_std * rng.standard_normal((n_query, dim)))
+        support_rows.append(centers[k] + rng.standard_normal((n_shot, dim)))
+        query_rows.append(centers[k] + rng.standard_normal((n_query, dim)))
         truth.extend([k] * n_query)
     X = np.vstack(support_rows + query_rows)
     pos = 0

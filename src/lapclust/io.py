@@ -1,8 +1,10 @@
 """File ingestion and emission: feature matrices, labels, tasks, assignments.
 
-Feature matrices travel either as headerless CSV or as ``slkbin``, a fixed
-little-endian binary layout (magic ``SLKB``, u32 version, u64 n_points,
-u64 n_dims, row-major f64 payload) used for bit-exact round trips.
+Feature matrices travel either as headerless CSV, one point per line and one
+feature per cell (a first line of names would be read as a bad cell), or as
+``slkbin``, a fixed little-endian binary layout (magic ``SLKB``, u32 version,
+u64 n_points, u64 n_dims, row-major f64 payload) used for bit-exact round
+trips.
 
 The CSV reader parses each row with one numpy call, which reads a cell as
 Python's ``float()`` does. Only a row that fails to parse or holds a
@@ -79,21 +81,20 @@ class TaskSpec:
                 raise IndexOutOfRangeError(idx, n_points)
 
 
-def load_features(path, format="csv", header=False) -> np.ndarray:
-    """Read a feature matrix from ``csv`` or ``slkbin``."""
+def load_features(path, format="csv") -> np.ndarray:
+    """Read a feature matrix from headerless ``csv`` or ``slkbin``."""
     if format == "csv":
-        return _load_csv(path, header=header)
+        return _load_csv(path)
     if format == "slkbin":
         return _load_slkbin(path)
     raise DataError(f"unknown feature format: {format!r}")
 
 
-def save_features(X, path, format="csv", header=False) -> None:
+def save_features(X, path, format="csv") -> None:
+    """Write a feature matrix as headerless ``csv`` or ``slkbin``."""
     X = validate_features(X)
     if format == "csv":
         with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(",".join(f"f{j}" for j in range(X.shape[1])) + "\n")
             for row in X.tolist():
                 fh.write(",".join(map(repr, row)) + "\n")
     elif format == "slkbin":
@@ -106,15 +107,11 @@ def save_features(X, path, format="csv", header=False) -> None:
         raise DataError(f"unknown feature format: {format!r}")
 
 
-def _load_csv(path, header=False) -> np.ndarray:
+def _load_csv(path) -> np.ndarray:
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if header:
-        if not lines:
-            raise MalformedHeaderError(f"{path}: empty file, expected header row")
-        lines = lines[1:]
     for r, line in enumerate(lines):
         if not line.strip():
             continue

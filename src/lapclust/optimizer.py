@@ -55,29 +55,28 @@ from .prototypes import (
 class SoftAssignment:
     """Row-stochastic N x K assignment with an optional per-row clamp.
 
-    Clamped rows are exact one-hots (support supervision) and are never
-    touched by any update.
+    ``clamp_class`` holds each row's class, or -1 for a free row. Clamped rows
+    are exact one-hots (support supervision) and are never touched by any
+    update.
     """
 
     rows: np.ndarray
-    clamped: np.ndarray
     clamp_class: np.ndarray
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
-        clamped = np.asarray(self.clamped, dtype=bool)
         clamp_class = np.asarray(self.clamp_class, dtype=np.int64)
         if rows.ndim != 2:
             raise DataError(f"assignment matrix must be 2-D, got {rows.shape}")
         n, k = rows.shape
-        if clamped.shape != (n,) or clamp_class.shape != (n,):
-            raise DataError("clamp arrays must be length n_points")
+        if clamp_class.shape != (n,):
+            raise DataError("clamp_class must be length n_points")
         if rows.size:
             if rows.min() < 0 or not np.all(np.isfinite(rows)):
                 raise DataError("assignment entries must be finite and >= 0")
             if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
                 raise DataError("assignment rows must sum to 1 within 1e-9")
-        idx = np.flatnonzero(clamped)
+        idx = np.flatnonzero(clamp_class != -1)
         cls = clamp_class[idx]
         one_hot = cls[:, None] == np.arange(k)  # all False for a class out of range
         bad = (cls < 0) | (cls >= k) | np.any(rows[idx] != one_hot, axis=1)
@@ -87,8 +86,12 @@ class SoftAssignment:
                 raise DataError(f"clamp class {c} outside [0, {k})")
             raise DataError(f"clamped row {p} is not the one-hot of class {c}")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "clamped", clamped)
         object.__setattr__(self, "clamp_class", clamp_class)
+
+    @property
+    def clamped(self):
+        """Rows with a class: the ones no update touches."""
+        return self.clamp_class >= 0
 
     @property
     def k(self):
@@ -101,9 +104,7 @@ class SoftAssignment:
     @staticmethod
     def unclamped(rows) -> "SoftAssignment":
         rows = np.asarray(rows, dtype=np.float64)
-        n = rows.shape[0]
-        return SoftAssignment(rows=rows, clamped=np.zeros(n, dtype=bool),
-                              clamp_class=np.full(n, -1, dtype=np.int64))
+        return SoftAssignment(rows=rows, clamp_class=np.full(rows.shape[0], -1, dtype=np.int64))
 
     @staticmethod
     def from_hard(labels, k) -> "SoftAssignment":
@@ -114,19 +115,18 @@ class SoftAssignment:
 
 
 def make_clamps(n_points, k, support):
-    """Build (clamped, clamp_class) arrays from (index, class) pairs; one class per point."""
-    clamped = np.zeros(n_points, dtype=bool)
+    """The clamp_class array of (index, class) pairs: each point's class, -1 where
+    it has none; one class per point."""
     clamp_class = np.full(n_points, -1, dtype=np.int64)
     for p, c in support:
         if not 0 <= p < n_points:
             raise DataError(f"clamp index {p} out of range")
         if not 0 <= c < k:
             raise DataError(f"clamp class {c} outside [0, {k})")
-        if clamped[p] and clamp_class[p] != c:
+        if clamp_class[p] not in (-1, c):
             raise DataError(f"point {p} clamped to both class {clamp_class[p]} and class {c}")
-        clamped[p] = True
         clamp_class[p] = c
-    return clamped, clamp_class
+    return clamp_class
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
     """
     a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
     rows, _, iters, redone, _ = _s_block(W, a, S.rows, ~S.clamped, cfg)
-    return (SoftAssignment(rows=rows, clamped=S.clamped, clamp_class=S.clamp_class),
-            iters, redone)
+    return SoftAssignment(rows=rows, clamp_class=S.clamp_class), iters, redone
 
 
 # A sweep is certified when q'Wq >= -_CERT_RTOL * max|q| * (total degree). The
@@ -389,13 +388,12 @@ def _refit_hard(P, W, rows, M, cfg, mode_cfg, warnings):
     return discrete_objective(P, W, hard, M_hard, cfg)
 
 
-def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
-          S0: SoftAssignment | None = None, clamps=None):
+def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamps=None):
     """Alternate assignment and prototype blocks until the relaxed objective settles.
 
-    ``clamps`` is an optional list of (point_index, class) pairs whose rows are
-    frozen one-hot; it cannot be combined with ``S0``, which carries its own
-    clamps. Returns (SoftAssignment, Prototypes, SolveReport).
+    The rows start as the softmax of the scores of M0. ``clamps`` is an
+    optional list of (point_index, class) pairs whose rows are set one-hot and
+    frozen. Returns (SoftAssignment, Prototypes, SolveReport).
 
     X (or its CenteredFeatures) is centered once, the loop works on plain rows,
     and the prototype scores are computed once per prototype state: the scores
@@ -405,8 +403,6 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
     n = P.X.shape[0]
     if W.n_points != n:
         raise DataError(f"graph has {W.n_points} points, features have {n}")
-    if S0 is not None and clamps:
-        raise DataError("clamps cannot be combined with S0; clamp the rows of S0 instead")
     # only symmetrize sets W.symmetric; any other graph gets one O(nnz) comparison
     if cfg.lam > 0.0 and not (W.symmetric or (W.matrix != W.matrix.T).nnz == 0):
         raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
@@ -416,15 +412,12 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
 
     a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
-    if S0 is None:
-        clamped, clamp_class = make_clamps(n, M.k, clamps or ())
-        rows = s_inner_update(a)
-        idx = np.flatnonzero(clamped)
-        rows[idx] = 0.0
-        rows[idx, clamp_class[idx]] = 1.0
-    else:
-        rows, clamped, clamp_class = S0.rows, S0.clamped, S0.clamp_class
-    free = ~clamped
+    clamp_class = make_clamps(n, M.k, clamps or ())
+    free = clamp_class < 0
+    rows = s_inner_update(a)
+    idx = np.flatnonzero(~free)
+    rows[idx] = 0.0
+    rows[idx, clamp_class[idx]] = 1.0
 
     # the votes of the current rows: each block starts from the previous one's,
     # and R at the block's end is evaluated from them
@@ -456,7 +449,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig,
         report.warnings.append(f"outer loop hit outer_max={cfg.outer_max}")
 
     report.discrete_objective = _refit_hard(P, W, rows, M, cfg, mode_cfg, report.warnings)
-    return SoftAssignment(rows=rows, clamped=clamped, clamp_class=clamp_class), M, report
+    return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
 
 
 def kmeans_pp_seeds(X, k, rng) -> np.ndarray:

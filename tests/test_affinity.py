@@ -413,7 +413,7 @@ def test_knn_rho_out_of_range():
 
 def test_symmetrize_max_adds_reverse_edge():
     m = sp.csr_matrix(([1.0], ([0], [1])), shape=(2, 2))
-    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 0.0]))
+    W = SparseAffinity(matrix=m)
     S = symmetrize(W, "max")
     dense = S.matrix.toarray()
     assert dense[0, 1] == 1.0 and dense[1, 0] == 1.0
@@ -496,12 +496,34 @@ def test_sigma2_from_graph_is_bitwise_the_search_value():
 
 def test_sigma2_graph_without_matching_distances_rejected():
     m = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(2, 2))
-    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 1.0]))
+    W = SparseAffinity(matrix=m)
     with pytest.raises(DataError):
         estimate_sigma2(W, 1)
     X = np.random.default_rng(16).standard_normal((10, 2))
     with pytest.raises(DataError):
         estimate_sigma2(knn_graph(X, 3), 2)
+    # only knn_graph attaches distances: a graph built directly, even from a
+    # searched matrix, has none that estimate_sigma2 would trust unchecked
+    G = knn_graph(X, 2)
+    for W in (SparseAffinity(matrix=G.matrix),
+              symmetrize(SparseAffinity(matrix=G.matrix), "max").with_diag_shift(0.5)):
+        assert W.knn_sqdist is None
+        with pytest.raises(DataError, match="graph carries no rho=2 neighbor distances"):
+            estimate_sigma2(W, 2)
+
+
+@pytest.mark.parametrize("name, value", [("degrees", np.full(10, 2.0)),
+                                         ("knn_sqdist", np.full((3, 2), 7.0)),
+                                         ("diag_shift", 0.5)])
+def test_graph_is_built_from_its_matrix_alone(name, value):
+    G = knn_graph(np.random.default_rng(17).standard_normal((10, 2)), 2)
+    with pytest.raises(TypeError, match=name):
+        SparseAffinity(matrix=G.matrix, **{name: value})
+    W = SparseAffinity(matrix=G.matrix)
+    # the degrees are the row sums, bitwise, on a graph built directly or searched
+    rowsum = np.asarray(G.matrix.sum(axis=1)).ravel()
+    assert W.degrees.tobytes() == G.degrees.tobytes() == rowsum.tobytes()
+    assert (W.diag_shift, W.symmetric, W.knn_sqdist) == (0.0, False, None)
 
 
 def test_laplacian_constant_rows_zero():
@@ -513,7 +535,7 @@ def test_laplacian_constant_rows_zero():
 
 def test_laplacian_single_edge_hand_value():
     m = sp.csr_matrix(([1.0], ([0], [1])), shape=(2, 2))
-    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 0.0]))
+    W = SparseAffinity(matrix=m)
     S = np.eye(2)
     # ||e1 - e2||^2 = 2 per stored direction; only one direction stored here
     assert laplacian_quadratic(W, S) == pytest.approx(2.0, abs=1e-12)
@@ -557,4 +579,4 @@ def test_storage_is_sparse():
 def test_self_loops_rejected():
     m = sp.csr_matrix(([1.0], ([0], [0])), shape=(2, 2))
     with pytest.raises(DataError):
-        SparseAffinity(matrix=m, degrees=np.array([1.0, 0.0]))
+        SparseAffinity(matrix=m)

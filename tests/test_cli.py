@@ -386,3 +386,19 @@ def test_fewshot_bad_task_entry_is_a_data_error(episode_batch, tmp_path, capsys)
     (tasks_dir / "e9.task").write_text("kway=2\nsupport=0:0,1:1,x:2\nquery=3\n")
     assert main(_run_argv("fewshot", episode_batch, tmp_path / "out")) == 2
     assert "e9.task: bad support entry 'x:2'" in capsys.readouterr().err
+
+
+def test_base_mean_without_cl2_is_a_config_error(episode_batch, tmp_path, capsys,
+                                                 neighbor_searches):
+    fpath, _, tasks_dir = episode_batch
+    mpath = tmp_path / "base_mean.csv"
+    save_features(np.zeros((1, 6)), mpath)
+    argv = ["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir),
+            "--base-mean", str(mpath)]
+    out = tmp_path / "out"
+    assert main(argv + ["--bias", "--out-dir", str(out)]) == 1
+    assert "config error: a base mean is read only by CL2 normalization" in capsys.readouterr().err
+    assert neighbor_searches == []
+    assert not out.exists()
+    assert main(argv + ["--cl2", "--out-dir", str(out)]) == 0
+    assert (out / "summary.json").exists()

@@ -17,7 +17,7 @@ from lapclust import (
     run_episode,
     tune_lambda,
 )
-from lapclust.errors import DataError, NonFiniteValueError, ZeroVectorError
+from lapclust.errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 
 
 def test_cl2_unit_direction():
@@ -293,3 +293,31 @@ def test_sym_none_is_rejected(lam):
         run_episode(task, X, pre, cfg, sym="none", truth=truth)
     with pytest.raises(DataError, match="unknown symmetrization mode: 'none'"):
         tune_lambda([lam], [(X, task, truth)], cfg, pre, sym="none")
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(sym="bogus"), "unknown symmetrization mode: 'bogus'"),
+    (dict(rho=99, sym="bogus"), "unknown symmetrization mode: 'bogus'"),
+    (dict(rho=0), "rho must be >= 1, got 0"),
+])
+def test_query_less_task_checks_sym_and_rho(kwargs, match):
+    # such a task builds no graph, but its arguments are checked as any task's
+    X = np.array([[0.0], [1.0]])
+    task = TaskSpec(k_way=2, support=((0, 0), (1, 1)), queries=())
+    cfg = SolverConfig(lam=1.0)
+    with pytest.raises(DataError, match=match):
+        run_episode(task, X, PreprocessConfig(), cfg, **kwargs)
+    with pytest.raises(DataError, match=match):
+        tune_lambda([0.0, 1.0], [(X, task, [])], cfg, **kwargs)
+    # only a search bounds rho above, and a task without queries has none
+    assert run_episode(task, X, PreprocessConfig(), cfg, rho=99).query_labels.size == 0
+
+
+def test_base_mean_without_cl2_is_a_config_error():
+    # only the CL2 step reads the base mean; without it the mean would be ignored
+    for apply_bias in (False, True):
+        with pytest.raises(ConfigError, match="set apply_cl2"):
+            PreprocessConfig(base_mean=np.zeros(4), apply_bias=apply_bias)
+    X, task, truth = generate_synthetic_episode(3, 2, 4, dim=4, separation=5.0, seed=9)
+    pre = PreprocessConfig(base_mean=np.full(4, 0.5), apply_cl2=True)
+    assert run_episode(task, X, pre, SolverConfig(lam=1.0), truth=truth).accuracy is not None

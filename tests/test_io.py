@@ -265,9 +265,6 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
     X = AWKWARD_FLOATS
     save_features(X, tmp_path / "x.csv")
     assert (tmp_path / "x.csv").read_bytes() == "".join(cells(r) + "\n" for r in X).encode()
-    save_features(X, tmp_path / "h.csv", header=True)
-    assert (tmp_path / "h.csv").read_bytes() == \
-        ("f0,f1,f2,f3,f4\n" + "".join(cells(r) + "\n" for r in X)).encode()
     S = np.abs(X) / np.abs(X).sum(axis=1, keepdims=True)
     S[0] = [0.0, 0.5, 5e-324, 0.5, 0.0]
     for soft in (False, True):

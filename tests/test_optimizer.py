@@ -30,7 +30,7 @@ from lapclust.prototypes import prototype_scores
 
 
 def empty_graph(n):
-    return SparseAffinity(matrix=sp.csr_matrix((n, n)), degrees=np.zeros(n))
+    return SparseAffinity(matrix=sp.csr_matrix((n, n)))
 
 
 def psd_shifted(W):
@@ -51,7 +51,7 @@ def test_neighbor_votes_no_edges():
 
 def test_neighbor_votes_single_edge_swaps_rows():
     m = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(2, 2))
-    W = SparseAffinity(matrix=m, degrees=np.array([1.0, 1.0]))
+    W = SparseAffinity(matrix=m)
     S = np.array([[0.9, 0.1], [0.2, 0.8]])
     b = neighbor_votes(W, S)
     np.testing.assert_allclose(b[0], S[1])
@@ -117,8 +117,7 @@ def test_s_block_all_clamped_untouched():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     M = Prototypes(values=X, rule="means")
     rows = np.eye(2)
-    S = SoftAssignment(rows=rows, clamped=np.array([True, True]),
-                       clamp_class=np.array([0, 1]))
+    S = SoftAssignment(rows=rows, clamp_class=np.array([0, 1]))
     cfg = SolverConfig(lam=0.5, rule="means")
     W = symmetrize(knn_graph(X, 1), "max")
     S2, iters, _ = s_block(W, X, M, S, cfg)
@@ -133,7 +132,7 @@ def test_s_block_chain_graph_fixed_point():
     rows_i = list(range(n - 1)) + list(range(1, n))
     cols_i = list(range(1, n)) + list(range(n - 1))
     m = sp.csr_matrix((np.ones(2 * (n - 1)), (rows_i, cols_i)), shape=(n, n))
-    W = SparseAffinity(matrix=m, degrees=np.asarray(m.sum(axis=1)).ravel())
+    W = SparseAffinity(matrix=m)
     M = Prototypes(values=X[:k], rule="means")
     cfg = SolverConfig(lam=0.5, rule="means", inner_tol=1e-10, inner_max=500)
     S0 = SoftAssignment.unclamped(np.full((n, k), 0.5))
@@ -151,8 +150,7 @@ def test_s_block_preserves_simplex_and_clamps():
     W = symmetrize(knn_graph(X, 3), "max")
     rows = random_simplex(rng, n, k)
     rows[0] = [1.0, 0.0, 0.0]
-    S = SoftAssignment(rows=rows, clamped=np.array([True] + [False] * (n - 1)),
-                       clamp_class=np.array([0] + [-1] * (n - 1)))
+    S = SoftAssignment(rows=rows, clamp_class=np.array([0] + [-1] * (n - 1)))
     cfg = SolverConfig(lam=1.0, rule="means")
     S2, _, _ = s_block(W, X, M=Prototypes(values=X[:k], rule="means"), S=S, cfg=cfg)
     np.testing.assert_allclose(S2.rows.sum(axis=1), 1.0, atol=1e-9)
@@ -199,12 +197,10 @@ def clamped_layout(rng, n, k, layout):
     rows = random_simplex(rng, n, k)
     idx = {"all_free": [], "free_suffix": list(range(5)),
            "scattered": [0, 7, 8, 23, n - 1]}[layout]
-    clamped = np.zeros(n, dtype=bool)
     clamp_class = np.full(n, -1)
-    clamped[idx] = True
     clamp_class[idx] = np.arange(len(idx)) % k
     rows[idx] = np.eye(k)[clamp_class[idx]]
-    return SoftAssignment(rows=rows, clamped=clamped, clamp_class=clamp_class)
+    return SoftAssignment(rows=rows, clamp_class=clamp_class)
 
 
 SWEEP_CASES = {  # solver settings and the graph's diagonal shift
@@ -253,9 +249,13 @@ def test_s_block_and_solve_leave_their_inputs_unchanged(layout):
     cfg = SolverConfig(lam=1.0, rule="means")
     S1, _, _ = s_block(W, X, M, S0, cfg)
     rows = optimizer._s_block(W, prototype_scores(X, M), S0.rows, ~S0.clamped, cfg)[0]
-    S2, _, _ = solve(X, W, M, cfg, S0=S0)
     assert S0.rows.tobytes() == before.tobytes()
-    assert S1.rows is not S0.rows and rows is not S0.rows and S2.rows is not S0.rows
+    assert S1.rows is not S0.rows and rows is not S0.rows
+    X_before, M_before = X.copy(), M.values.copy()
+    clamps = [(int(p), int(c)) for p, c in enumerate(S0.clamp_class) if c >= 0]
+    _, M2, _ = solve(X, W, M, cfg, clamps=clamps)
+    assert X.tobytes() == X_before.tobytes() and M.values.tobytes() == M_before.tobytes()
+    assert M2.values is not M.values
 
 
 def test_relaxed_equals_discrete_at_vertices_lambda_zero():
@@ -481,13 +481,13 @@ def test_solve_rejects_a_nonsymmetric_graph_with_positive_lambda():
     # only symmetrize marks a graph symmetric; a caller cannot set the flag and
     # skip the check, which a directed graph built directly fails too
     with pytest.raises(TypeError, match="symmetric"):
-        SparseAffinity(matrix=directed.matrix, degrees=directed.degrees, symmetric=True)
-    rebuilt = SparseAffinity(matrix=directed.matrix, degrees=directed.degrees)
+        SparseAffinity(matrix=directed.matrix, symmetric=True)
+    rebuilt = SparseAffinity(matrix=directed.matrix)
     with pytest.raises(DataError, match="needs a symmetric affinity graph"):
         solve(X, rebuilt, M0, SolverConfig(lam=0.5, rule="means"))
     # a graph built symmetric directly passes the structural check
     sym = symmetrize(directed, "max")
-    unflagged = SparseAffinity(matrix=sym.matrix, degrees=sym.degrees)
+    unflagged = SparseAffinity(matrix=sym.matrix)
     for W, lam in ((directed, 0.0), (empty_graph(12), 0.5), (unflagged, 0.5), (sym, 0.5)):
         solve(X, W, M0, SolverConfig(lam=lam, rule="means"))
 
@@ -562,20 +562,11 @@ def test_solve_clamps_held_exactly():
 def test_clamps_reject_two_classes_for_one_point():
     with pytest.raises(DataError, match="point 0 clamped to both class 0 and class 1"):
         optimizer.make_clamps(3, 2, [(0, 0), (0, 1)])
-    clamped, clamp_class = optimizer.make_clamps(3, 2, [(1, 1), (1, 1)])
-    assert clamped.tolist() == [False, True, False] and clamp_class.tolist() == [-1, 1, -1]
+    assert optimizer.make_clamps(3, 2, [(1, 1), (1, 1)]).tolist() == [-1, 1, -1]
     X = np.random.default_rng(21).standard_normal((6, 2))
     with pytest.raises(DataError, match="point 0"):
         solve(X, empty_graph(6), Prototypes(values=X[:2], rule="means"),
               SolverConfig(rule="means"), clamps=[(0, 0), (0, 1)])
-
-
-def test_solve_rejects_clamps_with_initial_assignment():
-    X = np.random.default_rng(17).standard_normal((6, 2))
-    S0 = SoftAssignment.unclamped(np.full((6, 2), 0.5))
-    with pytest.raises(DataError, match="S0"):
-        solve(X, empty_graph(6), Prototypes(values=X[:2], rule="means"),
-              SolverConfig(rule="means"), S0=S0, clamps=[(0, 1)])
 
 
 def test_solve_warns_when_hard_refit_fails(monkeypatch):
@@ -624,15 +615,20 @@ def test_soft_assignment_validation():
     with pytest.raises(DataError):
         SoftAssignment.unclamped(np.array([[0.6, 0.6]]))
     with pytest.raises(DataError):
-        SoftAssignment(rows=np.array([[0.5, 0.5]]), clamped=np.array([True]),
-                       clamp_class=np.array([0]))
+        SoftAssignment(rows=np.array([[0.5, 0.5]]), clamp_class=np.array([0]))
     eye = np.eye(2)[[0, 1, 0]]
     with pytest.raises(DataError, match=r"^clamp class 2 outside \[0, 2\)$"):
-        SoftAssignment(rows=eye, clamped=np.array([False, True, True]),
-                       clamp_class=np.array([-1, 2, 1]))
+        SoftAssignment(rows=eye, clamp_class=np.array([-1, 2, 1]))
     with pytest.raises(DataError, match=r"^clamped row 1 is not the one-hot of class 0$"):
+        SoftAssignment(rows=eye, clamp_class=np.array([-1, 0, -1]))
+    # -1 marks a free row; no other negative value is a class
+    with pytest.raises(DataError, match=r"^clamp class -2 outside \[0, 2\)$"):
+        SoftAssignment(rows=eye, clamp_class=np.array([-1, -2, 0]))
+    S = SoftAssignment(rows=eye, clamp_class=np.array([-1, 1, 0]))
+    assert S.clamped.tolist() == [False, True, True]
+    with pytest.raises(TypeError, match="clamped"):
         SoftAssignment(rows=eye, clamped=np.array([False, True, True]),
-                       clamp_class=np.array([-1, 0, -1]))
+                       clamp_class=np.array([-1, 1, 0]))
 
 
 def kmeans_pp_oracle(X, k, rng):
