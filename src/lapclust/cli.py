@@ -38,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_features(path):
-    return io.load_features(path, format="slkbin" if str(path).endswith(".slkbin") else "csv")
-
-
 def _add_solver_flags(p):
     p.add_argument("--algo", choices=sorted(ALGOS), default="slk-means")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -148,7 +144,7 @@ def _run_cluster_solve(args, cfg, X):
 
 def cmd_cluster(args) -> int:
     cfg = _resolve_config(args)
-    X = _load_features(args.features)
+    X = io.load_features(args.features)
     truth = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
     S, report, cfg = _run_cluster_solve(args, cfg, X)
     out = args.out_dir
@@ -176,7 +172,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _resolve_config(args)
-    _, report, cfg = _run_cluster_solve(args, cfg, _load_features(args.features))
+    _, report, cfg = _run_cluster_solve(args, cfg, io.load_features(args.features))
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     _write_trace(report, os.path.join(out, "trace.csv"))
@@ -201,10 +197,10 @@ def cmd_fewshot(args) -> int:
     cfg = _resolve_config(args)
     base_mean = None
     if args.base_mean:
-        bm = _load_features(args.base_mean)
+        bm = io.load_features(args.base_mean)
         base_mean = bm.ravel() if 1 in bm.shape else bm.mean(axis=0)
     pre = PreprocessConfig(base_mean=base_mean, apply_cl2=args.cl2, apply_bias=args.bias)
-    X = _load_features(args.features)
+    X = io.load_features(args.features)
     labels = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
 
     out = args.out_dir

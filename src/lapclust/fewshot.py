@@ -100,21 +100,28 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
     ``task.queries``) and enables the accuracy field.
     """
     start = time.perf_counter()
+    _check_graph_args(rho, sym)
     episode, cfg = _prepare_episode(task, X_raw, pre, cfg, rho, sym)
     return _solve_episode(episode, cfg, truth, start)
+
+
+def _check_graph_args(rho, sym):
+    """Checked for every task, also one without queries, which builds no graph."""
+    _check_sym_mode(sym)
+    if rho < 1:
+        raise DataError(f"rho must be >= 1, got {rho}")
 
 
 def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     """Everything of an episode that lambda does not change.
 
-    Returns ((P, W, M0, local support), cfg with sigma2 set); the tuple is None
-    when the task has no queries. Only the episode's rows of ``X_raw`` are
-    read and validated, once; a non-finite value is reported at its row in
-    ``X_raw``. A task without queries has no search to bound ``rho`` above.
+    Returns ((P, W, M0, clamp_class), cfg with sigma2 set), where the rows are
+    the supports then the queries, so clamp_class is the support classes then
+    -1 per query; the tuple is None when the task has no queries. Only the
+    episode's rows of ``X_raw`` are read and validated, once; a non-finite
+    value is reported at its row in ``X_raw``. ``rho`` and ``sym`` are checked
+    by the caller; a task without queries has no search to bound ``rho`` above.
     """
-    _check_sym_mode(sym)
-    if rho < 1:
-        raise DataError(f"rho must be >= 1, got {rho}")
     X_raw = np.asarray(X_raw)
     if X_raw.ndim != 2:
         raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X_raw.shape}")
@@ -146,16 +153,17 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
     M0 = _init_prototypes(local_task, Xe, cfg.rule)
-    return (P, W, M0, local_task.support), cfg
+    clamp_class = np.array([c for _, c in task.support] + [-1] * len(task.queries))
+    return (P, W, M0, clamp_class), cfg
 
 
 def _solve_episode(episode, cfg, truth, start):
     """The clamped solve of a prepared episode; wall time counts from ``start``."""
     labels, accuracy, report = np.empty(0, dtype=np.int64), None, SolveReport()
     if episode is not None:
-        P, W, M0, support = episode
-        S, _, report = solve(P, W, M0, cfg, clamps=support)
-        labels = np.argmax(S.rows[len(support):], axis=1)
+        P, W, M0, clamp_class = episode
+        S, _, report = solve(P, W, M0, cfg, clamp_class=clamp_class)
+        labels = S.hard_labels()[~S.clamped]
         if truth is not None:
             truth = np.asarray(truth, dtype=np.int64)
             if truth.shape != labels.shape:
@@ -204,11 +212,17 @@ def tune_lambda(candidates, episodes, cfg: SolverConfig, pre: PreprocessConfig |
                 rho: int = 3, sym: str = "max") -> float:
     """Pick the regularization weight with the best mean validation accuracy.
 
-    ``episodes`` is a list of (features, task, truth) triples; ties resolve to
-    the smaller candidate.
+    ``episodes`` is a list of (features, task, truth) triples, each with
+    queries and their truth, so that every episode has an accuracy; ties
+    resolve to the smaller candidate.
     """
     if not candidates or not episodes:
         raise DataError("need at least one candidate and one episode")
+    _check_graph_args(rho, sym)
+    for i, (_, task, truth) in enumerate(episodes):
+        if truth is None or not task.queries:
+            raise DataError(f"validation episode {i} has no accuracy: it needs queries and "
+                            "their truth")
     pre = pre or PreprocessConfig()
     grid = sorted(candidates)
     accs = [[] for _ in grid]

@@ -4,7 +4,8 @@ Feature matrices travel either as headerless CSV, one point per line and one
 feature per cell (a first line of names would be read as a bad cell), or as
 ``slkbin``, a fixed little-endian binary layout (magic ``SLKB``, u32 version,
 u64 n_points, u64 n_dims, row-major f64 payload) used for bit-exact round
-trips.
+trips. The file name picks the format: a path ending in ``.slkbin`` is slkbin,
+any other path is CSV.
 
 The CSV reader parses each row with one numpy call, which reads a cell as
 Python's ``float()`` does. Only a row that fails to parse or holds a
@@ -33,6 +34,7 @@ from .errors import (
 
 SLKBIN_MAGIC = b"SLKB"
 SLKBIN_VERSION = 1
+SLKBIN_SUFFIX = ".slkbin"
 
 
 def validate_features(X) -> np.ndarray:
@@ -81,30 +83,24 @@ class TaskSpec:
                 raise IndexOutOfRangeError(idx, n_points)
 
 
-def load_features(path, format="csv") -> np.ndarray:
-    """Read a feature matrix from headerless ``csv`` or ``slkbin``."""
-    if format == "csv":
-        return _load_csv(path)
-    if format == "slkbin":
-        return _load_slkbin(path)
-    raise DataError(f"unknown feature format: {format!r}")
+def load_features(path) -> np.ndarray:
+    """Read a feature matrix: slkbin from a ``.slkbin`` path, else headerless CSV."""
+    return _load_slkbin(path) if str(path).endswith(SLKBIN_SUFFIX) else _load_csv(path)
 
 
-def save_features(X, path, format="csv") -> None:
-    """Write a feature matrix as headerless ``csv`` or ``slkbin``."""
+def save_features(X, path) -> None:
+    """Write a feature matrix: slkbin to a ``.slkbin`` path, else headerless CSV."""
     X = validate_features(X)
-    if format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in X.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
-    elif format == "slkbin":
+    if str(path).endswith(SLKBIN_SUFFIX):
         n, d = X.shape
         with open(path, "wb") as fh:
             fh.write(SLKBIN_MAGIC)
             fh.write(struct.pack("<IQQ", SLKBIN_VERSION, n, d))
             fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
     else:
-        raise DataError(f"unknown feature format: {format!r}")
+        with open(path, "w", encoding="utf-8") as fh:
+            for row in X.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _load_csv(path) -> np.ndarray:

@@ -65,26 +65,20 @@ class SoftAssignment:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
-        clamp_class = np.asarray(self.clamp_class, dtype=np.int64)
         if rows.ndim != 2:
             raise DataError(f"assignment matrix must be 2-D, got {rows.shape}")
         n, k = rows.shape
-        if clamp_class.shape != (n,):
-            raise DataError("clamp_class must be length n_points")
+        clamp_class = _clamp_array(self.clamp_class, n, k)
         if rows.size:
             if rows.min() < 0 or not np.all(np.isfinite(rows)):
                 raise DataError("assignment entries must be finite and >= 0")
             if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
                 raise DataError("assignment rows must sum to 1 within 1e-9")
-        idx = np.flatnonzero(clamp_class != -1)
-        cls = clamp_class[idx]
-        one_hot = cls[:, None] == np.arange(k)  # all False for a class out of range
-        bad = (cls < 0) | (cls >= k) | np.any(rows[idx] != one_hot, axis=1)
+        idx = np.flatnonzero(clamp_class >= 0)
+        bad = np.any(rows[idx] != (clamp_class[idx, None] == np.arange(k)), axis=1)
         if bad.any():
-            p, c = idx[bad][0], cls[bad][0]
-            if not 0 <= c < k:
-                raise DataError(f"clamp class {c} outside [0, {k})")
-            raise DataError(f"clamped row {p} is not the one-hot of class {c}")
+            p = idx[bad][0]
+            raise DataError(f"clamped row {p} is not the one-hot of class {clamp_class[p]}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "clamp_class", clamp_class)
 
@@ -114,18 +108,18 @@ class SoftAssignment:
         return SoftAssignment.unclamped(rows)
 
 
-def make_clamps(n_points, k, support):
-    """The clamp_class array of (index, class) pairs: each point's class, -1 where
-    it has none; one class per point."""
-    clamp_class = np.full(n_points, -1, dtype=np.int64)
-    for p, c in support:
-        if not 0 <= p < n_points:
-            raise DataError(f"clamp index {p} out of range")
-        if not 0 <= c < k:
-            raise DataError(f"clamp class {c} outside [0, {k})")
-        if clamp_class[p] not in (-1, c):
-            raise DataError(f"point {p} clamped to both class {clamp_class[p]} and class {c}")
-        clamp_class[p] = c
+def _clamp_array(clamp_class, n, k):
+    """``clamp_class`` as an int64 array of shape (n,): each entry a class in
+    [0, k), or -1 for a free point; a copy, so no caller's array is shared."""
+    values = np.asarray(clamp_class)
+    if values.shape != (n,):
+        raise DataError(f"clamp_class must have shape ({n},), got {values.shape}")
+    if values.size and values.dtype.kind not in "iu":  # a cast would truncate 0.9 to class 0
+        raise DataError(f"clamp_class must hold integers, got dtype {values.dtype}")
+    clamp_class = values.astype(np.int64)
+    bad = (clamp_class < -1) | (clamp_class >= k)
+    if bad.any():
+        raise DataError(f"clamp class {clamp_class[bad][0]} outside [0, {k})")
     return clamp_class
 
 
@@ -144,8 +138,11 @@ class SolverConfig:
             raise DataError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.rule not in (RULE_MEANS, RULE_MODES):
             raise DataError(f"unknown rule: {self.rule!r}")
-        if self.sigma2 is not None and not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise DataError("sigma2 must be finite and > 0 when given")
+        if self.sigma2 is not None:
+            if self.rule == RULE_MEANS:
+                raise DataError("sigma2 is read only by the modes rule; leave it unset for means")
+            if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+                raise DataError("sigma2 must be finite and > 0 when given")
         if not all(np.isfinite(t) and t > 0 for t in (self.inner_tol, self.outer_tol)):
             raise DataError("tolerances must be finite and > 0")
         if min(self.inner_max, self.outer_max) < 1:
@@ -157,11 +154,17 @@ class SolveReport:
     relaxed_trace: list = field(default_factory=list)
     inner_iters_per_outer: list = field(default_factory=list)
     discrete_objective: float = np.nan
-    outer_iters: int = 0
-    inner_iters_total: int = 0
     inner_cap_hits: int = 0  # assignment blocks that spent inner_max sweeps
     redone_sweeps: int = 0  # sweeps whose bound gap was negative, redone with the KL term
     warnings: list = field(default_factory=list)
+
+    @property
+    def outer_iters(self):
+        return len(self.inner_iters_per_outer[1:])  # entry 0 is the initial point
+
+    @property
+    def inner_iters_total(self):
+        return sum(self.inner_iters_per_outer)
 
 
 def neighbor_votes(W: SparseAffinity, S):
@@ -189,6 +192,13 @@ def _softmax_in_place(z):
     return z
 
 
+def _scores(X, M: Prototypes, cfg: SolverConfig):
+    """The prototype scores of M under cfg, whose rule must be M's."""
+    if M.rule != cfg.rule:
+        raise DataError(f"prototypes of rule {M.rule!r} under a solver of rule {cfg.rule!r}")
+    return prototype_scores(X, M, cfg.sigma2)
+
+
 def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverConfig):
     """Inner assignment loop: Jacobi updates of all unclamped rows at once.
 
@@ -196,7 +206,7 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
     update is synchronous and order-independent. Returns
     (SoftAssignment, n_inner_iters, n_redone_sweeps).
     """
-    a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
+    a = _scores(X, M, cfg)
     rows, _, iters, redone, _ = _s_block(W, a, S.rows, ~S.clamped, cfg)
     return SoftAssignment(rows=rows, clamp_class=S.clamp_class), iters, redone
 
@@ -322,7 +332,7 @@ def _pairwise_relaxed(W, rows, lam, b=None):
 def relaxed_objective(X, W: SparseAffinity, S, M: Prototypes, cfg: SolverConfig) -> float:
     """R(S, M): prototype term + concave Laplacian surrogate + entropy barrier."""
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    return _relaxed(W, rows, prototype_scores(X, M, cfg.rule, cfg.sigma2), cfg.lam)
+    return _relaxed(W, rows, _scores(X, M, cfg), cfg.lam)
 
 
 def _relaxed(W, rows, a, lam, b=None):
@@ -335,7 +345,7 @@ def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverC
     rows = np.asarray(getattr(S_hard, "rows", S_hard), dtype=np.float64)
     if not np.all((rows == 0.0) | (rows == 1.0)) or np.any(rows.sum(axis=1) != 1.0):
         raise DataError("discrete objective requires binary row-stochastic assignments")
-    value = -float(np.sum(rows * prototype_scores(X, M, cfg.rule, cfg.sigma2)))
+    value = -float(np.sum(rows * _scores(X, M, cfg)))
     if cfg.lam != 0.0:
         value += 0.5 * cfg.lam * laplacian_quadratic(W, rows)
     return value
@@ -351,7 +361,7 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
     """
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
     anchor = np.asarray(getattr(S_anchor, "rows", S_anchor), dtype=np.float64)
-    a = prototype_scores(X, M, cfg.rule, cfg.sigma2)
+    a = _scores(X, M, cfg)
     value = _entropy(rows) - float(np.sum(rows * a))
     if cfg.lam != 0.0:
         b = neighbor_votes(W, anchor)
@@ -388,12 +398,14 @@ def _refit_hard(P, W, rows, M, cfg, mode_cfg, warnings):
     return discrete_objective(P, W, hard, M_hard, cfg)
 
 
-def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamps=None):
+def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=None):
     """Alternate assignment and prototype blocks until the relaxed objective settles.
 
-    The rows start as the softmax of the scores of M0. ``clamps`` is an
-    optional list of (point_index, class) pairs whose rows are set one-hot and
-    frozen. Returns (SoftAssignment, Prototypes, SolveReport).
+    The rows start as the softmax of the scores of M0, whose rule must be
+    ``cfg.rule``. ``clamp_class``, when given, holds one entry per point: its
+    class in [0, K), whose one-hot row is frozen, or -1 for a free point. Both
+    are checked before the first sweep. Returns (SoftAssignment, Prototypes,
+    SolveReport).
 
     X (or its CenteredFeatures) is centered once, the loop works on plain rows,
     and the prototype scores are computed once per prototype state: the scores
@@ -407,12 +419,12 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamps=None):
     if cfg.lam > 0.0 and not (W.symmetric or (W.matrix != W.matrix.T).nnz == 0):
         raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
+    clamp_class = _clamp_array(np.full(n, -1) if clamp_class is None else clamp_class, n, M0.k)
     M = M0
     report = SolveReport()
 
-    a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
+    a = _scores(P, M, cfg)
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
-    clamp_class = make_clamps(n, M.k, clamps or ())
     free = clamp_class < 0
     rows = s_inner_update(a)
     idx = np.flatnonzero(~free)
@@ -430,12 +442,10 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamps=None):
         rows, b, inner_iters, redone, delta = _s_block(W, a, rows, free, cfg, b)
         M, w_proto = _update_prototypes(P, rows, M, mode_cfg)
         report.warnings.extend(w_proto)
-        report.inner_iters_total += inner_iters
         report.inner_iters_per_outer.append(inner_iters)
         report.inner_cap_hits += int(inner_iters == cfg.inner_max and delta >= cfg.inner_tol)
         report.redone_sweeps += redone
-        report.outer_iters += 1
-        a = prototype_scores(P, M, cfg.rule, cfg.sigma2)
+        a = _scores(P, M, cfg)
         r = _relaxed(W, rows, a, cfg.lam, b)
         report.relaxed_trace.append(r)
         if r > r_prev + 1e-9 * (1.0 + abs(r_prev)):

@@ -226,18 +226,16 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
             warnings)
 
 
-def prototype_scores(X, M: Prototypes, rule=None, sigma2=None):
-    """Per-point prototype scores a (N x K), signed so higher is better.
+def prototype_scores(X, M: Prototypes, sigma2=None):
+    """Per-point prototype scores a (N x K) under ``M.rule``, signed so higher is better.
 
-    means: a = -||x_p - m_k||^2; modes: a = w_F(x_p, m_k). Softmaxing a row
-    then favors the low-cost (high-affinity) prototype.
+    means: a = -||x_p - m_k||^2; modes: a = w_F(x_p, m_k), which needs
+    ``sigma2``. Softmaxing a row then favors the low-cost (high-affinity)
+    prototype.
     """
-    rule = rule or M.rule
     sqd = _centered(X).sqdist(M.values)
-    if rule == RULE_MEANS:
+    if M.rule == RULE_MEANS:
         return -sqd
-    if rule == RULE_MODES:
-        if sigma2 is None:
-            raise DataError("sigma2 is required for the modes rule")
-        return _rbf(sqd, sigma2)
-    raise DataError(f"unknown prototype rule: {rule!r}")
+    if sigma2 is None:
+        raise DataError("sigma2 is required for the modes rule")
+    return _rbf(sqd, sigma2)

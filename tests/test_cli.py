@@ -236,7 +236,7 @@ def test_cluster_checks_loaded_features_once(blob_data, tmp_path, feature_valida
     # once; the run builds its CenteredFeatures without checking the matrix again
     X = np.loadtxt(blob_data[0], delimiter=",")
     fpath = tmp_path / f"features.{fmt}"
-    save_features(X, fpath, format=fmt)
+    save_features(X, fpath)
     feature_validations.clear()
     assert main(["cluster", "--features", str(fpath), "--k", "2",
                  "--out-dir", str(tmp_path / "out")]) == 0

@@ -182,6 +182,20 @@ def test_tune_lambda_rejects_degenerate_candidate():
     assert tune_lambda([0.0, 1e4], episodes, cfg) == 0.0
 
 
+@pytest.mark.parametrize("missing", ["truth", "queries"])
+def test_tune_lambda_rejects_episode_without_accuracy(neighbor_searches, missing):
+    # one such episode would turn every candidate's mean accuracy into NaN
+    good = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=0)
+    X, task, truth = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=1)
+    if missing == "truth":
+        bad = (X, task, None)
+    else:
+        bad = (X, TaskSpec(k_way=3, support=task.support, queries=()), [])
+    with pytest.raises(DataError, match="^validation episode 1 has no accuracy"):
+        tune_lambda([0.0, 1.0], [good, bad], SolverConfig(lam=1.0))
+    assert neighbor_searches == []
+
+
 def test_support_rows_stay_clamped_through_episode():
     X, task, truth = generate_synthetic_episode(3, 2, 5, 6, 4.0, seed=11)
     cfg = SolverConfig(lam=1.0, rule="means")

@@ -27,7 +27,7 @@ from lapclust.errors import (
 def test_csv_direct_parse(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")
-    X = load_features(path, format="csv")
+    X = load_features(path)
     np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -35,16 +35,16 @@ def test_csv_round_trip_value_exact(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((7, 3))
     path = tmp_path / "m.csv"
-    save_features(X, path, format="csv")
-    np.testing.assert_array_equal(load_features(path, format="csv"), X)
+    save_features(X, path)
+    np.testing.assert_array_equal(load_features(path), X)
 
 
 def test_slkbin_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((11, 5))
     path = tmp_path / "m.slkbin"
-    save_features(X, path, format="slkbin")
-    Y = load_features(path, format="slkbin")
+    save_features(X, path)
+    Y = load_features(path)
     assert X.tobytes() == Y.tobytes()
 
 
@@ -52,7 +52,7 @@ def test_csv_nan_rejected_with_position(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,nan\n")
     with pytest.raises(NonFiniteValueError) as exc:
-        load_features(path, format="csv")
+        load_features(path)
     assert exc.value.row == 1 and exc.value.col == 1
 
 
@@ -60,14 +60,14 @@ def test_csv_non_rectangular_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4,5\n")
     with pytest.raises(NonRectangularRowError):
-        load_features(path, format="csv")
+        load_features(path)
 
 
 def test_csv_unparseable_cell_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,abc\n")
     with pytest.raises(DataError):
-        load_features(path, format="csv")
+        load_features(path)
 
 
 def float_oracle(text):
@@ -87,7 +87,7 @@ def test_csv_awkward_spellings_match_float(tmp_path):
     text = "\r\n".join(rows) + "\r\n\r\n"
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
-    got = load_features(path, format="csv")
+    got = load_features(path)
     want = float_oracle(text)
     assert got.shape == (5, 4)
     assert got.tobytes() == want.tobytes()  # bitwise: -0.0 and subnormals included
@@ -99,7 +99,7 @@ def test_csv_non_finite_position_after_blank_line(tmp_path, cell, tail):
     path = tmp_path / "m.csv"
     path.write_text(f"1,2,3\n\n4,5,6\n7,{cell},{tail}\n")
     with pytest.raises(NonFiniteValueError) as exc:
-        load_features(path, format="csv")
+        load_features(path)
     assert (exc.value.row, exc.value.col) == (3, 1)  # blank lines keep their row number
 
 
@@ -108,7 +108,7 @@ def test_csv_unparseable_cell_message(tmp_path, cell):
     path = tmp_path / "m.csv"
     path.write_text(f"1,2,3\n\n4,{cell},nan\n")
     with pytest.raises(DataError) as exc:
-        load_features(path, format="csv")
+        load_features(path)
     assert type(exc.value) is DataError
     assert str(exc.value) == f"row 2, col 1: cannot parse {cell!r}"
 
@@ -117,16 +117,36 @@ def test_slkbin_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.slkbin"
     path.write_bytes(b"XXXX" + b"\x00" * 20)
     with pytest.raises(MalformedHeaderError):
-        load_features(path, format="slkbin")
+        load_features(path)
 
 
 def test_slkbin_truncated_payload_rejected(tmp_path):
     path = tmp_path / "m.slkbin"
-    save_features(np.ones((3, 2)), path, format="slkbin")
+    save_features(np.ones((3, 2)), path)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(DataError):
-        load_features(path, format="slkbin")
+        load_features(path)
+
+
+def test_suffix_picks_the_feature_format(tmp_path):
+    X = np.random.default_rng(2).standard_normal((4, 3))
+    csv_text = "".join(",".join(map(repr, row)) + "\n" for row in X.tolist())
+    for name in ("m.slkbin", "m.csv", "m.txt", "m", "m.slkbin.csv"):
+        save_features(X, tmp_path / name)
+        assert load_features(tmp_path / name).tobytes() == X.tobytes()
+        assert load_features(str(tmp_path / name)).tobytes() == X.tobytes()
+        if name != "m.slkbin":
+            assert (tmp_path / name).read_text() == csv_text
+    assert (tmp_path / "m.slkbin").read_bytes()[:4] == b"SLKB"
+    # the name alone decides: CSV text under a .slkbin name is a bad slkbin header
+    (tmp_path / "csv.slkbin").write_text(csv_text)
+    with pytest.raises(MalformedHeaderError, match="bad magic"):
+        load_features(tmp_path / "csv.slkbin")
+    with pytest.raises(TypeError, match="format"):
+        load_features(tmp_path / "m.csv", format="csv")
+    with pytest.raises(TypeError, match="format"):
+        save_features(X, tmp_path / "m.csv", format="csv")
 
 
 def test_save_assignments_argmax_and_tiebreak(tmp_path):
@@ -245,8 +265,8 @@ def test_rejection_is_total_random_round_trips(tmp_path):
         X = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 6))))
         for fmt in ("csv", "slkbin"):
             path = tmp_path / f"r{trial}.{fmt}"
-            save_features(X, path, format=fmt)
-            np.testing.assert_array_equal(load_features(path, format=fmt), X)
+            save_features(X, path)
+            np.testing.assert_array_equal(load_features(path), X)
 
 
 AWKWARD_FLOATS = np.array([

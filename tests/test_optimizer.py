@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from lapclust import (
     Prototypes,
     SoftAssignment,
+    SolveReport,
     SolverConfig,
     auxiliary_value,
     discrete_objective,
@@ -252,8 +253,9 @@ def test_s_block_and_solve_leave_their_inputs_unchanged(layout):
     assert S0.rows.tobytes() == before.tobytes()
     assert S1.rows is not S0.rows and rows is not S0.rows
     X_before, M_before = X.copy(), M.values.copy()
-    clamps = [(int(p), int(c)) for p, c in enumerate(S0.clamp_class) if c >= 0]
-    _, M2, _ = solve(X, W, M, cfg, clamps=clamps)
+    clamp_before = S0.clamp_class.copy()
+    _, M2, _ = solve(X, W, M, cfg, clamp_class=S0.clamp_class)
+    assert S0.clamp_class.tobytes() == clamp_before.tobytes()
     assert X.tobytes() == X_before.tobytes() and M.values.tobytes() == M_before.tobytes()
     assert M2.values is not M.values
 
@@ -390,7 +392,7 @@ def test_bound_sandwich_along_inner_iterates():
     for rule in ("means", "modes"):
         cfg = SolverConfig(lam=1.0, rule=rule, sigma2=(sigma2 if rule == "modes" else None))
         M = Prototypes(values=X[rng.choice(n, k, replace=False)], rule=rule)
-        a = prototype_scores(X, M, rule, cfg.sigma2)
+        a = prototype_scores(X, M, cfg.sigma2)
         S = random_simplex(rng, n, k)
         for _ in range(10):
             b = neighbor_votes(W, S)
@@ -552,21 +554,102 @@ def test_solve_clamps_held_exactly():
     W = symmetrize(knn_graph(X, 3), "max")
     M0 = Prototypes(values=X[:k], rule="means")
     cfg = SolverConfig(lam=0.7, rule="means")
-    clamps = [(0, 1), (5, 0)]
-    S, _, _ = solve(X, W, M0, cfg, clamps=clamps)
+    clamp_class = np.full(n, -1)
+    clamp_class[[0, 5]] = [1, 0]
+    S, _, _ = solve(X, W, M0, cfg, clamp_class=clamp_class)
+    assert S.clamp_class.tolist() == clamp_class.tolist()
     np.testing.assert_array_equal(S.rows[0], [0.0, 1.0])
     np.testing.assert_array_equal(S.rows[5], [1.0, 0.0])
     np.testing.assert_allclose(S.rows.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_clamps_reject_two_classes_for_one_point():
-    with pytest.raises(DataError, match="point 0 clamped to both class 0 and class 1"):
-        optimizer.make_clamps(3, 2, [(0, 0), (0, 1)])
-    assert optimizer.make_clamps(3, 2, [(1, 1), (1, 1)]).tolist() == [-1, 1, -1]
+def test_solve_clamp_class_holds_one_class_per_point():
+    # one entry per point: a point can no longer be clamped to two classes
     X = np.random.default_rng(21).standard_normal((6, 2))
-    with pytest.raises(DataError, match="point 0"):
-        solve(X, empty_graph(6), Prototypes(values=X[:2], rule="means"),
-              SolverConfig(rule="means"), clamps=[(0, 0), (0, 1)])
+    M0, cfg = Prototypes(values=X[:2], rule="means"), SolverConfig(rule="means")
+    clamp_class = [-1, 1, -1, -1, -1, -1]
+    S, _, _ = solve(X, empty_graph(6), M0, cfg, clamp_class=clamp_class)
+    assert S.clamp_class.tolist() == clamp_class
+    np.testing.assert_array_equal(S.rows[1], [0.0, 1.0])
+    with pytest.raises(TypeError, match="clamps"):
+        solve(X, empty_graph(6), M0, cfg, clamps=[(1, 1)])
+    assert not hasattr(optimizer, "make_clamps")
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """One entry per assignment block run while the test runs."""
+    calls = []
+    block = optimizer._s_block
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_s_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("clamp_class, match", [
+    ([-1, 1, 0], r"^clamp_class must have shape \(6,\), got \(3,\)$"),
+    ([[-1, 1, 0, -1, -1, -1]], r"^clamp_class must have shape \(6,\), got \(1, 6\)$"),
+    ([-1, 2, -1, -1, -1, -1], r"^clamp class 2 outside \[0, 2\)$"),
+    ([-1, -1, -1, -1, -1, 7], r"^clamp class 7 outside \[0, 2\)$"),
+    ([-1, -2, -1, -1, -1, -1], r"^clamp class -2 outside \[0, 2\)$"),
+    ([0.9, -1, -1, -1, -1, -1], r"^clamp_class must hold integers, got dtype float64$"),
+])
+def test_solve_rejects_bad_clamp_class_before_any_sweep(blocks, clamp_class, match):
+    X = np.random.default_rng(21).standard_normal((6, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    with pytest.raises(DataError, match=match):
+        solve(X, W, Prototypes(values=X[:2], rule="means"), SolverConfig(lam=1.0),
+              clamp_class=clamp_class)
+    assert blocks == []
+
+
+@pytest.mark.parametrize("proto_rule, cfg", [
+    ("means", SolverConfig(lam=1.0, rule="modes", sigma2=1.0)),
+    ("modes", SolverConfig(lam=1.0, rule="means")),
+])
+def test_rule_mismatch_rejected_before_any_sweep(blocks, proto_rule, cfg):
+    # the prototypes carry the rule; a solver of the other rule must not ignore it
+    X = np.random.default_rng(22).standard_normal((6, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    M = Prototypes(values=X[:2], rule=proto_rule)
+    S = SoftAssignment.unclamped(np.full((6, 2), 0.5))
+    match = f"^prototypes of rule '{proto_rule}' under a solver of rule '{cfg.rule}'$"
+    with pytest.raises(DataError, match=match):
+        solve(X, W, M, cfg)
+    with pytest.raises(DataError, match=match):
+        s_block(W, X, M, S, cfg)
+    assert blocks == []
+    hard = SoftAssignment.from_hard([0, 1, 0, 1, 0, 1], 2)
+    for objective in (lambda: relaxed_objective(X, W, S, M, cfg),
+                      lambda: discrete_objective(X, W, hard, M, cfg),
+                      lambda: auxiliary_value(X, W, S, S, M, cfg)):
+        with pytest.raises(DataError, match=match):
+            objective()
+
+
+def test_solver_config_rejects_sigma2_under_means():
+    # only the modes rule reads sigma2; under means it would change nothing
+    with pytest.raises(DataError, match="sigma2 is read only by the modes rule"):
+        SolverConfig(rule="means", sigma2=1.0)
+    assert SolverConfig(rule="modes", sigma2=1.0).sigma2 == 1.0
+
+
+def test_solve_report_iteration_counts_are_derived(blocks):
+    for name in ("outer_iters", "inner_iters_total"):
+        with pytest.raises(TypeError, match=name):
+            SolveReport(**{name: 1})
+    assert (SolveReport().outer_iters, SolveReport().inner_iters_total) == (0, 0)
+    X = np.random.default_rng(23).standard_normal((30, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    _, _, report = solve(X, W, Prototypes(values=X[:3], rule="means"),
+                         SolverConfig(lam=1.0, inner_max=3))
+    assert report.outer_iters == len(blocks) == len(report.relaxed_trace) - 1 > 1
+    assert report.inner_iters_per_outer[0] == 0
+    assert report.inner_iters_total == sum(report.inner_iters_per_outer) > report.outer_iters
 
 
 def test_solve_warns_when_hard_refit_fails(monkeypatch):

@@ -261,6 +261,17 @@ def test_scores_at_prototype_modes():
     assert a[0, 0] == a[0].max()
 
 
+def test_scores_follow_the_prototypes_rule():
+    X = np.array([[0.0, 0.0], [3.0, 4.0]])
+    values = np.array([[0.0, 0.0], [0.0, 4.0]])
+    sqd = np.array([[0.0, 16.0], [25.0, 9.0]])
+    np.testing.assert_array_equal(prototype_scores(X, Prototypes(values, "means")), -sqd)
+    np.testing.assert_allclose(prototype_scores(X, Prototypes(values, "modes"), 2.0),
+                               np.exp(-sqd / 4.0), rtol=1e-15)
+    with pytest.raises(TypeError, match="rule"):
+        prototype_scores(X, Prototypes(values, "means"), rule="modes")
+
+
 def test_scores_precise_far_from_origin():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((200, 8)) + 1e6
@@ -289,7 +300,7 @@ def test_softmax_argmax_matches_nearest_prototype():
 
 def test_rbf_exponent_clamped():
     M = Prototypes(values=[[0.0]], rule="modes")
-    w = prototype_scores(np.array([[1e6]]), M, "modes", 1.0)
+    w = prototype_scores(np.array([[1e6]]), M, 1.0)
     assert w[0, 0] > 0.0
 
 
