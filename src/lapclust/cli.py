@@ -156,6 +156,7 @@ def cmd_cluster(args) -> int:
         "relaxed_final": report.relaxed_trace[-1],
         "iters": report.outer_iters,
         "inner_cap_hits": report.inner_cap_hits,
+        "mode_cap_hits": report.mode_cap_hits,
         "redone_sweeps": report.redone_sweeps,
         "warnings": report.warnings,
     }
@@ -207,13 +208,14 @@ def cmd_fewshot(args) -> int:
     os.makedirs(out, exist_ok=True)
     rows = []
     warnings = []
-    inner_cap_hits = redone_sweeps = 0
+    inner_cap_hits = mode_cap_hits = redone_sweeps = 0
     for episode_id, path in enumerate(_episode_paths(args.episodes)):
         task = io.load_task(path, n_points=X.shape[0])
         truth = labels[list(task.queries)] if labels is not None and task.queries else None
         result = run_episode(task, X, pre, cfg, rho=args.rho, sym=args.sym, truth=truth)
         warnings.extend(result.solve_report.warnings)
         inner_cap_hits += result.solve_report.inner_cap_hits
+        mode_cap_hits += result.solve_report.mode_cap_hits
         redone_sweeps += result.solve_report.redone_sweeps
         rows.append((episode_id, result.accuracy, result.wall_time,
                      result.solve_report.outer_iters))
@@ -235,6 +237,7 @@ def cmd_fewshot(args) -> int:
         "interval95": interval,
         "mean_wall_time": float(np.mean([w for _, _, w, _ in rows])),
         "inner_cap_hits": inner_cap_hits,
+        "mode_cap_hits": mode_cap_hits,
         "redone_sweeps": redone_sweeps,
         "warnings": warnings,
     }

@@ -19,7 +19,9 @@ from .affinity import _check_sym_mode, estimate_sigma2, knn_graph, symmetrize
 from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 from .io import TaskSpec, validate_features
 from .metrics import fewshot_accuracy
-from .optimizer import SolveReport, SolverConfig, solve
+# solve stays bound here for callers that reach it as lapclust.fewshot.solve;
+# an episode runs its loop without the hard re-fit
+from .optimizer import SolveReport, SolverConfig, _solve_loop, solve  # noqa: F401
 from .prototypes import CenteredFeatures, Prototypes, RULE_MODES
 
 
@@ -36,6 +38,12 @@ class PreprocessConfig:
 
 @dataclass
 class EpisodeResult:
+    """The query labels of one episode, with their accuracy when the truth was given.
+
+    ``solve_report`` is the solve loop's: an episode reads only its labels, so
+    it skips ``solve``'s hard re-fit, and ``discrete_objective`` stays NaN.
+    """
+
     query_labels: np.ndarray
     accuracy: float | None
     solve_report: SolveReport
@@ -97,12 +105,24 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
     """Full inference pipeline for one episode.
 
     ``truth``, when given, lists the true class per query (aligned with
-    ``task.queries``) and enables the accuracy field.
+    ``task.queries``) and enables the accuracy field; its length is checked
+    before any search.
     """
     start = time.perf_counter()
     _check_graph_args(rho, sym)
+    truth = _check_truth(task, truth)
     episode, cfg = _prepare_episode(task, X_raw, pre, cfg, rho, sym)
     return _solve_episode(episode, cfg, truth, start)
+
+
+def _check_truth(task, truth):
+    """``truth`` as an int64 array with one entry per query, or None."""
+    if truth is None:
+        return None
+    truth = np.asarray(truth, dtype=np.int64)
+    if truth.shape != (len(task.queries),):
+        raise DataError("truth length does not match query count")
+    return truth
 
 
 def _check_graph_args(rho, sym):
@@ -158,16 +178,19 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
 
 
 def _solve_episode(episode, cfg, truth, start):
-    """The clamped solve of a prepared episode; wall time counts from ``start``."""
+    """The clamped solve of a prepared episode, whose ``truth`` was checked by
+    ``_check_truth``; wall time counts from ``start``.
+
+    The loop runs without ``solve``'s checks, which ``_prepare_episode``'s
+    inputs pass by construction, and without its hard re-fit, whose E no
+    episode reads.
+    """
     labels, accuracy, report = np.empty(0, dtype=np.int64), None, SolveReport()
     if episode is not None:
         P, W, M0, clamp_class = episode
-        S, _, report = solve(P, W, M0, cfg, clamp_class=clamp_class)
-        labels = S.hard_labels()[~S.clamped]
+        rows, _, report = _solve_loop(P, W, M0, cfg, clamp_class)
+        labels = np.argmax(rows[clamp_class < 0], axis=1)
         if truth is not None:
-            truth = np.asarray(truth, dtype=np.int64)
-            if truth.shape != labels.shape:
-                raise DataError("truth length does not match query count")
             accuracy = float(np.mean(labels == truth))
     return EpisodeResult(query_labels=labels, accuracy=accuracy, solve_report=report,
                          wall_time=time.perf_counter() - start)
@@ -213,20 +236,22 @@ def tune_lambda(candidates, episodes, cfg: SolverConfig, pre: PreprocessConfig |
     """Pick the regularization weight with the best mean validation accuracy.
 
     ``episodes`` is a list of (features, task, truth) triples, each with
-    queries and their truth, so that every episode has an accuracy; ties
-    resolve to the smaller candidate.
+    queries and their truth, so that every episode has an accuracy; all are
+    checked before any search. Ties resolve to the smaller candidate.
     """
     if not candidates or not episodes:
         raise DataError("need at least one candidate and one episode")
     _check_graph_args(rho, sym)
+    truths = []
     for i, (_, task, truth) in enumerate(episodes):
         if truth is None or not task.queries:
             raise DataError(f"validation episode {i} has no accuracy: it needs queries and "
                             "their truth")
+        truths.append(_check_truth(task, truth))
     pre = pre or PreprocessConfig()
     grid = sorted(candidates)
     accs = [[] for _ in grid]
-    for X, task, truth in episodes:
+    for (X, task, _), truth in zip(episodes, truths):
         episode, episode_cfg = _prepare_episode(task, X, pre, cfg, rho, sym)
         for lam, lam_accs in zip(grid, accs):
             result = _solve_episode(episode, replace(episode_cfg, lam=lam), truth,

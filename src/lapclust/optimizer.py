@@ -28,7 +28,10 @@ the minimizer of A + c KL(s || anchor); with c = lambda * max(0, max degree -
 diag_shift), at least |lambda_min| by Gershgorin, Pinsker's inequality makes
 that a majorization step, so R never rises inside an assignment block. So any
 number of sweeps per block keeps the descent guarantee: ``inner_max`` is a
-budget, and a block that spends it is counted, not warned about.
+budget, and a block that spends it is counted, not warned about. The same
+holds for the modes rule's prototype block: each mean-shift step raises every
+cluster's kernel mass, so a block makes at most ``_MODE_STEPS`` of them, and a
+cluster that spends them is counted in ``SolveReport.mode_cap_hits``.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from .prototypes import (
     RULE_MEANS,
     RULE_MODES,
     _centered,
+    _mean_shift,
     prototype_scores,
     update_means,
-    update_modes,
 )
 
 
@@ -156,6 +159,7 @@ class SolveReport:
     discrete_objective: float = np.nan
     inner_cap_hits: int = 0  # assignment blocks that spent inner_max sweeps
     redone_sweeps: int = 0  # sweeps whose bound gap was negative, redone with the KL term
+    mode_cap_hits: int = 0  # clusters that spent a prototype block's mean-shift steps
     warnings: list = field(default_factory=list)
 
     @property
@@ -373,25 +377,32 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
 
 
 def _update_prototypes(P, rows, M, mode_cfg):
-    """One prototype block: weighted means, or modes when ``mode_cfg`` is given."""
+    """One prototype block: weighted means, or mean-shift from M when
+    ``mode_cfg`` is given. Returns (Prototypes, warnings, mode_cap_hits): the
+    clusters that spent ``mode_cfg.max_iters`` steps are counted, not warned about.
+    """
     if mode_cfg is not None:
-        M_new, _, warnings = update_modes(P, rows, mode_cfg, M)
-        return M_new, warnings
+        M_new, _, zero_mass, capped = _mean_shift(P, rows, mode_cfg, M)
+        return M_new, [f"cluster {int(k)}: zero assignment mass, mode kept"
+                       for k in np.flatnonzero(zero_mass)], int(capped.sum())
     M_new, empty = update_means(P, rows, prev=M)
     return M_new, [f"cluster {int(k)}: zero mass, previous mean kept"
-                   for k in np.flatnonzero(empty)]
+                   for k in np.flatnonzero(empty)], 0
 
 
-def _refit_hard(P, W, rows, M, cfg, mode_cfg, warnings):
+def _refit_hard(P, W, rows, M, cfg, warnings):
     """Round to hard labels, re-fit prototypes once, and evaluate E.
 
-    A re-fit that fails keeps the soft prototypes M for E and says so in
-    ``warnings``.
+    Under modes the re-fit runs mean-shift from M to convergence (or to
+    ``ModeSolverConfig``'s default cap), not within the loop's budget, so E
+    is taken at converged modes. A re-fit that fails keeps the soft
+    prototypes M for E and says so in ``warnings``.
     """
     hard = np.zeros_like(rows)
     hard[np.arange(rows.shape[0]), np.argmax(rows, axis=1)] = 1.0
+    mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
     try:
-        M_hard, _ = _update_prototypes(P, hard, M, mode_cfg)
+        M_hard = _update_prototypes(P, hard, M, mode_cfg)[0]
     except DataError as exc:
         warnings.append(f"hard re-fit failed ({exc}); discrete objective uses the soft prototypes")
         M_hard = M
@@ -410,6 +421,11 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
     X (or its CenteredFeatures) is centered once, the loop works on plain rows,
     and the prototype scores are computed once per prototype state: the scores
     of R at the new prototypes are the ones the next assignment block starts from.
+
+    After the loop, the rows are rounded to hard labels, the prototypes are
+    re-fit to them once, and ``SolveReport.discrete_objective`` is E there.
+    Few-shot episodes read only the labels, so ``run_episode`` runs the loop
+    without this re-fit and its report's E stays NaN.
     """
     P = _centered(X)
     n = P.X.shape[0]
@@ -420,11 +436,32 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
         raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
     clamp_class = _clamp_array(np.full(n, -1) if clamp_class is None else clamp_class, n, M0.k)
+    rows, M, report = _solve_loop(P, W, M0, cfg, clamp_class)
+    report.discrete_objective = _refit_hard(P, W, rows, M, cfg, report.warnings)
+    return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
+
+
+# Mean-shift steps per prototype block of the loop. Each step is a bound
+# optimization step on sum_p s_pk k(x_p, m_k) (Fashing & Tomasi 2005), so the
+# relaxed objective cannot rise however few a block makes; the block starts
+# from the previous modes. 3 is the smallest cap that left the labels of the
+# few-shot and CLI benchmark workloads and the CLI's E bitwise unchanged: at 2
+# that E moved in its last digit, at 1 few-shot labels moved.
+_MODE_STEPS = 3
+
+
+def _solve_loop(P, W, M0, cfg, clamp_class):
+    """``solve`` without its checks and its hard re-fit, on inputs it would
+    accept: centered features, a graph of their size (symmetric when lambda >
+    0) and an int64 ``clamp_class`` in [-1, K). Returns (rows, Prototypes,
+    SolveReport) with E unset (NaN).
+    """
     M = M0
     report = SolveReport()
 
     a = _scores(P, M, cfg)
-    mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
+    mode_cfg = (None if cfg.rule == RULE_MEANS
+                else ModeSolverConfig(sigma2=cfg.sigma2, max_iters=_MODE_STEPS))
     free = clamp_class < 0
     rows = s_inner_update(a)
     idx = np.flatnonzero(~free)
@@ -440,11 +477,12 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
 
     for _ in range(cfg.outer_max):
         rows, b, inner_iters, redone, delta = _s_block(W, a, rows, free, cfg, b)
-        M, w_proto = _update_prototypes(P, rows, M, mode_cfg)
+        M, w_proto, mode_cap_hits = _update_prototypes(P, rows, M, mode_cfg)
         report.warnings.extend(w_proto)
         report.inner_iters_per_outer.append(inner_iters)
         report.inner_cap_hits += int(inner_iters == cfg.inner_max and delta >= cfg.inner_tol)
         report.redone_sweeps += redone
+        report.mode_cap_hits += mode_cap_hits
         a = _scores(P, M, cfg)
         r = _relaxed(W, rows, a, cfg.lam, b)
         report.relaxed_trace.append(r)
@@ -457,9 +495,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
         r_prev = r
     else:
         report.warnings.append(f"outer loop hit outer_max={cfg.outer_max}")
-
-    report.discrete_objective = _refit_hard(P, W, rows, M, cfg, mode_cfg, report.warnings)
-    return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
+    return rows, M, report
 
 
 def kmeans_pp_seeds(X, k, rng) -> np.ndarray:

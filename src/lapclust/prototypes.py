@@ -3,7 +3,10 @@
 Cluster representatives are either closed-form weighted means or fixed points
 of the weighted kernel average g(m). The mode solver also exposes the total
 kernel mass u^n at each iterate, which is monotonically increasing along the
-fixed-point sequence and is used by the test suite.
+fixed-point sequence and is used by the test suite. Because every step raises
+that mass, a mean-shift step is a bound-optimization step of its own: inside
+``solve`` it is a budget, a few steps per prototype block from the previous
+modes, and it runs to convergence only in the hard re-fit that defines E.
 
 Every squared distance in the package (prototype scores, kernel weights,
 mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
@@ -75,8 +78,8 @@ class ModeSolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise DataError("sigma2 must be finite and > 0")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise DataError("tol must be > 0 and max_iters >= 1")
+        if not (np.isfinite(self.tol) and self.tol > 0) or self.max_iters < 1:
+            raise DataError("tol must be finite and > 0, and max_iters >= 1")
 
 
 class CenteredFeatures:
@@ -199,8 +202,22 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     kernel mass u^n at every visited iterate of cluster k; non-convergence
     within max_iters is reported as a warning, not a failure.
     """
-    P = _centered(X)
-    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
+    M, u_traces, zero_mass, capped = _mean_shift(
+        _centered(X), np.asarray(getattr(S, "rows", S), dtype=np.float64), cfg, M_init)
+    warnings = []
+    for k in range(M.k):
+        if zero_mass[k]:
+            warnings.append(f"cluster {k}: zero assignment mass, mode kept")
+        elif capped[k]:
+            warnings.append(f"cluster {k}: mode solver hit max_iters={cfg.max_iters}")
+    return M, u_traces, warnings
+
+
+def _mean_shift(P: CenteredFeatures, rows, cfg: ModeSolverConfig, M_init: Prototypes):
+    """``update_modes`` on centered features and plain rows, with its outcome
+    as masks instead of warnings. Returns (Prototypes, u_traces, zero_mass,
+    capped): the clusters with no mass, whose modes are kept, and those that
+    made ``cfg.max_iters`` steps without one falling below ``cfg.tol``."""
     modes = np.array(M_init.values, dtype=np.float64, copy=True)
     zero_mass = rows.sum(axis=0) <= 0.0
     u_traces = [[] for _ in range(modes.shape[0])]
@@ -215,15 +232,10 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
         for k, u in zip(active.tolist(), total.tolist()):
             u_traces[k].append(u)
         active = active[~(step < cfg.tol)]
-    capped = set(active.tolist())
-    warnings = []
-    for k in range(modes.shape[0]):
-        if zero_mass[k]:
-            warnings.append(f"cluster {k}: zero assignment mass, mode kept")
-        elif k in capped:
-            warnings.append(f"cluster {k}: mode solver hit max_iters={cfg.max_iters}")
+    capped = np.zeros(modes.shape[0], dtype=bool)
+    capped[active] = True
     return (Prototypes(values=modes, rule=RULE_MODES), [np.array(u) for u in u_traces],
-            warnings)
+            zero_mass, capped)
 
 
 def prototype_scores(X, M: Prototypes, sigma2=None):

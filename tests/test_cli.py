@@ -97,6 +97,18 @@ def test_spent_inner_budget_is_counted_not_warned(tmp_path):
     assert report["inner_cap_hits"] == report["iters"] > 0
 
 
+def test_spent_mode_budget_is_counted_not_warned(tmp_path):
+    rng = np.random.default_rng(0)
+    fpath = tmp_path / "f.csv"
+    save_features(rng.standard_normal((60, 2)), fpath)
+    code = main(["cluster", "--features", str(fpath), "--k", "3", "--algo", "slk-ms",
+                 "--strict", "--out-dir", str(tmp_path / "s")])
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert code == 0 and report["warnings"] == []
+    assert report["mode_cap_hits"] > 0
+    assert np.isfinite(report["objective"])
+
+
 def test_trace_subcommand(blob_data, tmp_path):
     fpath, _ = blob_data
     out = tmp_path / "t"

@@ -15,8 +15,10 @@ from lapclust import (
     generate_synthetic_episode,
     init_prototypes,
     run_episode,
+    solve,
     tune_lambda,
 )
+from lapclust import fewshot, optimizer
 from lapclust.errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 
 
@@ -335,3 +337,48 @@ def test_base_mean_without_cl2_is_a_config_error():
     X, task, truth = generate_synthetic_episode(3, 2, 4, dim=4, separation=5.0, seed=9)
     pre = PreprocessConfig(base_mean=np.full(4, 0.5), apply_cl2=True)
     assert run_episode(task, X, pre, SolverConfig(lam=1.0), truth=truth).accuracy is not None
+
+
+@pytest.fixture
+def knn_graph_calls(monkeypatch):
+    """The rho of every knn_graph call made by an episode while the test runs."""
+    calls = []
+    real = fewshot.knn_graph
+
+    def counting(X, rho):
+        calls.append(rho)
+        return real(X, rho)
+
+    monkeypatch.setattr(fewshot, "knn_graph", counting)
+    return calls
+
+
+def test_truth_length_is_checked_before_any_search(knn_graph_calls):
+    X, task, truth = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=0)
+    cfg = SolverConfig(lam=1.0)
+    with pytest.raises(DataError, match="^truth length does not match query count$"):
+        run_episode(task, X, PreprocessConfig(), cfg, truth=truth[:-1])
+    assert knn_graph_calls == []
+    good = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=1)
+    with pytest.raises(DataError, match="^truth length does not match query count$"):
+        tune_lambda([0.0, 0.5, 1.0], [good, (X, task, truth[:-1])], cfg)
+    assert knn_graph_calls == []
+
+
+@pytest.mark.parametrize("rule", ["means", "modes"])
+def test_episode_skips_the_hard_refit(monkeypatch, rule):
+    X, task, truth = generate_synthetic_episode(3, 2, 5, 6, 6.0, seed=4)
+    pre = PreprocessConfig(apply_bias=True)
+    cfg = SolverConfig(lam=1.0, rule=rule)
+    refits = []
+    real = optimizer._refit_hard
+    monkeypatch.setattr(optimizer, "_refit_hard",
+                        lambda *args: refits.append(None) or real(*args))
+    result = run_episode(task, X, pre, cfg, truth=truth)
+    assert np.isnan(result.solve_report.discrete_objective) and refits == []
+    (P, W, M0, clamp_class), cfg = fewshot._prepare_episode(task, X, pre, cfg, 3, "max")
+    S, _, report = solve(P, W, M0, cfg, clamp_class=clamp_class)
+    assert np.isfinite(report.discrete_objective) and len(refits) == 1
+    # the loop is the same: only E and the rounding it needs are left out
+    assert report.relaxed_trace == result.solve_report.relaxed_trace
+    np.testing.assert_array_equal(S.hard_labels()[~S.clamped], result.query_labels)

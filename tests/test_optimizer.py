@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 from lapclust import (
+    ModeSolverConfig,
+    PreprocessConfig,
     Prototypes,
     SoftAssignment,
     SolveReport,
@@ -15,6 +17,7 @@ from lapclust import (
     auxiliary_value,
     discrete_objective,
     estimate_sigma2,
+    generate_synthetic_episode,
     kmeans_pp_seeds,
     knn_graph,
     neighbor_votes,
@@ -23,8 +26,9 @@ from lapclust import (
     s_inner_update,
     solve,
     symmetrize,
+    update_modes,
 )
-from lapclust import optimizer
+from lapclust import fewshot, optimizer
 from lapclust.affinity import SparseAffinity, laplacian_quadratic
 from lapclust.errors import DataError
 from lapclust.prototypes import prototype_scores
@@ -747,3 +751,68 @@ def test_kmeans_pp_seeds_basic():
         assert any(np.array_equal(row, x) for x in X)
     with pytest.raises(DataError):
         kmeans_pp_seeds(X, 13, rng)
+
+
+@pytest.fixture
+def mean_shifts(monkeypatch):
+    """(max_iters, u_traces, capped) of every mean-shift run by ``solve``, in order."""
+    calls = []
+    real = optimizer._mean_shift
+
+    def recording(P, rows, cfg, M_init):
+        out = real(P, rows, cfg, M_init)
+        calls.append((cfg.max_iters, out[1], out[3]))
+        return out
+
+    monkeypatch.setattr(optimizer, "_mean_shift", recording)
+    return calls
+
+
+def capped_modes_inputs(case):
+    """(X, W, M0, cfg, clamp_class) of a modes solve whose blocks spend their budget."""
+    if case == "episode_d640":
+        X, task, _ = generate_synthetic_episode(5, 5, 15, 640, 6.0, seed=3)
+        pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+        (P, W, M0, clamp_class), cfg = fewshot._prepare_episode(
+            task, X, pre, SolverConfig(lam=1.0, rule="modes"), 3, "max")
+        return P, W, M0, cfg, clamp_class
+    rng = np.random.default_rng(31)
+    centers = rng.standard_normal((4, 2)) * 4.0
+    X = np.vstack([c + rng.standard_normal((40, 2)) for c in centers])
+    W = symmetrize(knn_graph(X, 5), "max")
+    cfg = SolverConfig(lam=1.0, rule="modes", sigma2=estimate_sigma2(W, 5))
+    M0 = Prototypes(values=kmeans_pp_seeds(X, 4, np.random.default_rng(1)), rule="modes")
+    return X, W, M0, cfg, None
+
+
+@pytest.mark.parametrize("case", ["episode_d640", "blobs"])
+def test_capped_mode_blocks_keep_descent(mean_shifts, case):
+    # a mean-shift step never lowers a block's kernel mass, so R cannot rise
+    # however few steps a prototype block makes
+    X, W, M0, cfg, clamp_class = capped_modes_inputs(case)
+    _, _, report = solve(X, W, M0, cfg, clamp_class=clamp_class)
+    loop = mean_shifts[:-1]  # the last one is the hard re-fit
+    assert len(loop) == report.outer_iters
+    assert {steps for steps, _, _ in loop} == {optimizer._MODE_STEPS}
+    assert report.mode_cap_hits == sum(int(capped.sum()) for _, _, capped in loop) > 0
+    for _, u_traces, _ in loop:
+        for u in u_traces:
+            assert np.all(np.diff(u) >= 0.0)
+    trace = np.array(report.relaxed_trace)
+    assert np.all(np.diff(trace) <= 0.0)
+    assert not any("mode solver" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("case", ["episode_d640", "blobs"])
+def test_modes_objective_is_at_the_uncapped_refit(mean_shifts, case):
+    X, W, M0, cfg, clamp_class = capped_modes_inputs(case)
+    S, M, report = solve(X, W, M0, cfg, clamp_class=clamp_class)
+    hard = SoftAssignment.from_hard(S.hard_labels(), S.k)
+    M_hard, u_traces, _ = update_modes(X, hard, ModeSolverConfig(sigma2=cfg.sigma2), M)
+    assert report.discrete_objective == discrete_objective(X, W, hard, M_hard, cfg)
+    # the re-fit is the default uncapped run, which steps past the loop's budget
+    assert mean_shifts[-1][0] == ModeSolverConfig(sigma2=cfg.sigma2).max_iters
+    assert max(len(u) for u in u_traces) > optimizer._MODE_STEPS
+    M_capped, _, _ = update_modes(
+        X, hard, ModeSolverConfig(sigma2=cfg.sigma2, max_iters=optimizer._MODE_STEPS), M)
+    assert report.discrete_objective != discrete_objective(X, W, hard, M_capped, cfg)

@@ -237,6 +237,14 @@ def test_modes_match_per_cluster_oracle():
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_mode_solver_config_rejects_non_finite_tol(tol):
+    # no step is below a NaN tolerance, so every cluster would run to max_iters;
+    # every step is below an infinite one, so each would stop after one step
+    with pytest.raises(DataError, match="tol must be finite"):
+        ModeSolverConfig(sigma2=1.0, tol=tol)
+
+
 def test_modes_zero_mass_cluster_flagged():
     X = np.array([[0.0], [1.0]])
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
