@@ -9,21 +9,35 @@ the feature dimension d:
 
 - d <= ``_TREE_MAX_DIM`` (10): a kd-tree (``scipy.spatial.cKDTree``, Friedman,
   Bentley & Finkel 1977) finds each point's rho + 1 nearest others. A row whose
-  rho-th and (rho+1)-th lie within the kernel's rounding of each other is
-  searched again by brute force; every other row's distances are recomputed
-  by the kernel's expansion pair by pair, so they can differ from the brute
-  path's GEMM values in the last bits (and sigma^2 with them). Memory is a few
-  N x (rho + 2) arrays.
-- wider features: exact brute force in row blocks of at most
-  ``_CHUNK_BUDGET`` distances (8 MB), written in place into two buffers
-  allocated once per search, so its memory is bounded by that budget whatever
-  N is and no dense N x N matrix is ever materialized. A block holds half
-  distances, made by the product and two elementwise passes; only the entries
-  a row keeps are doubled and clamped, which gives the kernel's values
-  bitwise. A row's rho + 1 nearest are selected in two stages: the minimum of
-  each strided group of ``_GROUP_SIZE`` columns, then only the rho + 1 groups
-  with the smallest minima. Only a row whose rho-th and (rho+1)-th distances
-  are equal takes the tie pass.
+  rho-th and (rho+1)-th lie within the kernel's rounding of each other
+  (``_near_tie``) is searched again by the exact pass; every other row's
+  distances are recomputed by the kernel's expansion pair by pair, so they can
+  differ from the exact pass's GEMM values in the last bits (and sigma^2 with
+  them). Memory is a few N x (rho + 2) arrays.
+- wider features: brute force in row blocks of at most 8 MB
+  (``_CHUNK_BUDGET`` float64 distances, or twice as many float32 ones),
+  written in place into two buffers allocated once per search pass, so its
+  memory is bounded by that budget whatever N is and no dense N x N matrix is
+  ever materialized. When N holds more than
+  rho + 1 strided groups of ``_GROUP_SIZE`` columns, the search has three
+  stages, as FAISS ranks by a single-precision product (Johnson, Douze &
+  Jegou 2019) and the tree path certifies its rows:
+  1. a float32 prefilter: blocks of half distances in single precision, twice
+     the rows per block, keep each row's rho + 1 + ``_SPARE`` candidates and
+     the next float32 value as a threshold;
+  2. a float64 re-rank of the candidates by the kernel's expansion pair by
+     pair, as on the tree path;
+  3. the exact pass for every row the re-rank cannot certify: a tie or near
+     tie at the cut, a (rho+1)-th within float32 rounding of the threshold,
+     or a scale where float32 overflows or underflows.
+  The exact pass, which is the whole search of a smaller N (every few-shot
+  episode), fills float64 blocks with half distances, made by the product and
+  two elementwise passes; only the entries a row keeps are doubled and
+  clamped, which gives the kernel's GEMM values bitwise. A row's rho + 1
+  nearest are selected in two stages: the minimum of each strided group of
+  columns, then only the groups with the smallest minima (``_nearest_columns``,
+  which also picks the prefilter's candidates). Only a row whose rho-th and
+  (rho+1)-th distances are equal takes the tie pass.
 
 The threshold is measured (N=10k, rho=5, one core of a 2-core VM, best of 3,
 two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
@@ -32,6 +46,9 @@ for brute force; on clustered blobs it takes about 0.2 s at those d, against
 0.63-0.75 s. At d = 10 the tree is 3x faster on clustered data and about as
 fast on unclustered data, so the tree keeps d <= 10. At d=128 the tree took
 18.6 s, against 2.5 s for the brute force before its two-stage selection.
+These brute-force times predate the float32 prefilter. At N=10k, d=128
+(clustered, rho=5, best of 5) the prefiltered search takes 0.52 s on one BLAS
+thread and 0.44 s on two, against 0.91 and 0.61 s for the exact pass alone.
 
 A graph is built from its matrix alone, checked in full; its degrees are the
 row sums. Only ``knn_graph`` attaches its search distances, from which
@@ -52,15 +69,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
-from .prototypes import _centered
+from .prototypes import _centered, _half_sqdist
 
-_CHUNK_BUDGET = 1_000_000  # distances per search block
+_CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
 _GROUP_SIZE = 32  # columns per strided group of the two-stage selection
 _TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force is faster
-# A tree row is searched again when its rho-th and (rho+1)-th squared distances
-# differ by at most this times (|c_p|^2 + dist); the kernel's rounding is about
-# (d + 3) eps times that, under 1e-14 for d <= 10.
-_TREE_GAP_RTOL = 1e-12
+# Candidates a prefiltered row keeps beyond its rho + 1. On the CLI benchmark's
+# input (N=10k, d=128, rho=5) 0 leaves 100 rows to the exact pass and 1 or 2
+# none; each spare costs about 3% of the prefilter's time.
+_SPARE = 2
+_F32 = np.finfo(np.float32)
 SYM_MODES = ("max", "mean")  # elementwise max or mean of W and its transpose
 
 
@@ -133,12 +151,95 @@ def _neighbor_search(X, rho):
 
 
 def _brute_search(P, rho):
-    """rho-NN of every point of the CenteredFeatures P by blocked brute force."""
+    """rho-NN of every point of the CenteredFeatures P by blocked brute force.
+
+    A search over more than rho + 1 column groups is prefiltered in single
+    precision (``_prefiltered_rows``); the rows it cannot certify, and every
+    row of a smaller search, go through ``_exact_rows``.
+    """
     n = P.X.shape[0]
     idx_out = np.empty((n, rho), dtype=np.int64)
     sqd_out = np.empty((n, rho), dtype=np.float64)
-    _exact_rows(P, rho, np.arange(n), idx_out, sqd_out)
+    if n > (rho + 1) * _GROUP_SIZE:
+        redo = _prefiltered_rows(P, rho, idx_out, sqd_out)
+    else:
+        redo = np.arange(n)
+    _exact_rows(P, rho, redo, idx_out, sqd_out)
     return idx_out, sqd_out
+
+
+def _prefiltered_rows(P, rho, idx_out, sqd_out):
+    """Writes the rho-NN of every point whose set it can certify; returns the
+    other points, increasing.
+
+    Blocks hold half distances computed in float32 (``_half_sqdist``), twice
+    the rows of a float64 block in the same bytes. Each row keeps k =
+    rho + 1 + ``_SPARE`` candidate columns from ``_nearest_columns`` (fewer
+    when N has fewer groups) and, as its threshold T, the (k+1)-th smallest
+    float32 value, at or below every column it leaves out. The candidates'
+    distances are recomputed in float64 by ``CenteredFeatures.pair_sqdist`` and
+    sorted by (distance, index). A row is certified when its (rho+1)-th lies
+    below 2T minus ``_f32_slack``, so no column left out can be nearer, and is
+    not a ``_near_tie``, so the float64 GEMM ranks the same rho first. Ties,
+    rows at a scale where float32 overflows or underflows and rows with a NaN
+    threshold fail the first test.
+    """
+    n, dim = P.X.shape
+    k = min(rho + 1 + _SPARE, -(-n // _GROUP_SIZE) - 1)  # at least rho + 1: N holds rho + 2 groups
+    with np.errstate(over="ignore"):  # where float32 overflows, slack is infinite
+        C = P.centered.astype(np.float32)
+        half_norms = (0.5 * P.sq_norms).astype(np.float32)
+    slack = _f32_slack(dim, P.sq_norms + P.sq_norms.max())
+    chunk = max(1, min(n, 2 * _CHUNK_BUDGET // n))
+    buffers = np.empty((2, chunk, n), dtype=np.float32)
+    redo = []
+    for start in range(0, n, chunk):
+        block = slice(start, min(start + chunk, n))
+        rows = np.arange(block.stop - start)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the cutoff test
+            h = _half_sqdist(C, block, half_norms, out=buffers[:, :rows.size])
+            h[rows, rows + start] = np.inf
+            part = _nearest_columns(h, k)
+            cutoff = 2.0 * h[rows, part[:, k]].astype(np.float64) - slack[block]
+        cand = part[:, :k]
+        cand_d = P.pair_sqdist(cand, block)
+        order = np.lexsort((cand, cand_d), axis=1)[:, :rho + 1]
+        cand = np.take_along_axis(cand, order, axis=1)
+        cand_d = np.take_along_axis(cand_d, order, axis=1)
+        idx_out[block] = cand[:, :rho]
+        sqd_out[block] = cand_d[:, :rho]
+        certified = (cand_d[:, rho] < cutoff) & ~_near_tie(P, block, cand_d)
+        redo.append(start + np.flatnonzero(~certified))
+    return np.concatenate(redo)
+
+
+def _f32_slack(dim, scale):
+    """Per row, a bound on |2 h32 - D| over its columns, where h32 is a float32
+    half distance of ``_prefiltered_rows``, D the exact squared distance and
+    ``scale`` the row's |c_i|^2 + max_j |c_j|^2.
+
+    Rounding the features and half norms to float32, the d-term product and
+    the two sums move 2 h32 by at most about (d + 6) / 2 eps32 scale; the bound
+    is 4 times that, plus a tiny32 term per step for underflow. Where scale
+    reaches float32's range the block can hold inf or NaN, and the bound is
+    infinite.
+    """
+    bound = 2.0 * (dim + 6) * (_F32.eps * scale + _F32.tiny)
+    return np.where(scale < _F32.max / 4, bound, np.inf)
+
+
+def _near_tie(P, rows, t):
+    """The rows (a selector of P's points) whose last two squared distances in
+    t, ascending, could be ordered otherwise by the centered kernel.
+
+    The kernel's value for a pair p, q is off by at most about
+    (d + 3) eps (|c_p|^2 + |c_q|^2), and |c_q|^2 <= 2 |c_p|^2 + 2 dist, so two
+    computations of it (a GEMM and row-wise dots, or a kd-tree's distance and
+    a GEMM) disagree by at most 6 (d + 3) eps (|c_p|^2 + dist). A row is a near
+    tie when its gap is at most 8 (d + 3) eps (|c_p|^2 + dist).
+    """
+    rtol = 8 * (P.X.shape[1] + 3) * np.finfo(np.float64).eps
+    return t[:, -1] - t[:, -2] <= rtol * (P.sq_norms[rows] + t[:, -2])
 
 
 def _tree_search(P, rho):
@@ -147,9 +248,9 @@ def _tree_search(P, rho):
     The tree returns each point's rho + 2 nearest, itself among them unless
     more than rho + 1 points coincide with it; such a row drops its farthest
     instead, and its rho-th and (rho+1)-th are then both at distance 0. A row
-    whose rho-th and (rho+1)-th other points lie within ``_TREE_GAP_RTOL`` of
-    each other could order differently under the centered kernel and is
-    searched again by ``_exact_rows``. For every other row the kernel's
+    whose rho-th and (rho+1)-th other points are a ``_near_tie`` could order
+    differently under the centered kernel and is searched again by
+    ``_exact_rows``. For every other row the kernel's
     rounding cannot move a point across the cut, so the set is the kernel's;
     its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
     """
@@ -161,7 +262,7 @@ def _tree_search(P, rho):
     own[~own.any(axis=1), -1] = True
     nbr = nbr[~own].reshape(n, rho + 1)  # at rho = n - 1 the last column is missing (index n)
     t = np.square(dist[~own].reshape(n, rho + 1))
-    redo = t[:, rho] - t[:, rho - 1] <= _TREE_GAP_RTOL * (P.sq_norms + t[:, rho - 1])
+    redo = _near_tie(P, slice(None), t[:, rho - 1:])
     cand = nbr[:, :rho]
     cand_d = P.pair_sqdist(cand)
     order = np.lexsort((cand, cand_d), axis=1)
@@ -237,8 +338,9 @@ def _nearest_columns(h, rho):
     """Per row of h, the columns of its rho + 1 smallest values, the (rho+1)-th
     last, found in two stages.
 
-    The columns fall into ng > rho + 1 strided groups of at most
-    ``_GROUP_SIZE`` (columns j, j + ng, j + 2 ng, ...). One reduction gives
+    The columns fall into ng >= rho + 1 strided groups of at most
+    ``_GROUP_SIZE`` (columns j, j + ng, j + 2 ng, ...); at ng = rho + 1, which
+    only the prefilter asks for, every group is searched. One reduction gives
     every group's minimum, and only the rho + 1 groups with the smallest minima
     are searched. With t the largest of their minima, the searched columns hold
     every column below t and at least rho + 1 at or below t, and every column
@@ -246,7 +348,8 @@ def _nearest_columns(h, rho):
     one in (distance, index) order only when the searched rho-th and (rho+1)-th
     are as far as it, also after the clamp at 0: a tie at the cut, which
     ``_exact_rows`` resolves over the whole row. A row whose groups tie at t
-    needs no second search.
+    needs no second search. In ``_prefiltered_rows`` the (rho+1)-th value
+    is the threshold, at or below every column left out.
     """
     b, n = h.shape
     ng = -(-n // _GROUP_SIZE)

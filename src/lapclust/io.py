@@ -7,10 +7,14 @@ u64 n_points, u64 n_dims, row-major f64 payload) used for bit-exact round
 trips. The file name picks the format: a path ending in ``.slkbin`` is slkbin,
 any other path is CSV.
 
-The CSV reader parses each row with one numpy call, which reads a cell as
-Python's ``float()`` does. Only a row that fails to parse or holds a
-non-finite value is read again one cell at a time, to name the first bad
-cell by its row (blank lines counted) and column. ``load_labels`` reads the
+The CSV reader parses the whole file with one ``np.loadtxt`` call, which
+reads a cell as Python's ``float()`` does but accepts fewer spellings (no
+``1_0``, no non-ASCII digits, no whitespace-only line). A file it rejects,
+warns about (no data), or reads with a non-finite value is read again row by
+row, each row with one numpy call; only a row that fails that or holds a
+non-finite value is read one cell at a time, to name the first bad cell by
+its row (blank lines counted) and column. So every file reads as ``float()``
+reads it, and every error keeps its message. ``load_labels`` reads the
 first column of a label file or of an ``assignments.csv``, soft columns and
 header included.
 """
@@ -18,6 +22,7 @@ header included.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +109,25 @@ def save_features(X, path) -> None:
 
 
 def _load_csv(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file warns instead of raising
+                X = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except (ValueError, Warning):
+            X = None
+        if X is not None and X.size and np.isfinite(X).all():
+            return X
+        fh.seek(0)
+        lines = [ln.rstrip("\n") for ln in fh]
+    return _load_csv_rows(path, lines)
+
+
+def _load_csv_rows(path, lines):
+    """The lines of a CSV file parsed one row at a time, each with one numpy
+    call; a row that fails it is read by ``_parse_cells``."""
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
     for r, line in enumerate(lines):
         if not line.strip():
             continue

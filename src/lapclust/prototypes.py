@@ -11,13 +11,14 @@ modes, and it runs to convergence only in the hard re-fit that defines E.
 Every squared distance in the package (prototype scores, kernel weights,
 mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
 GEMM in the expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through
-CenteredFeatures. The brute-force search ranks on half of it,
+CenteredFeatures. The brute-force search's exact pass ranks on half of it,
 (||x||^2/2 + ||v||^2/2) - x.v (``CenteredFeatures.half_sqdist_rows``), and
 doubles and clamps only the distances it keeps; halving is exact, so those
 are the expansion's values bitwise. The kd-tree search of low-dimensional
-features only picks candidate pairs; their distances come from the same
-expansion with each dot product taken row by row
-(``CenteredFeatures.pair_sqdist``).
+features and the brute-force search's float32 prefilter (the same half
+expansion in single precision, ``_half_sqdist``) only pick candidate pairs;
+their distances come from the same expansion in float64 with each dot product
+taken row by row (``CenteredFeatures.pair_sqdist``).
 The expansion cancels, and its rounding error grows with ||x||^2 rather than
 with the distance, so X and the prototypes are first shifted by the column
 mean of X; the shift leaves every distance unchanged. On 8-D standard normal
@@ -118,26 +119,35 @@ class CenteredFeatures:
         written into the first and the second is scratch for the product, which
         is a SYRK when ``rows`` is every point.
         """
-        h, g = out
-        np.matmul(self.centered[rows], self.centered.T, out=g)
-        np.add(half_norms[rows, None], half_norms[None, :], out=h)
-        h -= g
-        return h
+        return _half_sqdist(self.centered, rows, half_norms, out)
 
-    def pair_sqdist(self, nbrs):
-        """N x r squared distances from each point p to the points nbrs[p], clamped at 0.
+    def pair_sqdist(self, nbrs, rows=slice(None)):
+        """Squared distances from each point p of ``rows`` (a slice or an index
+        array; every point by default) to the points nbrs[p], clamped at 0.
 
         The expansion and its order of operations are those of ``_sqdist``; each
         dot product is taken row by row instead of by one GEMM, so a value can
-        differ from the GEMM's in the last bits.
+        differ from the GEMM's in the last bits, and does not depend on which
+        other rows are computed with it.
         """
+        C = self.centered[rows]
         dots = np.empty(nbrs.shape)
         for j in range(nbrs.shape[1]):
-            dots[:, j] = np.einsum("ij,ij->i", self.centered, self.centered[nbrs[:, j]])
+            dots[:, j] = np.einsum("ij,ij->i", C, self.centered[nbrs[:, j]])
         dots *= 2.0
-        sqd = self.sq_norms[:, None] + self.sq_norms[nbrs]
+        sqd = self.sq_norms[rows, None] + self.sq_norms[nbrs]
         sqd -= dots
         return np.maximum(sqd, 0.0, out=sqd)
+
+
+def _half_sqdist(C, rows, half_norms, out):
+    """``CenteredFeatures.half_sqdist_rows`` over the centered rows C, in the
+    precision of C, ``half_norms`` and ``out``."""
+    h, g = out
+    np.matmul(C[rows], C.T, out=g)
+    np.add(half_norms[rows, None], half_norms[None, :], out=h)
+    h -= g
+    return h
 
 
 def _sqdist(A, a_norms, B, b_norms):

@@ -357,6 +357,40 @@ def test_criterion_9_thread_count_determinism(tmp_path):
                   "few-shot artifacts identical after masking wall-time fields")
 
 
+def test_block_products_are_thread_count_deterministic(tmp_path, monkeypatch):
+    # criterion 9's d=2 search takes the kd-tree and its episodes are too small
+    # for a grouped search, so no block product runs there. At d=64 the search
+    # runs the float32 prefilter, and the float64 exact pass for the rows whose
+    # cut falls between two copies of a point.
+    rng = np.random.default_rng(919)
+    n, d, k, rho = 2000, 64, 8, 5
+    centers = rng.standard_normal((k, d)) * 0.5
+    X = centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+    X[1::10] = X[::10]
+    fpath = tmp_path / "features.csv"
+    save_features(X, fpath)
+
+    redone = []
+    exact_rows = lapclust.affinity._exact_rows
+
+    def spy(P, rho, ids, *out):
+        redone.append(ids.size)
+        exact_rows(P, rho, ids, *out)
+
+    monkeypatch.setattr(lapclust.affinity, "_exact_rows", spy)
+    knn_graph(X, rho)
+    assert len(redone) == 1 and 0 < redone[0] < n // 2
+
+    artifacts = []
+    for threads in (1, 2):
+        out = tmp_path / f"cluster_t{threads}"
+        _run_cli(["cluster", "--features", str(fpath), "--k", str(k), "--algo", "slk-ms",
+                  "--rho", str(rho), "--out-dir", str(out)], threads)
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("assignments.csv", "trace.csv", "report.json")])
+    assert artifacts[0] == artifacts[1]
+
+
 def test_criterion_10_episode_timing():
     X, task, truth = generate_synthetic_episode(5, 5, 15, 640, 6.0, seed=0)
     pre = PreprocessConfig(apply_cl2=True, apply_bias=True)

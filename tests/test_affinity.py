@@ -352,6 +352,93 @@ def test_two_stage_selection_needs_more_groups_than_it_keeps(monkeypatch):
     assert calls == [(edge + 1, edge + 1)]
 
 
+def prefilter_input(case):
+    """(X, rho) large enough for the single-precision prefilter."""
+    if case == "cli_bench":
+        # the CLI benchmark's input: stream 3333, N=10k, d=128, k=10 blobs
+        rng = np.random.default_rng(3333)
+        n, d, k = 10_000, 128, 10
+        centers = rng.standard_normal((k, d)) * 0.5
+        return centers[rng.integers(k, size=n)] + rng.standard_normal((n, d)), 5
+    if case in ("duplicates", "near_duplicates"):
+        # 100 distinct points, 80 copies each (N=8k, d=16): rows tie at the
+        # cut. Jittered by 1e-3, the copies' distances (~3e-5) are far apart
+        # for float64 but within float32's rounding bound (~2e-4) of each
+        # other: float32 misorders them, and no such row can be certified.
+        rng = np.random.default_rng(28)
+        X = np.repeat(rng.standard_normal((100, 16)), 80, axis=0)
+        if case == "near_duplicates":
+            X += rng.standard_normal(X.shape) * 1e-3
+        return X, 5
+    raise ValueError(case)
+
+
+def spy_exact_rows(monkeypatch):
+    """The ids of every ``_exact_rows`` call made while the test runs."""
+    calls = []
+    exact_rows = affinity._exact_rows
+
+    def spy(P, rho, ids, idx_out, sqd_out):
+        calls.append(ids.copy())
+        exact_rows(P, rho, ids, idx_out, sqd_out)
+
+    monkeypatch.setattr(affinity, "_exact_rows", spy)
+    return calls
+
+
+def kernel_disagreement(P, sqd):
+    """The bound ``_near_tie`` states on two computations of the kernel's distances."""
+    return 6 * (P.X.shape[1] + 3) * np.finfo(np.float64).eps * (P.sq_norms[:, None] + sqd)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e25, 1e-25])  # float32 overflows, underflows
+@pytest.mark.parametrize("case", ["cli_bench", "duplicates", "near_duplicates"])
+def test_prefiltered_search_matches_the_exact_rows(monkeypatch, case, scale):
+    X, rho = prefilter_input(case)
+    P = CenteredFeatures(X * scale)
+    n = len(X)
+    want_idx = np.empty((n, rho), dtype=np.int64)
+    want_sqd = np.empty((n, rho))
+    affinity._exact_rows(P, rho, np.arange(n), want_idx, want_sqd)
+    calls = spy_exact_rows(monkeypatch)
+    idx, sqd = affinity._brute_search(P, rho)
+    (redone,) = calls
+    np.testing.assert_array_equal(idx, want_idx)
+    assert sqd[redone].tobytes() == want_sqd[redone].tobytes()
+    assert (np.abs(sqd - want_sqd) <= kernel_disagreement(P, want_sqd)).all()
+    if scale != 1.0:
+        np.testing.assert_array_equal(redone, np.arange(n))
+    elif case != "cli_bench":
+        assert redone.size > 0.9 * n
+    else:
+        assert redone.size < 0.01 * n
+
+
+def test_near_tie_at_high_dimension_is_redone(monkeypatch):
+    # at d=5000 the kernel's rounding, relative to |c_p|^2 + dist, can exceed
+    # 1e-12: point 0's rho-th and (rho+1)-th are 2e-8 apart at |c_0|^2 ~ 5000
+    rng = np.random.default_rng(29)
+    n, d, rho = 300, 5000, 5
+    X = rng.standard_normal((n, d))
+    near = np.r_[np.linspace(0.5, 0.9, rho - 1), 1.0, 1.0 + 2e-8]
+    X[1:rho + 2] = X[0]
+    X[np.arange(1, rho + 2), np.arange(rho + 1)] += np.sqrt(near)
+    P = CenteredFeatures(X)
+    t = P.pair_sqdist(np.arange(1, rho + 2)[None, :], slice(0, 1))[0]
+    gap = (t[rho] - t[rho - 1]) / (P.sq_norms[0] + t[rho - 1])
+    assert 1e-12 < gap < 8 * (d + 3) * np.finfo(np.float64).eps
+    want_idx = np.empty((n, rho), dtype=np.int64)
+    want_sqd = np.empty((n, rho))
+    affinity._exact_rows(P, rho, np.arange(n), want_idx, want_sqd)
+    calls = spy_exact_rows(monkeypatch)
+    idx, sqd = affinity._brute_search(P, rho)
+    assert len(calls) == 1 and 0 in calls[0]
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(idx[0], np.arange(1, rho + 1))
+    assert sqd[calls[0]].tobytes() == want_sqd[calls[0]].tobytes()
+    assert (np.abs(sqd - want_sqd) <= kernel_disagreement(P, want_sqd)).all()
+
+
 @pytest.mark.parametrize("block", ["whole", "rows"])
 def test_half_distance_block_doubles_to_the_kernels_unclamped_value(block):
     # near-duplicates far from the origin leave negative unclamped values

@@ -1,5 +1,7 @@
 """File ingestion/emission: parsing, round trips, rejection cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from lapclust import (
     save_labels,
     save_task,
 )
+from lapclust import io
 from lapclust.errors import (
     DataError,
     IndexOutOfRangeError,
@@ -111,6 +114,65 @@ def test_csv_unparseable_cell_message(tmp_path, cell):
         load_features(path)
     assert type(exc.value) is DataError
     assert str(exc.value) == f"row 2, col 1: cannot parse {cell!r}"
+
+
+def spy_row_reader(monkeypatch):
+    """The number of files read row by row while the test runs; a file that
+    reaches ``_parse_cells`` also counts."""
+    calls = []
+    rows, cells = io._load_csv_rows, io._parse_cells
+    monkeypatch.setattr(io, "_load_csv_rows", lambda *a: (calls.append("rows"), rows(*a))[1])
+    monkeypatch.setattr(io, "_parse_cells", lambda *a: (calls.append("cells"), cells(*a))[1])
+    return calls
+
+
+def test_clean_csv_is_parsed_in_one_call(tmp_path, monkeypatch):
+    X = np.random.default_rng(2).standard_normal((50, 4))
+    X[3, 1] = -0.0
+    X[7, 2] = 5e-324
+    path = tmp_path / "m.csv"
+    save_features(X, path)
+    calls = spy_row_reader(monkeypatch)
+    assert load_features(path).tobytes() == X.tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, rows_read", [
+    ("1,2\n \t \n3,4\n", True),  # a whitespace-only line is skipped, as a blank one is
+    ("7\n8\n9\n", False),  # one column
+    ("1,2,3\n", False),  # one row
+    ("5", False),  # one cell, no line end
+    ("1,2\r\n3,4\r\n\r\n", False),  # CRLF line ends
+])
+def test_csv_spellings_keep_their_values(tmp_path, monkeypatch, text, rows_read):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    calls = spy_row_reader(monkeypatch)
+    got = load_features(path)
+    assert got.tobytes() == float_oracle(text).tobytes()
+    assert got.ndim == 2
+    assert bool(calls) == rows_read
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n \n\r\n"])
+def test_csv_of_blank_lines_has_no_data_rows(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data" stays inside
+        with pytest.raises(DataError, match="no data rows"):
+            load_features(path)
+
+
+def test_csv_trailing_comma_names_its_empty_cell(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4,\n")
+    with pytest.raises(NonRectangularRowError):
+        load_features(path)
+    path.write_text("1,2,\n3,4,\n")
+    with pytest.raises(DataError) as exc:
+        load_features(path)
+    assert str(exc.value) == "row 0, col 2: cannot parse ''"
 
 
 def test_slkbin_bad_magic_rejected(tmp_path):
