@@ -7,6 +7,9 @@ fixed-point sequence and is used by the test suite. Because every step raises
 that mass, a mean-shift step is a bound-optimization step of its own: inside
 ``solve`` it is a budget, a few steps per prototype block from the previous
 modes, and it runs to convergence only in the hard re-fit that defines E.
+Both updates sum weighted points over all N rows; ``_weighted_sums`` adds
+those sums in fixed row blocks, so a prototype does not depend on the BLAS
+thread count.
 
 Every squared distance in the package (prototype scores, kernel weights,
 mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
@@ -168,10 +171,32 @@ def _rbf(sqd, sigma2):
     return np.exp(np.maximum(-sqd / (2.0 * sigma2), _EXP_CLAMP))
 
 
+# Rows per block of ``_weighted_sums``. One GEMM over all N rows splits its
+# row sum differently under 1 and 2 BLAS threads at d >= 64 (in the last bits
+# at N=2000, d=64, K=8 and N=10k, d=128, K=10). The blocks are added in row
+# order by numpy, so the result is thread-count independent only as long as
+# OpenBLAS does not split the row sum of a 256-row product across threads;
+# the blocked sums were equal under 1 and 2 threads at every shape tried, up
+# to K=128, d=640 and K=64, d=2048. A BLAS build that does split it fails
+# test_prototypes.py's test_prototype_sums_are_thread_count_deterministic.
+_SUM_BLOCK = 256
+
+
+def _weighted_sums(w, X):
+    """w^t X (K x d) for N x K weights w and N x d points X, as the products of
+    fixed ``_SUM_BLOCK``-row blocks added in row order, so the summation order
+    is the same under every BLAS thread count (a reproducible summation in the
+    sense of Demmel & Nguyen, ARITH 2013)."""
+    total = w[:_SUM_BLOCK].T @ X[:_SUM_BLOCK]
+    for start in range(_SUM_BLOCK, X.shape[0], _SUM_BLOCK):
+        total += w[start:start + _SUM_BLOCK].T @ X[start:start + _SUM_BLOCK]
+    return total
+
+
 def _meanshift_sums(P: CenteredFeatures, S_cols, V, sigma2):
     """Kernel masses u_k and weighted sums sum_p s_pk w(x_p, v_k) x_p for each row v_k of V."""
     w = S_cols * _rbf(P.sqdist(V), sigma2)
-    return w.sum(axis=0), w.T @ P.X
+    return w.sum(axis=0), _weighted_sums(w, P.X)
 
 
 def update_means(X, S, prev: Prototypes | None = None):
@@ -187,7 +212,7 @@ def update_means(X, S, prev: Prototypes | None = None):
     if empty.any() and prev is None:
         raise EmptyClusterError(int(np.nonzero(empty)[0][0]))
     safe_mass = np.where(empty, 1.0, mass)
-    M = (rows.T @ X) / safe_mass[:, None]
+    M = _weighted_sums(rows, X) / safe_mass[:, None]
     if empty.any():
         M[empty] = prev.values[empty]
     return Prototypes(values=M, rule=RULE_MEANS), empty

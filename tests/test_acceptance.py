@@ -417,3 +417,21 @@ def test_criterion_11_scalability_smoke():
     ok = elapsed < 120.0 and nnz <= 2 * n * rho
     report(11, ok, f"N=50k solve: {elapsed:.1f}s < 120s, affinity nnz {nnz} "
                    f"<= 2*N*rho = {2 * n * rho} (O(N rho) storage)")
+
+
+def test_default_inner_budget_keeps_quality():
+    # inner_max trades speed against quality (every sweep is certified); the
+    # default may not raise E by more than 0.01% against a 10-sweep budget, or
+    # lower NMI, on the criterion-11 stream at N=10k
+    rng = np.random.default_rng(1111)
+    n, d, k, rho = 10_000, 10, 10, 5
+    centers = rng.standard_normal((k, d)) * 4.0
+    labels = rng.integers(k, size=n)
+    X = centers[labels] + rng.standard_normal((n, d))
+    W = symmetrize(knn_graph(X, rho), "max")
+    M0 = Prototypes(values=kmeans_pp_seeds(X, k, rng), rule="means")
+    cfg = SolverConfig(lam=1.0, rule="means")
+    (S, _, rep), (S10, _, rep10) = (solve(X, W, M0, c) for c in (cfg, replace(cfg, inner_max=10)))
+    e, e10 = rep.discrete_objective, rep10.discrete_objective
+    assert e <= e10 + 1e-4 * abs(e10), (e, e10)
+    assert nmi(S.hard_labels(), labels) >= nmi(S10.hard_labels(), labels)

@@ -1,8 +1,13 @@
 """Prototype updates: weighted means, mean-shift mode seeking, score matrices."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lapclust
 from lapclust import (
     ModeSolverConfig,
     estimate_sigma2,
@@ -327,3 +332,39 @@ def test_centered_features_accepted_in_place_of_x():
     assert estimate_sigma2(X, 3) == estimate_sigma2(P, 3)
     np.testing.assert_array_equal(kmeans_pp_seeds(X, 3, np.random.default_rng(5)),
                                   kmeans_pp_seeds(P, 3, np.random.default_rng(5)))
+
+
+# Run in a fresh process whose BLAS uses the thread count of its environment:
+# update_means and three mean-shift steps on random soft rows, printing a
+# SHA-256 of each output's bytes.
+_SUMS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from lapclust.prototypes import (CenteredFeatures, ModeSolverConfig, Prototypes,
+                                 _mean_shift, update_means)
+n, d, k = map(int, sys.argv[1:])
+rng = np.random.default_rng(n + d + k)
+X = rng.standard_normal((k, d))[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+g = rng.gamma(1.0, size=(n, k))
+rows = g / g.sum(axis=1, keepdims=True)
+means = update_means(X, rows)[0].values
+cfg = ModeSolverConfig(sigma2=float(d), max_iters=3)
+modes = _mean_shift(CenteredFeatures(X), rows, cfg, Prototypes(means, "modes"))[0].values
+print(hashlib.sha256(means.tobytes()).hexdigest(), hashlib.sha256(modes.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("n,d,k", [(2000, 64, 8), (10_000, 128, 10)])
+def test_prototype_sums_are_thread_count_deterministic(n, d, k):
+    # one GEMM over all rows sums them differently under 1 and 2 BLAS threads
+    # at these shapes; the fixed row blocks of _weighted_sums must not
+    src_dir = os.path.dirname(os.path.dirname(lapclust.__file__))
+    digests = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _SUMS_SCRIPT, str(n), str(d), str(k)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1]
