@@ -60,29 +60,30 @@ def _cl2_normalize(X, base_mean):
     if mean.shape != (X.shape[1],):
         raise DataError(f"base mean has shape {mean.shape}, expected ({X.shape[1]},)")
     centered = X - mean
-    norms = np.linalg.norm(centered, axis=1)
+    norms = np.sqrt(np.add.reduce(centered * centered, axis=1))  # np.linalg.norm's values
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroVectorError(int(zero[0]))
-    return centered / norms[:, None]
+    centered /= norms[:, None]
+    return centered
 
 
 def bias_correct(task: TaskSpec, X) -> np.ndarray:
     """Shift each query row by (mean support - mean query); supports untouched."""
     X = validate_features(X)
     task.validate_indices(X.shape[0])
-    return _bias_correct(task, X)
+    return _bias_correct(task, X.copy())
 
 
 def _bias_correct(task, X):
-    out = X.copy()
+    """``bias_correct`` in place, on an array its caller owns; returns X."""
     queries = np.asarray(task.queries, dtype=np.int64)
     if queries.size == 0:
-        return out
+        return X
     support = np.asarray(task.support_indices, dtype=np.int64)
     delta = X[support].mean(axis=0) - X[queries].mean(axis=0)
-    out[queries] += delta
-    return out
+    X[queries] += delta
+    return X
 
 
 def init_prototypes(task: TaskSpec, X, rule="means") -> Prototypes:

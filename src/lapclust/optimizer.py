@@ -31,7 +31,12 @@ number of sweeps per block keeps the descent guarantee: ``inner_max`` is a
 budget, and a block that spends it is counted, not warned about. The same
 holds for the modes rule's prototype block: each mean-shift step raises every
 cluster's kernel mass, so a block makes at most ``_MODE_STEPS`` of them, and a
-cluster that spends them is counted in ``SolveReport.mode_cap_hits``.
+cluster that spends them is counted in ``SolveReport.mode_cap_hits``. The
+block starts from the current scores, which are the kernel matrix at the
+current modes, and each step computes the full-width kernel at its new modes
+once; the last one is the scores the next assignment block starts from, so an
+outer iteration of the modes rule makes one distance GEMM per mean-shift step
+and no other.
 """
 
 from __future__ import annotations
@@ -356,9 +361,14 @@ def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverC
     rows = np.asarray(getattr(S_hard, "rows", S_hard), dtype=np.float64)
     if not np.all((rows == 0.0) | (rows == 1.0)) or np.any(rows.sum(axis=1) != 1.0):
         raise DataError("discrete objective requires binary row-stochastic assignments")
-    value = -float(np.sum(rows * _scores(X, M, cfg)))
-    if cfg.lam != 0.0:
-        value += 0.5 * cfg.lam * laplacian_quadratic(W, rows)
+    return _discrete(W, rows, _scores(X, M, cfg), cfg.lam)
+
+
+def _discrete(W, rows, a, lam):
+    """E on binary rows from the prototype scores a of M."""
+    value = -float(np.sum(rows * a))
+    if lam != 0.0:
+        value += 0.5 * lam * laplacian_quadratic(W, rows)
     return value
 
 
@@ -383,18 +393,21 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
     return value
 
 
-def _update_prototypes(P, rows, M, mode_cfg):
+def _update_prototypes(P, rows, M, mode_cfg, a=None):
     """One prototype block: weighted means, or mean-shift from M when
-    ``mode_cfg`` is given. Returns (Prototypes, warnings, mode_cap_hits): the
-    clusters that spent ``mode_cfg.max_iters`` steps are counted, not warned about.
+    ``mode_cfg`` is given, starting from ``a``, the kernel matrix at M (the
+    scores of M), when given. Returns (Prototypes, scores, warnings,
+    mode_cap_hits): the scores of the new prototypes, which under modes are
+    mean-shift's last kernel matrix, and the clusters that spent
+    ``mode_cfg.max_iters`` steps, counted, not warned about.
     """
     if mode_cfg is not None:
-        M_new, _, zero_mass, capped = _mean_shift(P, rows, mode_cfg, M)
-        return M_new, [f"cluster {int(k)}: zero assignment mass, mode kept"
-                       for k in np.flatnonzero(zero_mass)], int(capped.sum())
+        M_new, a_new, _, zero_mass, capped = _mean_shift(P, rows, mode_cfg, M, a)
+        return M_new, a_new, [f"cluster {int(k)}: zero assignment mass, mode kept"
+                              for k in np.flatnonzero(zero_mass)], int(capped.sum())
     M_new, empty = update_means(P, rows, prev=M)
-    return M_new, [f"cluster {int(k)}: zero mass, previous mean kept"
-                   for k in np.flatnonzero(empty)], 0
+    return M_new, prototype_scores(P, M_new), [f"cluster {int(k)}: zero mass, previous mean kept"
+                                               for k in np.flatnonzero(empty)], 0
 
 
 def _refit_hard(P, W, rows, M, cfg, warnings):
@@ -402,18 +415,18 @@ def _refit_hard(P, W, rows, M, cfg, warnings):
 
     Under modes the re-fit runs mean-shift from M to convergence (or to
     ``ModeSolverConfig``'s default cap), not within the loop's budget, so E
-    is taken at converged modes. A re-fit that fails keeps the soft
-    prototypes M for E and says so in ``warnings``.
+    is taken at converged modes, from the scores the re-fit returns. A re-fit
+    that fails keeps the soft prototypes M for E and says so in ``warnings``.
     """
     hard = np.zeros_like(rows)
     hard[np.arange(rows.shape[0]), np.argmax(rows, axis=1)] = 1.0
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
     try:
-        M_hard = _update_prototypes(P, hard, M, mode_cfg)[0]
+        a_hard = _update_prototypes(P, hard, M, mode_cfg)[1]
     except DataError as exc:
         warnings.append(f"hard re-fit failed ({exc}); discrete objective uses the soft prototypes")
-        M_hard = M
-    return discrete_objective(P, W, hard, M_hard, cfg)
+        a_hard = _scores(P, M, cfg)
+    return _discrete(W, hard, a_hard, cfg.lam)
 
 
 def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=None):
@@ -427,7 +440,8 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
 
     X (or its CenteredFeatures) is centered once, the loop works on plain rows,
     and the prototype scores are computed once per prototype state: the scores
-    of R at the new prototypes are the ones the next assignment block starts from.
+    of R at the new prototypes are the ones the next assignment block starts
+    from. Under modes they are mean-shift's last kernel matrix.
 
     After the loop, the rows are rounded to hard labels, the prototypes are
     re-fit to them once, and ``SolveReport.discrete_objective`` is E there.
@@ -454,9 +468,12 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
 # from the previous modes. At the default inner budget of 4, caps of 2, 3, 5
 # and 100 steps give the same labels on the few-shot and CLI benchmark
 # workloads, and the CLI's E differs between them only in its last digit; at
-# 1, few-shot labels move. 3 was chosen under a budget of 10, where 2 moved
-# that E in its last digit against 3.
-_MODE_STEPS = 3
+# 1, few-shot labels move. 2 is measured, on 2 cores: with the kernel matrix
+# carried from step to step, one few-shot benchmark operation took a median
+# of 1.10 s at 2 steps against 1.29 s at 3, faster in 10 of 10 interleaved
+# rounds; against 3 steps that each recomputed the kernel, 10 interleaved
+# pairs of 12 s benchmark runs read 1.55 s -> 1.25 s, faster in 9 of 10.
+_MODE_STEPS = 2
 
 
 def _solve_loop(P, W, M0, cfg, clamp_class):
@@ -486,13 +503,12 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
 
     for _ in range(cfg.outer_max):
         rows, b, inner_iters, redone, delta = _s_block(W, a, rows, free, cfg, b)
-        M, w_proto, mode_cap_hits = _update_prototypes(P, rows, M, mode_cfg)
+        M, a, w_proto, mode_cap_hits = _update_prototypes(P, rows, M, mode_cfg, a)
         report.warnings.extend(w_proto)
         report.inner_iters_per_outer.append(inner_iters)
         report.inner_cap_hits += int(inner_iters == cfg.inner_max and delta >= cfg.inner_tol)
         report.redone_sweeps += redone
         report.mode_cap_hits += mode_cap_hits
-        a = _scores(P, M, cfg)
         r = _relaxed(W, rows, a, cfg.lam, b)
         report.relaxed_trace.append(r)
         if r > r_prev + 1e-9 * (1.0 + abs(r_prev)):

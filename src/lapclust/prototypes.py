@@ -7,6 +7,11 @@ fixed-point sequence and is used by the test suite. Because every step raises
 that mass, a mean-shift step is a bound-optimization step of its own: inside
 ``solve`` it is a budget, a few steps per prototype block from the previous
 modes, and it runs to convergence only in the hard re-fit that defines E.
+Each step computes the full-width N x K kernel matrix at its new modes once:
+it weighs the next step, and after the last one it is the modes' prototype
+scores, which the solver's next assignment block starts from. The step loop
+keeps no traces; it returns its history (the active clusters and their
+masses at each step), from which ``update_modes`` builds its u traces.
 Both updates sum weighted points over all N rows; ``_weighted_sums`` adds
 those sums in fixed row blocks, so a prototype does not depend on the BLAS
 thread count.
@@ -193,12 +198,6 @@ def _weighted_sums(w, X):
     return total
 
 
-def _meanshift_sums(P: CenteredFeatures, S_cols, V, sigma2):
-    """Kernel masses u_k and weighted sums sum_p s_pk w(x_p, v_k) x_p for each row v_k of V."""
-    w = S_cols * _rbf(P.sqdist(V), sigma2)
-    return w.sum(axis=0), _weighted_sums(w, P.X)
-
-
 def update_means(X, S, prev: Prototypes | None = None):
     """Weighted means m_k = X^t S_k / 1^t S_k.
 
@@ -220,12 +219,14 @@ def update_means(X, S, prev: Prototypes | None = None):
 
 def meanshift_step(X, s_col, m, sigma2):
     """One fixed-point step: the s- and kernel-weighted average of the points."""
+    P = _centered(X)
     s_col = np.asarray(s_col, dtype=np.float64)[:, None]
     m = np.asarray(m, dtype=np.float64)[None, :]
-    total, weighted = _meanshift_sums(_centered(X), s_col, m, sigma2)
-    if total[0] <= 0.0:
+    w = s_col * _rbf(P.sqdist(m), sigma2)
+    total = w.sum(axis=0)[0]
+    if total <= 0.0:
         raise EmptyClusterError(-1)
-    return weighted[0] / total[0]
+    return _weighted_sums(w, P.X)[0] / total
 
 
 def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
@@ -237,40 +238,58 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     kernel mass u^n at every visited iterate of cluster k; non-convergence
     within max_iters is reported as a warning, not a failure.
     """
-    M, u_traces, zero_mass, capped = _mean_shift(
+    M, _, history, zero_mass, capped = _mean_shift(
         _centered(X), np.asarray(getattr(S, "rows", S), dtype=np.float64), cfg, M_init)
+    u_traces = [[] for _ in range(M.k)]
+    for active, masses in history:
+        for k, u in zip(active.tolist(), masses.tolist()):
+            u_traces[k].append(u)
     warnings = []
     for k in range(M.k):
         if zero_mass[k]:
             warnings.append(f"cluster {k}: zero assignment mass, mode kept")
         elif capped[k]:
             warnings.append(f"cluster {k}: mode solver hit max_iters={cfg.max_iters}")
-    return M, u_traces, warnings
+    return M, [np.array(u) for u in u_traces], warnings
 
 
-def _mean_shift(P: CenteredFeatures, rows, cfg: ModeSolverConfig, M_init: Prototypes):
+def _mean_shift(P: CenteredFeatures, rows, cfg: ModeSolverConfig, M_init: Prototypes,
+                kernel=None):
     """``update_modes`` on centered features and plain rows, with its outcome
-    as masks instead of warnings. Returns (Prototypes, u_traces, zero_mass,
-    capped): the clusters with no mass, whose modes are kept, and those that
-    made ``cfg.max_iters`` steps without one falling below ``cfg.tol``."""
+    as masks instead of warnings and its kernel matrix carried along.
+
+    ``kernel`` is the N x K kernel matrix at ``M_init`` (the modes rule's
+    prototype scores), computed here when not given. Each step weighs the rows
+    by it, moves the active clusters, and computes the full-width kernel at the
+    new modes, which is the next step's weights and, after the last step, the
+    scores of the returned modes: a step costs one distance GEMM and one
+    weighted-sum GEMM. Returns (Prototypes, kernel, history, zero_mass,
+    capped): the kernel at the returned modes; per step, the active cluster
+    indices and their kernel masses; the clusters with no mass, whose modes
+    are kept, and those that made ``cfg.max_iters`` steps without one falling
+    below ``cfg.tol``.
+    """
     modes = np.array(M_init.values, dtype=np.float64, copy=True)
+    if kernel is None:
+        kernel = _rbf(P.sqdist(modes), cfg.sigma2)
     zero_mass = rows.sum(axis=0) <= 0.0
-    u_traces = [[] for _ in range(modes.shape[0])]
+    history = []
     active = np.flatnonzero(~zero_mass)
     for _ in range(cfg.max_iters):
         if not active.size:
             break
-        total, weighted = _meanshift_sums(P, rows[:, active], modes[active], cfg.sigma2)
-        new = weighted / total[:, None]
-        step = np.linalg.norm(new - modes[active], axis=1)
+        w = rows * kernel
+        total = w.sum(axis=0)[active]
+        new = _weighted_sums(w, P.X)[active] / total[:, None]
+        diff = new - modes[active]
+        step = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm's, without its copy
         modes[active] = new
-        for k, u in zip(active.tolist(), total.tolist()):
-            u_traces[k].append(u)
+        history.append((active, total))
+        kernel = _rbf(P.sqdist(modes), cfg.sigma2)
         active = active[~(step < cfg.tol)]
     capped = np.zeros(modes.shape[0], dtype=bool)
     capped[active] = True
-    return (Prototypes(values=modes, rule=RULE_MODES), [np.array(u) for u in u_traces],
-            zero_mass, capped)
+    return Prototypes(values=modes, rule=RULE_MODES), kernel, history, zero_mass, capped
 
 
 def prototype_scores(X, M: Prototypes, sigma2=None):

@@ -18,7 +18,7 @@ from lapclust import (
     solve,
     tune_lambda,
 )
-from lapclust import fewshot, optimizer
+from lapclust import fewshot, optimizer, prototypes
 from lapclust.errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 
 
@@ -77,6 +77,30 @@ def test_bias_aligns_means_and_is_idempotent():
     np.testing.assert_allclose(once[queries].mean(axis=0), once[support].mean(axis=0),
                                atol=1e-12)
     np.testing.assert_allclose(bias_correct(task, once), once, atol=1e-12)
+
+
+def test_public_preprocessing_leaves_its_argument_unchanged():
+    X, task, _ = generate_synthetic_episode(3, 2, 4, 5, 3.0, seed=6)
+    before = X.copy()
+    cl2_normalize(X, X.mean(axis=0))
+    bias_correct(task, X)
+    assert X.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("base_mean", [None, "given"])
+def test_episode_features_are_the_public_preprocessing(base_mean):
+    # the episode preprocesses its own copy in place: the same values, bitwise,
+    # as cl2_normalize then bias_correct on the episode's rows
+    big, task, _, _, compact_task = embedded_episode(n_rows=300, seed=2)
+    mean = None if base_mean is None else np.random.default_rng(3).standard_normal(6)
+    pre = PreprocessConfig(base_mean=mean, apply_cl2=True, apply_bias=True)
+    before = big.copy()
+    (P, _, _, _), _ = fewshot._prepare_episode(task, big, pre, SolverConfig(), 3, "max")
+    assert big.tobytes() == before.tobytes()
+    rows = big[[*task.support_indices, *task.queries]]
+    want = bias_correct(compact_task, cl2_normalize(rows, rows.mean(axis=0) if mean is None
+                                                     else mean))
+    assert P.X.tobytes() == want.tobytes()
 
 
 def test_init_prototypes_one_shot_exact():
@@ -382,3 +406,46 @@ def test_episode_skips_the_hard_refit(monkeypatch, rule):
     # the loop is the same: only E and the rounding it needs are left out
     assert report.relaxed_trace == result.solve_report.relaxed_trace
     np.testing.assert_array_equal(S.hard_labels()[~S.clamped], result.query_labels)
+
+
+def test_modes_episode_computes_each_kernel_matrix_once(monkeypatch):
+    # one distance GEMM for the first scores, then one per mean-shift step: the
+    # kernel at a step's new modes is the next step's weights and, after a
+    # block's last step, the scores the next assignment block starts from
+    X, task, truth = generate_synthetic_episode(5, 5, 15, 64, 6.0, seed=8)
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    sqdists, steps, blocks, modes = [], [], [], []
+    sqdist, mean_shift, s_block = (prototypes.CenteredFeatures.sqdist, optimizer._mean_shift,
+                                   optimizer._s_block)
+
+    def counting_sqdist(self, V):
+        sqdists.append(V.shape)
+        return sqdist(self, V)
+
+    def recording_mean_shift(P, rows, cfg, M_init, kernel=None):
+        out = mean_shift(P, rows, cfg, M_init, kernel)
+        steps.append(len(out[2]))
+        modes.append((P, out[0]))
+        return out
+
+    def recording_s_block(W, a, rows, free, cfg, b=None):
+        blocks.append((a, cfg.sigma2))
+        return s_block(W, a, rows, free, cfg, b)
+
+    monkeypatch.setattr(prototypes.CenteredFeatures, "sqdist", counting_sqdist)
+    monkeypatch.setattr(optimizer, "_mean_shift", recording_mean_shift)
+    monkeypatch.setattr(optimizer, "_s_block", recording_s_block)
+    result = run_episode(task, X, pre, SolverConfig(lam=1.0, rule="modes"), truth=truth)
+    monkeypatch.undo()
+
+    outer = result.solve_report.outer_iters
+    assert len(steps) == len(blocks) == outer > 1
+    assert len(sqdists) == 1 + sum(steps) <= 1 + optimizer._MODE_STEPS * outer
+    assert all(shape == (5, 64) for shape in sqdists)  # every kernel is full-width
+    (P0, _, M0, _), cfg = fewshot._prepare_episode(
+        task, X, pre, SolverConfig(lam=1.0, rule="modes"), 3, "max")
+    assert blocks[0][0].tobytes() == prototypes.prototype_scores(P0, M0, cfg.sigma2).tobytes()
+    # block i + 1 starts from the kernel that mean-shift i carried out, which
+    # is the scores of its modes, bitwise
+    for (a, sigma2), (P, M) in zip(blocks[1:], modes):
+        assert a.tobytes() == prototypes.prototype_scores(P, M, sigma2).tobytes()

@@ -663,11 +663,11 @@ def test_solve_warns_when_hard_refit_fails(monkeypatch):
     real = optimizer._update_prototypes
     calls = []
 
-    def fail_on_refit(P, S, M, cfg):
+    def fail_on_refit(P, S, M, cfg, a=None):
         calls.append(S)
         if len(calls) > 1:  # the outer loop runs once; the second call is the hard re-fit
             raise DataError("re-fit failed")
-        return real(P, S, M, cfg)
+        return real(P, S, M, cfg, a)
 
     monkeypatch.setattr(optimizer, "_update_prototypes", fail_on_refit)
     S, M, report = solve(X, W, Prototypes(values=X[:3], rule="means"), cfg)
@@ -755,13 +755,18 @@ def test_kmeans_pp_seeds_basic():
 
 @pytest.fixture
 def mean_shifts(monkeypatch):
-    """(max_iters, u_traces, capped) of every mean-shift run by ``solve``, in order."""
+    """(max_iters, u_traces, capped) of every mean-shift run by ``solve``, in order;
+    u_traces[k] lists cluster k's kernel mass at each step it made."""
     calls = []
     real = optimizer._mean_shift
 
-    def recording(P, rows, cfg, M_init):
-        out = real(P, rows, cfg, M_init)
-        calls.append((cfg.max_iters, out[1], out[3]))
+    def recording(P, rows, cfg, M_init, kernel=None):
+        out = real(P, rows, cfg, M_init, kernel)
+        u_traces = [[] for _ in range(M_init.k)]
+        for active, masses in out[2]:
+            for k, u in zip(active, masses):
+                u_traces[k].append(u)
+        calls.append((cfg.max_iters, [np.array(u) for u in u_traces], out[4]))
         return out
 
     monkeypatch.setattr(optimizer, "_mean_shift", recording)
