@@ -279,9 +279,9 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out):
 
     Works in blocks of at most ``_CHUNK_BUDGET`` distances, filled in place
     into two buffers allocated once. A block holds half distances
-    (``CenteredFeatures.half_sqdist_rows``), which rank as the kernel's
-    unclamped values do; only the entries a row keeps are doubled and clamped
-    at 0, which gives the kernel's values bitwise. Each row's rho nearest and
+    (``_half_sqdist``), which rank as the kernel's unclamped values do; only
+    the entries a row keeps are doubled and clamped at 0, which gives the
+    kernel's values bitwise. Each row's rho nearest and
     its (rho+1)-th come from ``_nearest_columns`` when N holds more than
     rho + 1 groups of ``_GROUP_SIZE`` columns, else from one argpartition of
     the row. Only a row where the two are equally far after the clamp has a
@@ -298,7 +298,7 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out):
         rows = np.arange(block.size)
         contiguous = block[-1] - block[0] + 1 == block.size
         sel = slice(int(block[0]), int(block[-1]) + 1) if contiguous else block
-        h = P.half_sqdist_rows(sel, half_norms, out=buffers[:, :block.size])
+        h = _half_sqdist(P.centered, sel, half_norms, out=buffers[:, :block.size])
         h[rows, block] = np.inf
         if grouped:
             part = _nearest_columns(h, rho)

@@ -33,6 +33,10 @@ ALGOS = {
 }
 
 
+# the SolveReport counters in report.json, and in summary.json summed over episodes
+_SOLVE_COUNTS = ("inner_cap_hits", "mode_cap_hits", "redone_sweeps")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -155,9 +159,7 @@ def cmd_cluster(args) -> int:
         "objective": report.discrete_objective,
         "relaxed_final": report.relaxed_trace[-1],
         "iters": report.outer_iters,
-        "inner_cap_hits": report.inner_cap_hits,
-        "mode_cap_hits": report.mode_cap_hits,
-        "redone_sweeps": report.redone_sweeps,
+        **{name: getattr(report, name) for name in _SOLVE_COUNTS},
         "warnings": report.warnings,
     }
     if truth is not None:
@@ -208,15 +210,14 @@ def cmd_fewshot(args) -> int:
     os.makedirs(out, exist_ok=True)
     rows = []
     warnings = []
-    inner_cap_hits = mode_cap_hits = redone_sweeps = 0
+    counts = dict.fromkeys(_SOLVE_COUNTS, 0)
     for episode_id, path in enumerate(_episode_paths(args.episodes)):
         task = io.load_task(path, n_points=X.shape[0])
         truth = labels[list(task.queries)] if labels is not None and task.queries else None
         result = run_episode(task, X, pre, cfg, rho=args.rho, sym=args.sym, truth=truth)
         warnings.extend(result.solve_report.warnings)
-        inner_cap_hits += result.solve_report.inner_cap_hits
-        mode_cap_hits += result.solve_report.mode_cap_hits
-        redone_sweeps += result.solve_report.redone_sweeps
+        for name in counts:
+            counts[name] += getattr(result.solve_report, name)
         rows.append((episode_id, result.accuracy, result.wall_time,
                      result.solve_report.outer_iters))
 
@@ -236,9 +237,7 @@ def cmd_fewshot(args) -> int:
         "mean_accuracy": mean,
         "interval95": interval,
         "mean_wall_time": float(np.mean([w for _, _, w, _ in rows])),
-        "inner_cap_hits": inner_cap_hits,
-        "mode_cap_hits": mode_cap_hits,
-        "redone_sweeps": redone_sweeps,
+        **counts,
         "warnings": warnings,
     }
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:

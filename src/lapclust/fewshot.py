@@ -6,6 +6,12 @@ support/query mean gap, a rho-NN graph symmetrized by ``sym`` ("max" or
 "mean") ties queries to supports, and the constrained solve keeps support rows
 clamped one-hot. Because cluster k is anchored by the class-k supports,
 cluster indices are class indices.
+
+An episode reads its ``TaskSpec`` once, into plain arrays: its n_s support
+rows followed by its query rows, and the int64 classes of the supports (see
+``_prepare_episode``). ``run_episode`` and ``tune_lambda`` share one
+solve-and-label step; only ``run_episode`` wraps its labels in a timed
+``EpisodeResult``.
 """
 
 from __future__ import annotations
@@ -72,32 +78,33 @@ def bias_correct(task: TaskSpec, X) -> np.ndarray:
     """Shift each query row by (mean support - mean query); supports untouched."""
     X = validate_features(X)
     task.validate_indices(X.shape[0])
-    return _bias_correct(task, X.copy())
+    queries = list(task.queries)
+    out = X.copy()
+    out[queries] = _bias_correct(out[list(task.support_indices)], out[queries])
+    return out
 
 
-def _bias_correct(task, X):
-    """``bias_correct`` in place, on an array its caller owns; returns X."""
-    queries = np.asarray(task.queries, dtype=np.int64)
-    if queries.size == 0:
-        return X
-    support = np.asarray(task.support_indices, dtype=np.int64)
-    delta = X[support].mean(axis=0) - X[queries].mean(axis=0)
-    X[queries] += delta
-    return X
+def _bias_correct(support_rows, query_rows):
+    """``bias_correct`` on the two row sets: shifts ``query_rows`` in place and
+    returns them; no query rows, no shift."""
+    if len(query_rows):
+        query_rows += support_rows.mean(axis=0) - query_rows.mean(axis=0)
+    return query_rows
 
 
 def init_prototypes(task: TaskSpec, X, rule="means") -> Prototypes:
     """Per-class support means (the support point itself in the 1-shot case)."""
     X = validate_features(X)
     task.validate_indices(X.shape[0])
-    return _init_prototypes(task, X, rule)
+    support = np.array(task.support, dtype=np.int64)
+    return _init_prototypes(X[support[:, 0]], support[:, 1], task.k_way, rule)
 
 
-def _init_prototypes(task, X, rule):
-    M = np.empty((task.k_way, X.shape[1]))
-    for k in range(task.k_way):
-        idx = [p for p, c in task.support if c == k]
-        M[k] = X[idx].mean(axis=0)
+def _init_prototypes(support_rows, classes, k_way, rule):
+    """The mean of each class's support rows, taken in support order."""
+    M = np.empty((k_way, support_rows.shape[1]))
+    for k in range(k_way):
+        M[k] = support_rows[classes == k].mean(axis=0)
     return Prototypes(values=M, rule=rule)
 
 
@@ -113,7 +120,10 @@ def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
     _check_graph_args(rho, sym)
     truth = _check_truth(task, truth)
     episode, cfg = _prepare_episode(task, X_raw, pre, cfg, rho, sym)
-    return _solve_episode(episode, cfg, truth, start)
+    labels, report = _label_queries(episode, cfg)
+    accuracy = float(np.mean(labels == truth)) if truth is not None and labels.size else None
+    return EpisodeResult(query_labels=labels, accuracy=accuracy, solve_report=report,
+                         wall_time=time.perf_counter() - start)
 
 
 def _check_truth(task, truth):
@@ -136,12 +146,15 @@ def _check_graph_args(rho, sym):
 def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     """Everything of an episode that lambda does not change.
 
-    Returns ((P, W, M0, clamp_class), cfg with sigma2 set), where the rows are
-    the supports then the queries, so clamp_class is the support classes then
-    -1 per query; the tuple is None when the task has no queries. Only the
-    episode's rows of ``X_raw`` are read and validated, once; a non-finite
-    value is reported at its row in ``X_raw``. ``rho`` and ``sym`` are checked
-    by the caller; a task without queries has no search to bound ``rho`` above.
+    Returns ((P, W, M0, clamp_class), cfg with sigma2 set); the tuple is None
+    when the task has no queries. The episode is one array of rows, the n_s
+    supports then the queries, and one int64 array of the support classes:
+    bias correction shifts the rows after n_s, M0 holds each class's mean over
+    the first n_s, and clamp_class is the support classes then -1 per query.
+    Only the episode's rows of ``X_raw`` are read and validated, once; a
+    non-finite value is reported at its row in ``X_raw``. ``rho`` and ``sym``
+    are checked by the caller; a task without queries has no search to bound
+    ``rho`` above.
     """
     X_raw = np.asarray(X_raw)
     if X_raw.ndim != 2:
@@ -149,22 +162,18 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     task.validate_indices(X_raw.shape[0])
 
     n_s = len(task.support)
+    classes = np.array([c for _, c in task.support], dtype=np.int64)
     episode_idx = np.array([*task.support_indices, *task.queries], dtype=np.int64)
     try:
         Xe = validate_features(X_raw[episode_idx])
     except NonFiniteValueError as exc:
         raise NonFiniteValueError(int(episode_idx[exc.row]), exc.col) from None
-    local_task = TaskSpec(
-        k_way=task.k_way,
-        support=tuple((i, c) for i, (_, c) in enumerate(task.support)),
-        queries=tuple(range(n_s, n_s + len(task.queries))),
-    )
 
     if pre.apply_cl2:
         mean = pre.base_mean if pre.base_mean is not None else Xe.mean(axis=0)
         Xe = _cl2_normalize(Xe, mean)
     if pre.apply_bias:
-        Xe = _bias_correct(local_task, Xe)
+        _bias_correct(Xe[:n_s], Xe[n_s:])
 
     if not task.queries:
         return None, cfg
@@ -173,28 +182,23 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
-    M0 = _init_prototypes(local_task, Xe, cfg.rule)
-    clamp_class = np.array([c for _, c in task.support] + [-1] * len(task.queries))
+    M0 = _init_prototypes(Xe[:n_s], classes, task.k_way, cfg.rule)
+    clamp_class = np.concatenate([classes, np.full(len(task.queries), -1, dtype=np.int64)])
     return (P, W, M0, clamp_class), cfg
 
 
-def _solve_episode(episode, cfg, truth, start):
-    """The clamped solve of a prepared episode, whose ``truth`` was checked by
-    ``_check_truth``; wall time counts from ``start``.
+def _label_queries(episode, cfg):
+    """The clamped solve of a prepared episode: (query labels, SolveReport).
 
     The loop runs without ``solve``'s checks, which ``_prepare_episode``'s
     inputs pass by construction, and without its hard re-fit, whose E no
-    episode reads.
+    episode reads. An episode without queries (None) has no labels.
     """
-    labels, accuracy, report = np.empty(0, dtype=np.int64), None, SolveReport()
-    if episode is not None:
-        P, W, M0, clamp_class = episode
-        rows, _, report = _solve_loop(P, W, M0, cfg, clamp_class)
-        labels = np.argmax(rows[clamp_class < 0], axis=1)
-        if truth is not None:
-            accuracy = float(np.mean(labels == truth))
-    return EpisodeResult(query_labels=labels, accuracy=accuracy, solve_report=report,
-                         wall_time=time.perf_counter() - start)
+    if episode is None:
+        return np.empty(0, dtype=np.int64), SolveReport()
+    P, W, M0, clamp_class = episode
+    rows, _, _, report = _solve_loop(P, W, M0, cfg, clamp_class)
+    return np.argmax(rows[clamp_class < 0], axis=1), report
 
 
 def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed):
@@ -214,22 +218,15 @@ def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed):
     norms[norms == 0.0] = 1.0
     centers = separation * raw / norms[:, None]
 
-    support_rows = []
-    query_rows = []
-    support = []
-    truth = []
+    support_rows, query_rows = [], []
     for k in range(k_way):
         support_rows.append(centers[k] + rng.standard_normal((n_shot, dim)))
         query_rows.append(centers[k] + rng.standard_normal((n_query, dim)))
-        truth.extend([k] * n_query)
     X = np.vstack(support_rows + query_rows)
-    pos = 0
-    for k in range(k_way):
-        support.extend((pos + j, k) for j in range(n_shot))
-        pos += n_shot
+    support = tuple((k * n_shot + j, k) for k in range(k_way) for j in range(n_shot))
     queries = tuple(range(k_way * n_shot, k_way * (n_shot + n_query)))
-    task = TaskSpec(k_way=k_way, support=tuple(support), queries=queries)
-    return X, task, np.array(truth, dtype=np.int64)
+    task = TaskSpec(k_way=k_way, support=support, queries=queries)
+    return X, task, np.repeat(np.arange(k_way, dtype=np.int64), n_query)
 
 
 def tune_lambda(candidates, episodes, cfg: SolverConfig, pre: PreprocessConfig | None = None,
@@ -255,9 +252,8 @@ def tune_lambda(candidates, episodes, cfg: SolverConfig, pre: PreprocessConfig |
     for (X, task, _), truth in zip(episodes, truths):
         episode, episode_cfg = _prepare_episode(task, X, pre, cfg, rho, sym)
         for lam, lam_accs in zip(grid, accs):
-            result = _solve_episode(episode, replace(episode_cfg, lam=lam), truth,
-                                    time.perf_counter())
-            lam_accs.append(result.accuracy)
+            labels, _ = _label_queries(episode, replace(episode_cfg, lam=lam))
+            lam_accs.append(float(np.mean(labels == truth)))
         del episode  # one prepared episode alive at a time, so memory does not grow
     best_lam, best_acc = None, -1.0
     for lam, lam_accs in zip(grid, accs):

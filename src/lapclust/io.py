@@ -10,13 +10,12 @@ any other path is CSV.
 The CSV reader parses the whole file with one ``np.loadtxt`` call, which
 reads a cell as Python's ``float()`` does but accepts fewer spellings (no
 ``1_0``, no non-ASCII digits, no whitespace-only line). A file it rejects,
-warns about (no data), or reads with a non-finite value is read again row by
-row, each row with one numpy call; only a row that fails that or holds a
-non-finite value is read one cell at a time, to name the first bad cell by
-its row (blank lines counted) and column. So every file reads as ``float()``
-reads it, and every error keeps its message. ``load_labels`` reads the
-first column of a label file or of an ``assignments.csv``, soft columns and
-header included.
+warns about (no data), or reads with a non-finite value is read again one
+cell at a time with ``float()``, to name the first bad cell by its row
+(blank lines counted) and column. So every file reads as ``float()`` reads
+it, and every error keeps its message. ``load_labels`` reads the first column
+of a label file or of an ``assignments.csv``, soft columns and header
+included.
 """
 
 from __future__ import annotations
@@ -124,8 +123,7 @@ def _load_csv(path) -> np.ndarray:
 
 
 def _load_csv_rows(path, lines):
-    """The lines of a CSV file parsed one row at a time, each with one numpy
-    call; a row that fails it is read by ``_parse_cells``."""
+    """The lines of a CSV file parsed one row at a time by ``_parse_cells``."""
     rows = []
     width = None
     for r, line in enumerate(lines):
@@ -136,13 +134,7 @@ def _load_csv_rows(path, lines):
             width = len(cells)
         elif len(cells) != width:
             raise NonRectangularRowError(r, width, len(cells))
-        try:
-            row = np.array(cells, dtype=np.float64)
-        except ValueError:
-            row = None
-        if row is None or not np.isfinite(row).all():
-            row = _parse_cells(r, cells)
-        rows.append(row)
+        rows.append(_parse_cells(r, cells))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)  # rows checked finite and of one width

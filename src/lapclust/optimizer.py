@@ -36,7 +36,9 @@ block starts from the current scores, which are the kernel matrix at the
 current modes, and each step computes the full-width kernel at its new modes
 once; the last one is the scores the next assignment block starts from, so an
 outer iteration of the modes rule makes one distance GEMM per mean-shift step
-and no other.
+and no other. The hard re-fit behind E starts its mean-shift from the loop's
+last scores too, so a modes ``solve`` makes one distance GEMM for the initial
+scores and one per mean-shift step, in the loop and in the re-fit.
 """
 
 from __future__ import annotations
@@ -393,13 +395,13 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
     return value
 
 
-def _update_prototypes(P, rows, M, mode_cfg, a=None):
+def _update_prototypes(P, rows, M, mode_cfg, a):
     """One prototype block: weighted means, or mean-shift from M when
     ``mode_cfg`` is given, starting from ``a``, the kernel matrix at M (the
-    scores of M), when given. Returns (Prototypes, scores, warnings,
-    mode_cap_hits): the scores of the new prototypes, which under modes are
-    mean-shift's last kernel matrix, and the clusters that spent
-    ``mode_cfg.max_iters`` steps, counted, not warned about.
+    scores of M). Returns (Prototypes, scores, warnings, mode_cap_hits): the
+    scores of the new prototypes, which under modes are mean-shift's last
+    kernel matrix, and the clusters that spent ``mode_cfg.max_iters`` steps,
+    counted, not warned about.
     """
     if mode_cfg is not None:
         M_new, a_new, _, zero_mass, capped = _mean_shift(P, rows, mode_cfg, M, a)
@@ -410,22 +412,24 @@ def _update_prototypes(P, rows, M, mode_cfg, a=None):
                                                for k in np.flatnonzero(empty)], 0
 
 
-def _refit_hard(P, W, rows, M, cfg, warnings):
+def _refit_hard(P, W, rows, M, a, cfg, warnings):
     """Round to hard labels, re-fit prototypes once, and evaluate E.
 
-    Under modes the re-fit runs mean-shift from M to convergence (or to
-    ``ModeSolverConfig``'s default cap), not within the loop's budget, so E
-    is taken at converged modes, from the scores the re-fit returns. A re-fit
-    that fails keeps the soft prototypes M for E and says so in ``warnings``.
+    ``a`` is the loop's last scores, those of M. Under modes the re-fit runs
+    mean-shift from M, with ``a`` as the kernel matrix at M, to convergence
+    (or to ``ModeSolverConfig``'s default cap), not within the loop's budget,
+    so E is taken at converged modes, from the scores the re-fit returns. A
+    re-fit that fails keeps the soft prototypes M and their scores ``a`` for
+    E and says so in ``warnings``.
     """
     hard = np.zeros_like(rows)
     hard[np.arange(rows.shape[0]), np.argmax(rows, axis=1)] = 1.0
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
     try:
-        a_hard = _update_prototypes(P, hard, M, mode_cfg)[1]
+        a_hard = _update_prototypes(P, hard, M, mode_cfg, a)[1]
     except DataError as exc:
         warnings.append(f"hard re-fit failed ({exc}); discrete objective uses the soft prototypes")
-        a_hard = _scores(P, M, cfg)
+        a_hard = a
     return _discrete(W, hard, a_hard, cfg.lam)
 
 
@@ -457,8 +461,8 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
         raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
     clamp_class = _clamp_array(np.full(n, -1) if clamp_class is None else clamp_class, n, M0.k)
-    rows, M, report = _solve_loop(P, W, M0, cfg, clamp_class)
-    report.discrete_objective = _refit_hard(P, W, rows, M, cfg, report.warnings)
+    rows, M, a, report = _solve_loop(P, W, M0, cfg, clamp_class)
+    report.discrete_objective = _refit_hard(P, W, rows, M, a, cfg, report.warnings)
     return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
 
 
@@ -480,7 +484,8 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     """``solve`` without its checks and its hard re-fit, on inputs it would
     accept: centered features, a graph of their size (symmetric when lambda >
     0) and an int64 ``clamp_class`` in [-1, K). Returns (rows, Prototypes,
-    SolveReport) with E unset (NaN).
+    scores, SolveReport): the scores of the returned prototypes, which the
+    hard re-fit starts from, and the report with E unset (NaN).
     """
     M = M0
     report = SolveReport()
@@ -520,7 +525,7 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
         r_prev = r
     else:
         report.warnings.append(f"outer loop hit outer_max={cfg.outer_max}")
-    return rows, M, report
+    return rows, M, a, report
 
 
 def kmeans_pp_seeds(X, k, rng) -> np.ndarray:

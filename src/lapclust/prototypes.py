@@ -20,13 +20,13 @@ Every squared distance in the package (prototype scores, kernel weights,
 mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
 GEMM in the expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through
 CenteredFeatures. The brute-force search's exact pass ranks on half of it,
-(||x||^2/2 + ||v||^2/2) - x.v (``CenteredFeatures.half_sqdist_rows``), and
-doubles and clamps only the distances it keeps; halving is exact, so those
-are the expansion's values bitwise. The kd-tree search of low-dimensional
-features and the brute-force search's float32 prefilter (the same half
-expansion in single precision, ``_half_sqdist``) only pick candidate pairs;
-their distances come from the same expansion in float64 with each dot product
-taken row by row (``CenteredFeatures.pair_sqdist``).
+(||x||^2/2 + ||v||^2/2) - x.v (``_half_sqdist``), and doubles and clamps
+only the distances it keeps; halving is exact, so those are the expansion's
+values bitwise. The kd-tree search of low-dimensional features and the
+brute-force search's float32 prefilter (the same half expansion in single
+precision) only pick candidate pairs; their distances come from the same
+expansion in float64 with each dot product taken row by row
+(``CenteredFeatures.pair_sqdist``).
 The expansion cancels, and its rounding error grows with ||x||^2 rather than
 with the distance, so X and the prototypes are first shifted by the column
 mean of X; the shift leaves every distance unchanged. On 8-D standard normal
@@ -117,18 +117,6 @@ class CenteredFeatures:
         Vc = V - self.mean
         return _sqdist(self.centered, self.sq_norms, Vc, np.einsum("ij,ij->i", Vc, Vc))
 
-    def half_sqdist_rows(self, rows, half_norms, out):
-        """len(rows) x N half squared distances from the points ``rows`` (a slice
-        or an index array) to all: (|c_i|^2/2 + |c_j|^2/2) - c_i.c_j, unclamped.
-
-        ``half_norms`` is ``sq_norms / 2``. Halving is exact outside the
-        subnormal range, so twice a value is bitwise ``_sqdist``'s value before
-        its clamp at 0. ``out`` is a pair of len(rows) x N buffers: the result is
-        written into the first and the second is scratch for the product, which
-        is a SYRK when ``rows`` is every point.
-        """
-        return _half_sqdist(self.centered, rows, half_norms, out)
-
     def pair_sqdist(self, nbrs, rows=slice(None)):
         """Squared distances from each point p of ``rows`` (a slice or an index
         array; every point by default) to the points nbrs[p], clamped at 0.
@@ -149,8 +137,17 @@ class CenteredFeatures:
 
 
 def _half_sqdist(C, rows, half_norms, out):
-    """``CenteredFeatures.half_sqdist_rows`` over the centered rows C, in the
-    precision of C, ``half_norms`` and ``out``."""
+    """len(rows) x N half squared distances from the points ``rows`` (a slice
+    or an index array) of the centered rows C to all of them:
+    (|c_i|^2/2 + |c_j|^2/2) - c_i.c_j, unclamped, in the precision of C,
+    ``half_norms`` and ``out``.
+
+    ``half_norms`` is the squared row norms over 2. Halving is exact outside
+    the subnormal range, so in float64 twice a value is bitwise ``_sqdist``'s
+    value before its clamp at 0. ``out`` is a pair of len(rows) x N buffers:
+    the result is written into the first and the second is scratch for the
+    product, which is a SYRK when ``rows`` is every point.
+    """
     h, g = out
     np.matmul(C[rows], C.T, out=g)
     np.add(half_norms[rows, None], half_norms[None, :], out=h)

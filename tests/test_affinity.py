@@ -14,7 +14,7 @@ from lapclust import estimate_sigma2, knn_graph, laplacian_quadratic, symmetrize
 from lapclust import affinity
 from lapclust.affinity import SparseAffinity
 from lapclust.errors import DataError, DegenerateDataError
-from lapclust.prototypes import CenteredFeatures, _sqdist
+from lapclust.prototypes import CenteredFeatures, _half_sqdist, _sqdist
 
 
 def brute_force_neighbors(X, rho):
@@ -329,7 +329,7 @@ def test_two_stage_selection_on_tie_heavy_random_inputs(monkeypatch, group_size)
         want_idx, want_sqd = exact_rows_oracle(P, rho, ids)
         np.testing.assert_array_equal(idx[ids], want_idx)
         assert sqd[ids].tobytes() == want_sqd.tobytes()
-        h = P.half_sqdist_rows(ids, 0.5 * P.sq_norms, out=np.empty((2, ids.size, n)))
+        h = _half_sqdist(P.centered, ids, 0.5 * P.sq_norms, out=np.empty((2, ids.size, n)))
         h[np.arange(ids.size), ids] = np.inf
         mins = group_minima(h)
         t = np.sort(mins, axis=1)[:, rho]
@@ -454,7 +454,7 @@ def test_half_distance_block_doubles_to_the_kernels_unclamped_value(block):
     unclamped = P.sq_norms[sel, None] + P.sq_norms[None, :]
     unclamped -= g
     assert (unclamped < 0).any()
-    h = P.half_sqdist_rows(sel, 0.5 * P.sq_norms, out=np.empty((2, A.shape[0], n)))
+    h = _half_sqdist(P.centered, sel, 0.5 * P.sq_norms, out=np.empty((2, A.shape[0], n)))
     assert (2.0 * h).tobytes() == unclamped.tobytes()
     clamped = _sqdist(A, P.sq_norms[sel], P.centered, P.sq_norms)
     assert np.maximum(2.0 * h, 0.0).tobytes() == clamped.tobytes()

@@ -449,3 +449,38 @@ def test_modes_episode_computes_each_kernel_matrix_once(monkeypatch):
     # is the scores of its modes, bitwise
     for (a, sigma2), (P, M) in zip(blocks[1:], modes):
         assert a.tobytes() == prototypes.prototype_scores(P, M, sigma2).tobytes()
+
+
+def test_episodes_build_no_task_spec(monkeypatch):
+    # a task is read once, into arrays; neither entry point builds another
+    episodes = [generate_synthetic_episode(3, shots, 4, 6, 5.0, seed=shots) for shots in (1, 2)]
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    cfg = SolverConfig(lam=1.0, rule="modes")
+    built = []
+    real = TaskSpec.__post_init__
+    monkeypatch.setattr(TaskSpec, "__post_init__", lambda self: built.append(self) or real(self))
+    for X, task, truth in episodes:
+        run_episode(task, X, pre, cfg, truth=truth)
+    tune_lambda([0.0, 0.5, 1.0], episodes, cfg, pre)
+    assert built == []
+    TaskSpec(k_way=1, support=((0, 0),), queries=())
+    assert len(built) == 1  # the count sees a construction
+
+
+@pytest.mark.parametrize("rule", ["means", "modes"])
+def test_episode_prototypes_and_clamps_are_the_compact_tasks(rule):
+    # supports out of class order and scattered over X; the compact task lists
+    # the episode's rows as they are laid out, supports first
+    X = np.random.default_rng(7).standard_normal((20, 16))
+    task = TaskSpec(k_way=3, support=((9, 1), (2, 0), (15, 0), (13, 1), (0, 0), (5, 2), (17, 0),
+                                      (7, 2), (11, 0), (19, 2)),
+                    queries=(1, 3, 4, 6, 8, 10, 12, 14, 16, 18))
+    compact = TaskSpec(k_way=3, support=tuple((i, c) for i, (_, c) in enumerate(task.support)),
+                       queries=tuple(range(10, 20)))
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    (P, _, M0, clamp_class), _ = fewshot._prepare_episode(
+        task, X, pre, SolverConfig(lam=1.0, rule=rule), 3, "max")
+    want = init_prototypes(compact, P.X, rule)
+    assert M0.rule == rule and M0.values.tobytes() == want.values.tobytes()
+    assert clamp_class.dtype == np.int64
+    assert clamp_class.tolist() == [c for _, c in compact.support] + [-1] * len(compact.queries)

@@ -28,7 +28,7 @@ from lapclust import (
     symmetrize,
     update_modes,
 )
-from lapclust import fewshot, optimizer
+from lapclust import fewshot, optimizer, prototypes
 from lapclust.affinity import SparseAffinity, laplacian_quadratic
 from lapclust.errors import DataError
 from lapclust.prototypes import prototype_scores
@@ -806,6 +806,32 @@ def test_capped_mode_blocks_keep_descent(mean_shifts, case):
     trace = np.array(report.relaxed_trace)
     assert np.all(np.diff(trace) <= 0.0)
     assert not any("mode solver" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("case", ["episode_d640", "blobs"])
+def test_modes_solve_computes_each_kernel_matrix_once(monkeypatch, case):
+    # one distance GEMM for the first scores, then one per mean-shift step, in
+    # the loop and in the hard re-fit, which starts from the loop's last scores
+    X, W, M0, cfg, clamp_class = capped_modes_inputs(case)
+    sqdists, steps = [], []
+    sqdist, mean_shift = prototypes.CenteredFeatures.sqdist, optimizer._mean_shift
+
+    def counting_sqdist(self, V):
+        sqdists.append(V.shape)
+        return sqdist(self, V)
+
+    def counting_mean_shift(P, rows, cfg, M_init, kernel=None):
+        out = mean_shift(P, rows, cfg, M_init, kernel)
+        steps.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(prototypes.CenteredFeatures, "sqdist", counting_sqdist)
+    monkeypatch.setattr(optimizer, "_mean_shift", counting_mean_shift)
+    _, _, report = solve(X, W, M0, cfg, clamp_class=clamp_class)
+    assert len(steps) == report.outer_iters + 1  # the loop's blocks, then the re-fit
+    assert steps[-1] > optimizer._MODE_STEPS
+    assert len(sqdists) == 1 + sum(steps)
+    assert np.isfinite(report.discrete_objective)
 
 
 @pytest.mark.parametrize("case", ["episode_d640", "blobs"])
