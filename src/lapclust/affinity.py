@@ -8,7 +8,12 @@ for cross-platform determinism. The search takes one of two paths, chosen on
 the feature dimension d:
 
 - d <= ``_TREE_MAX_DIM`` (10): a kd-tree (``scipy.spatial.cKDTree``, Friedman,
-  Bentley & Finkel 1977) finds each point's rho + 1 nearest others. A row whose
+  Bentley & Finkel 1977), split at the sliding midpoint (Maneewongvatana &
+  Mount 1999), finds each point's rho + 1 nearest others. The points are
+  queried in the tree's leaf order on every CPU the process may use (at most
+  one thread per 1024 queries), and the results are scattered back; each
+  query is exact and independent, so the result does not depend on the
+  worker count. A row whose
   rho-th and (rho+1)-th lie within the kernel's rounding of each other
   (``_near_tie``) is searched again by the exact pass; every other row's
   distances are recomputed by the kernel's expansion pair by pair, so they can
@@ -44,7 +49,11 @@ two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
 1.11-1.20 s at d = 10 / 11 / 12, against 0.65-0.75 / 0.57-0.75 / 0.67-0.69 s
 for brute force; on clustered blobs it takes about 0.2 s at those d, against
 0.63-0.75 s. At d = 10 the tree is 3x faster on clustered data and about as
-fast on unclustered data, so the tree keeps d <= 10. At d=128 the tree took
+fast on unclustered data, so the tree keeps d <= 10. These tree times are of
+a median-split tree queried in input order on one thread. The sliding-midpoint
+tree, queried in leaf order on 2 workers, searches the clustered d=10 input in
+about 0.13 s instead of 0.21 s at N=10k, and in 1.2-1.6 s instead of
+2.9-4.4 s at N=50k (acceptance criterion 11). At d=128 the tree took
 18.6 s, against 2.5 s for the brute force before its two-stage selection.
 These brute-force times predate the float32 prefilter. At N=10k, d=128
 (clustered, rho=5, best of 5) the prefiltered search takes 0.52 s on one BLAS
@@ -63,6 +72,7 @@ so a caller that already centered X does not do it again.
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +84,18 @@ from .prototypes import _centered, _half_sqdist
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
 _GROUP_SIZE = 32  # columns per strided group of the two-stage selection
 _TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force is faster
+# The kd-tree splits at the sliding midpoint (Maneewongvatana & Mount 1999)
+# into leaves of up to 64 points. On the N=10k, d=10, rho=5 clustered input
+# its queries took 0.070 s on 2 workers in leaf order (0.080 s with 32-point
+# leaves), against 0.100 s for a median-split tree with 32-point leaves and
+# 0.138 s for that tree queried in input order on 1 worker (2-core VM,
+# medians of 7).
+_TREE_LEAFSIZE = 64
+_TREE_BALANCED = False
+# Fewest queries per kd-tree worker thread. On the same input and VM, 2
+# workers took 0.19 / 1.37 ms against 0.09 / 1.16 ms for 1 at N = 100 / 400
+# (each call starts its threads), and 3.4-4.8 ms against 5.4-5.7 ms at N=2000.
+_TREE_QUERIES_PER_WORKER = 1024
 # Candidates a prefiltered row keeps beyond its rho + 1. On the CLI benchmark's
 # input (N=10k, d=128, rho=5) 0 leaves 100 rows to the exact pass and 1 or 2
 # none; each spare costs about 3% of the prefilter's time.
@@ -253,11 +275,22 @@ def _tree_search(P, rho):
     ``_exact_rows``. For every other row the kernel's
     rounding cannot move a point across the cut, so the set is the kernel's;
     its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
+
+    The points are queried in the tree's leaf order (``tree.indices``), so
+    consecutive queries walk the same nodes, on ``_search_workers(n)`` threads,
+    and the results are scattered back into input order. Each query is exact
+    and independent of the others, so the result does not depend on the
+    order or on the worker count.
     """
     from scipy.spatial import cKDTree  # imported here: a run at d > 10 never loads it
 
     n = P.X.shape[0]
-    dist, nbr = cKDTree(P.centered, leafsize=32).query(P.centered, k=rho + 2)
+    tree = cKDTree(P.centered, leafsize=_TREE_LEAFSIZE, balanced_tree=_TREE_BALANCED)
+    leaf_order = tree.indices
+    dist = np.empty((n, rho + 2))
+    nbr = np.empty((n, rho + 2), dtype=np.intp)
+    dist[leaf_order], nbr[leaf_order] = tree.query(
+        P.centered[leaf_order], k=rho + 2, workers=_search_workers(n))
     own = nbr == np.arange(n)[:, None]
     own[~own.any(axis=1), -1] = True
     nbr = nbr[~own].reshape(n, rho + 1)  # at rho = n - 1 the last column is missing (index n)
@@ -271,6 +304,16 @@ def _tree_search(P, rho):
     if redo.any():
         _exact_rows(P, rho, np.flatnonzero(redo), idx_out, sqd_out)
     return idx_out, sqd_out
+
+
+def _search_workers(n):
+    """Threads for the kd-tree's n queries: the CPUs this process may run on,
+    but at most one per ``_TREE_QUERIES_PER_WORKER`` queries."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n // _TREE_QUERIES_PER_WORKER))
 
 
 def _exact_rows(P, rho, ids, idx_out, sqd_out):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from lapclust import estimate_sigma2, knn_graph, laplacian_quadratic, symmetrize
@@ -72,7 +73,8 @@ def test_knn_point_with_more_copies_than_the_tree_returns():
     # all be other copies, without the point itself
     rho = 3
     X = np.vstack([np.zeros((rho + 4, 2)), np.random.default_rng(20).standard_normal((6, 2)) + 3])
-    own = cKDTree(X, leafsize=32).query(X, k=rho + 2)[1] == np.arange(len(X))[:, None]
+    tree = cKDTree(X, leafsize=affinity._TREE_LEAFSIZE, balanced_tree=affinity._TREE_BALANCED)
+    own = tree.query(X, k=rho + 2)[1] == np.arange(len(X))[:, None]
     assert not own.any(axis=1).all()
     assert_paths_match(X, rho, brute_force_neighbors(X, rho))
 
@@ -195,6 +197,40 @@ def test_knn_paths_agree_on_the_scalability_stream():
     (_, tree_idx, tree_sqd), (_, brute_idx, brute_sqd) = path_searches(X, rho)
     np.testing.assert_array_equal(tree_idx, brute_idx)
     np.testing.assert_allclose(tree_sqd, brute_sqd, rtol=1e-10)
+
+
+def test_tree_search_does_not_depend_on_its_worker_count(monkeypatch):
+    # the scalability stream at N=10k, queried in leaf order on 1 and on 2 threads
+    rng = np.random.default_rng(1111)
+    n, d, k, rho = 10_000, 10, 10, 5
+    centers = rng.standard_normal((k, d)) * 4.0
+    X = centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+    P = CenteredFeatures(X)
+    seen = []
+
+    class SpyTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            seen.append(kwargs["workers"])
+            return super().query(x, k, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(affinity, "_search_workers", lambda n: workers)
+        runs.append(affinity._tree_search(P, rho))
+    assert seen == [1, 2]
+    (idx1, sqd1), (idx2, sqd2) = runs
+    assert idx1.tobytes() == idx2.tobytes()
+    assert sqd1.tobytes() == sqd2.tobytes()
+    np.testing.assert_array_equal(idx1, affinity._brute_search(P, rho)[0])
+
+
+def test_tree_search_starts_no_thread_for_a_small_search():
+    per = affinity._TREE_QUERIES_PER_WORKER
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert affinity._search_workers(1) == affinity._search_workers(2 * per - 1) == 1
+    assert affinity._search_workers(2 * per) == min(cpus, 2)
+    assert affinity._search_workers(1000 * per) == cpus
 
 
 def exact_rows_oracle(P, rho, ids):

@@ -107,6 +107,46 @@ def test_inner_update_overflow_safe():
     assert np.isfinite(got).all() and got.sum() == pytest.approx(1.0)
 
 
+def row_major_softmax(z):
+    """The row-major softmax, computed in place along the K axis: the reference layout."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def softmax_pair(k, n, seed=0):
+    """(row-major reference, ``_softmax_in_place``) on the same random n x k scores."""
+    z = np.random.default_rng(seed).standard_normal((n, k)) * 5.0
+    return row_major_softmax(z.copy()), optimizer._softmax_in_place(z)
+
+
+@pytest.mark.parametrize("n", [95, 10_000])
+@pytest.mark.parametrize("k", [1, 2, 5, 7, 8, 10, 16, 17, 24, 25, 64])
+def test_softmax_is_bitwise_the_row_major_one(k, n):
+    # K <= 24 runs cluster-major, adding each row's terms in the row-major
+    # order (in sequence below 8, else pairwise); wider K runs row-major
+    ref, got = softmax_pair(k, n)
+    assert ref.tobytes() == got.tobytes()
+    np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [5, 10, 64])
+def test_softmax_keeps_minus_infinity_entries_at_exact_zero(k):
+    # the redo sweep's log of a zero anchor entry
+    z = np.random.default_rng(1).standard_normal((50, k))
+    z[::3, ::2] = -np.inf
+    got = optimizer._softmax_in_place(z.copy())
+    assert (got[np.isneginf(z)] == 0.0).all()
+    assert (got[np.isfinite(z)] > 0.0).all()
+    assert got.tobytes() == row_major_softmax(z.copy()).tobytes()
+
+
+def test_softmax_of_one_row_is_row_major():
+    z = np.random.default_rng(2).standard_normal(10) * 5.0
+    assert optimizer._softmax_in_place(z.copy()).tobytes() == row_major_softmax(z.copy()).tobytes()
+
+
 def test_s_block_lambda_zero_single_iteration():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((8, 2))
@@ -318,6 +358,18 @@ def test_relaxed_matches_naive_evaluation():
     pairwise = 0.5 * lam * (degrees.sum() - cross)
     ent = float(np.sum(S * np.log(S)))
     assert relaxed_objective(X, W, S, M, cfg) == pytest.approx(f + pairwise + ent, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(10000, 10), (95, 5), (3000, 128)])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_entropy_is_bitwise_the_masked_sum(shape, zeros):
+    rows = random_simplex(np.random.default_rng(4), *shape)
+    if zeros:
+        rows[::7, 1:] = 0.0
+        rows[::7, 0] = 1.0
+    assert rows.all() != zeros
+    masked = rows[rows > 0]
+    assert optimizer._entropy(rows) == float(np.sum(masked * np.log(masked)))
 
 
 def test_discrete_kmeans_sse():
