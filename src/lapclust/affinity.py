@@ -35,14 +35,17 @@ the feature dimension d:
   3. the exact pass for every row the re-rank cannot certify: a tie or near
      tie at the cut, a (rho+1)-th within float32 rounding of the threshold,
      or a scale where float32 overflows or underflows.
-  The exact pass, which is the whole search of a smaller N (every few-shot
-  episode), fills float64 blocks with half distances, made by the product and
+  The exact pass, which is the whole search of a smaller N (the paper's
+  few-shot episodes), fills float64 blocks with half distances, made by the product and
   two elementwise passes; only the entries a row keeps are doubled and
-  clamped, which gives the kernel's GEMM values bitwise. A row's rho + 1
-  nearest are selected in two stages: the minimum of each strided group of
-  columns, then only the groups with the smallest minima (``_nearest_columns``,
-  which also picks the prefilter's candidates). Only a row whose rho-th and
-  (rho+1)-th distances are equal takes the tie pass.
+  clamped, which gives the kernel's GEMM values bitwise. Searching a
+  ``GramPoints`` (an episode with N <= d), a pass over every point in one
+  block reads the product from the points' Gram matrix G instead, which is
+  that product bitwise. A row's rho + 1 nearest are selected in two stages:
+  the minimum of each strided group of columns, then only the groups with
+  the smallest minima (``_nearest_columns``, which also picks the
+  prefilter's candidates). Only a row whose rho-th and (rho+1)-th distances
+  are equal takes the tie pass.
 
 The threshold is measured (N=10k, rho=5, one core of a 2-core VM, best of 3,
 two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
@@ -79,7 +82,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
-from .prototypes import _centered, _half_sqdist
+from .prototypes import GramPoints, _centered, _half_sqdist
 
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
 _GROUP_SIZE = 32  # columns per strided group of the two-stage selection
@@ -162,22 +165,28 @@ def _neighbor_search(X, rho):
     (``_tree_search``), wider ones by blocked brute force (``_brute_search``);
     both return the neighbor sets of the centered kernel's distances. Within a
     row, two neighbors whose distances differ only by rounding can come in
-    either order on the tree path.
+    either order on the tree path. The points of a ``GramPoints`` are searched
+    as its features, with the brute-force exact pass reading G.
     """
     P = _centered(X)
+    gram = None
+    if isinstance(P, GramPoints):
+        P, gram = P.features, P.gram
     n, dim = P.X.shape
     if not 1 <= rho < n:
         raise DataError(f"rho must satisfy 1 <= rho < n_points, got rho={rho}, n={n}")
-    search = _tree_search if dim <= _TREE_MAX_DIM else _brute_search
-    return search(P, rho)
+    if dim <= _TREE_MAX_DIM:
+        return _tree_search(P, rho)
+    return _brute_search(P, rho, gram)
 
 
-def _brute_search(P, rho):
+def _brute_search(P, rho, gram=None):
     """rho-NN of every point of the CenteredFeatures P by blocked brute force.
 
     A search over more than rho + 1 column groups is prefiltered in single
     precision (``_prefiltered_rows``); the rows it cannot certify, and every
-    row of a smaller search, go through ``_exact_rows``.
+    row of a smaller search, go through ``_exact_rows``, which can read its
+    products from ``gram``, the points' Gram matrix, when it is given.
     """
     n = P.X.shape[0]
     idx_out = np.empty((n, rho), dtype=np.int64)
@@ -186,7 +195,7 @@ def _brute_search(P, rho):
         redo = _prefiltered_rows(P, rho, idx_out, sqd_out)
     else:
         redo = np.arange(n)
-    _exact_rows(P, rho, redo, idx_out, sqd_out)
+    _exact_rows(P, rho, redo, idx_out, sqd_out, gram)
     return idx_out, sqd_out
 
 
@@ -316,15 +325,18 @@ def _search_workers(n):
     return max(1, min(cpus, n // _TREE_QUERIES_PER_WORKER))
 
 
-def _exact_rows(P, rho, ids, idx_out, sqd_out):
+def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
     """Writes the rho-NN of the points ``ids`` (increasing) into their rows of
     idx_out and sqd_out, from the centered kernel's distances to every point.
 
     Works in blocks of at most ``_CHUNK_BUDGET`` distances, filled in place
-    into two buffers allocated once. A block holds half distances
-    (``_half_sqdist``), which rank as the kernel's unclamped values do; only
-    the entries a row keeps are doubled and clamped at 0, which gives the
-    kernel's values bitwise. Each row's rho nearest and
+    into two buffers allocated once. A pass whose one block is every point
+    reads the product from the points' Gram matrix ``gram``, when given, and
+    needs one buffer: G is that product (a SYRK) bitwise, but a product of
+    fewer rows (a GEMM) can differ from G's rows in the last bits. A block
+    holds half distances (``_half_sqdist``), which rank as the kernel's
+    unclamped values do; only the entries a row keeps are doubled and clamped
+    at 0, which gives the kernel's values bitwise. Each row's rho nearest and
     its (rho+1)-th come from ``_nearest_columns`` when N holds more than
     rho + 1 groups of ``_GROUP_SIZE`` columns, else from one argpartition of
     the row. Only a row where the two are equally far after the clamp has a
@@ -333,7 +345,9 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out):
     """
     n = P.X.shape[0]
     chunk = max(1, min(ids.size, _CHUNK_BUDGET // n))
-    buffers = np.empty((2, chunk, n))
+    if chunk < n:  # G's rows are the product of a block of every point, not of fewer rows
+        gram = None
+    buffers = np.empty((1 if gram is not None else 2, chunk, n))
     half_norms = 0.5 * P.sq_norms
     grouped = n > (rho + 1) * _GROUP_SIZE
     for start in range(0, ids.size, chunk):
@@ -341,7 +355,7 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out):
         rows = np.arange(block.size)
         contiguous = block[-1] - block[0] + 1 == block.size
         sel = slice(int(block[0]), int(block[-1]) + 1) if contiguous else block
-        h = _half_sqdist(P.centered, sel, half_norms, out=buffers[:, :block.size])
+        h = _half_sqdist(P.centered, sel, half_norms, out=buffers[:, :block.size], gram=gram)
         h[rows, block] = np.inf
         if grouped:
             part = _nearest_columns(h, rho)

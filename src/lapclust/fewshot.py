@@ -9,9 +9,11 @@ cluster indices are class indices.
 
 An episode reads its ``TaskSpec`` once, into plain arrays: its n_s support
 rows followed by its query rows, and the int64 classes of the supports (see
-``_prepare_episode``). ``run_episode`` and ``tune_lambda`` share one
-solve-and-label step; only ``run_episode`` wraps its labels in a timed
-``EpisodeResult``.
+``_prepare_episode``). An episode with no more points than feature columns
+solves on their Gram matrix, with its prototypes as coefficient rows over
+its points (``prototypes.GramPoints``). ``run_episode`` and ``tune_lambda``
+share one solve-and-label step; only ``run_episode`` wraps its labels in a
+timed ``EpisodeResult``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .metrics import fewshot_accuracy
 # solve stays bound here for callers that reach it as lapclust.fewshot.solve;
 # an episode runs its loop without the hard re-fit
 from .optimizer import SolveReport, SolverConfig, _solve_loop, solve  # noqa: F401
-from .prototypes import CenteredFeatures, Prototypes, RULE_MODES
+from .prototypes import CenteredFeatures, GramPoints, Prototypes, RULE_MODES
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,16 @@ def _init_prototypes(support_rows, classes, k_way, rule):
     return Prototypes(values=M, rule=rule)
 
 
+def _init_coefficients(classes, n_points, k_way, rule):
+    """``_init_prototypes`` as coefficient rows over n_points points whose first
+    rows are the supports of ``classes``: 1/n_k on each class-k support."""
+    alpha = np.zeros((k_way, n_points))
+    for k in range(k_way):
+        members = np.flatnonzero(classes == k)
+        alpha[k, members] = 1.0 / members.size
+    return Prototypes(values=alpha, rule=rule)
+
+
 def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
                 rho: int = 3, sym: str = "max", truth=None) -> EpisodeResult:
     """Full inference pipeline for one episode.
@@ -151,10 +163,18 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     supports then the queries, and one int64 array of the support classes:
     bias correction shifts the rows after n_s, M0 holds each class's mean over
     the first n_s, and clamp_class is the support classes then -1 per query.
+
+    P is the episode's point set. With no more points than feature columns
+    (N <= d) it is a GramPoints: G = C C^t is made once, the search reads its
+    half distances from G (the product it would make itself, bitwise), and
+    M0 is coefficient rows, 1/n_k on each class-k support, so the solve makes
+    no d-wide product. G is then no larger than the features. A wider episode
+    (N > d) keeps its CenteredFeatures and feature-space M0.
+
     Only the episode's rows of ``X_raw`` are read and validated, once; a
-    non-finite value is reported at its row in ``X_raw``. ``rho`` and ``sym``
-    are checked by the caller; a task without queries has no search to bound
-    ``rho`` above.
+    non-finite value, or a row CL2 leaves at zero norm, is reported at its
+    row in ``X_raw``. ``rho`` and ``sym`` are checked by the caller; a task
+    without queries has no search to bound ``rho`` above.
     """
     X_raw = np.asarray(X_raw)
     if X_raw.ndim != 2:
@@ -171,7 +191,10 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
 
     if pre.apply_cl2:
         mean = pre.base_mean if pre.base_mean is not None else Xe.mean(axis=0)
-        Xe = _cl2_normalize(Xe, mean)
+        try:
+            Xe = _cl2_normalize(Xe, mean)
+        except ZeroVectorError as exc:
+            raise ZeroVectorError(int(episode_idx[exc.row])) from None
     if pre.apply_bias:
         _bias_correct(Xe[:n_s], Xe[n_s:])
 
@@ -179,10 +202,14 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
         return None, cfg
 
     P = CenteredFeatures._of_valid(Xe)
+    if Xe.shape[0] <= Xe.shape[1]:
+        P = GramPoints(P)
+        M0 = _init_coefficients(classes, Xe.shape[0], task.k_way, cfg.rule)
+    else:
+        M0 = _init_prototypes(Xe[:n_s], classes, task.k_way, cfg.rule)
     W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
-    M0 = _init_prototypes(Xe[:n_s], classes, task.k_way, cfg.rule)
     clamp_class = np.concatenate([classes, np.full(len(task.queries), -1, dtype=np.int64)])
     return (P, W, M0, clamp_class), cfg
 

@@ -73,6 +73,10 @@ class TaskSpec:
         for c in range(self.k_way):
             if c not in seen:
                 raise MissingSupportClassError(c)
+        for name, indices in (("support", self.support_indices), ("query", self.queries)):
+            repeated = _first_repeat(indices)
+            if repeated is not None:
+                raise DataError(f"{name} index {repeated} is listed twice")
         overlap = set(p for p, _ in self.support) & set(self.queries)
         if overlap:
             raise OverlappingIndicesError(overlap)
@@ -85,6 +89,16 @@ class TaskSpec:
         for idx in (*self.support_indices, *self.queries):
             if not 0 <= idx < n_points:
                 raise IndexOutOfRangeError(idx, n_points)
+
+
+def _first_repeat(indices):
+    """The first index that occurs earlier in ``indices`` too, or None."""
+    seen = set()
+    for idx in indices:
+        if idx in seen:
+            return idx
+        seen.add(idx)
+    return None
 
 
 def load_features(path) -> np.ndarray:
@@ -195,16 +209,23 @@ def save_assignments(S, path, include_soft=False) -> None:
 
 
 def load_labels(path, n_points=None) -> np.ndarray:
-    """Read one integer label per line, the first cell of each; a ``label`` header is skipped.
+    """Read one integer label per line, the first cell of each; blank lines are
+    skipped, and so is a ``label`` header (an assignment file's) on the first
+    non-blank line, but on no other.
 
     With ``n_points``, the file must hold exactly one label per feature row.
     """
     labels = []
+    header = True  # until the first non-blank line
     with open(path, "r", encoding="utf-8") as fh:
         for r, line in enumerate(fh):
             line = line.strip()
+            if not line:
+                continue
             cell = line.split(",")[0]
-            if not line or cell == "label":  # tolerate an assignment-file header
+            skip = header and cell == "label"
+            header = False
+            if skip:
                 continue
             try:
                 labels.append(int(cell))

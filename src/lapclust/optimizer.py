@@ -39,10 +39,14 @@ cluster that spends them is counted in ``SolveReport.mode_cap_hits``. The
 block starts from the current scores, which are the kernel matrix at the
 current modes, and each step computes the full-width kernel at its new modes
 once; the last one is the scores the next assignment block starts from, so an
-outer iteration of the modes rule makes one distance GEMM per mean-shift step
-and no other. The hard re-fit behind E starts its mean-shift from the loop's
-last scores too, so a modes ``solve`` makes one distance GEMM for the initial
-scores and one per mean-shift step, in the loop and in the re-fit.
+outer iteration of the modes rule makes one distance product per mean-shift
+step and no other. The hard re-fit behind E starts its mean-shift from the
+loop's last scores too, so a modes ``solve`` makes one distance product for
+the initial scores and one per mean-shift step, in the loop and in the
+re-fit. On features a distance product is a d-wide GEMM. A few-shot episode
+with N <= d points solves on their Gram matrix (``prototypes.GramPoints``),
+where it is an N-wide product with G, and no step of the loop makes a d-wide
+product at all.
 """
 
 from __future__ import annotations
@@ -493,7 +497,9 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
     X (or its CenteredFeatures) is centered once, the loop works on plain rows,
     and the prototype scores are computed once per prototype state: the scores
     of R at the new prototypes are the ones the next assignment block starts
-    from. Under modes they are mean-shift's last kernel matrix.
+    from. Under modes they are mean-shift's last kernel matrix. X may also be
+    a prepared episode's GramPoints, with M0 as coefficient rows over its
+    points; the returned prototypes are then coefficient rows too.
 
     After the loop, the rows are rounded to hard labels, the prototypes are
     re-fit to them once, and ``SolveReport.discrete_objective`` is E there.
@@ -501,7 +507,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
     without this re-fit and its report's E stays NaN.
     """
     P = _centered(X)
-    n = P.X.shape[0]
+    n = P.n_points
     if W.n_points != n:
         raise DataError(f"graph has {W.n_points} points, features have {n}")
     # only symmetrize sets W.symmetric; any other graph gets one O(nnz) comparison

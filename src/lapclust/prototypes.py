@@ -12,33 +12,45 @@ it weighs the next step, and after the last one it is the modes' prototype
 scores, which the solver's next assignment block starts from. The step loop
 keeps no traces; it returns its history (the active clusters and their
 masses at each step), from which ``update_modes`` builds its u traces.
-Both updates sum weighted points over all N rows; ``_weighted_sums`` adds
-those sums in fixed row blocks, so a prototype does not depend on the BLAS
-thread count.
+
+Both updates run on a point set through three of its operations: squared
+distances to prototype rows (``sqdist``), weighted sums of the points
+(``weighted_sums``) and the lengths of prototype changes (``step_lengths``).
+There are two point sets. ``CenteredFeatures`` holds prototypes as feature
+rows; its weighted sums add fixed row blocks (``_weighted_sums``), so a
+prototype does not depend on the BLAS thread count. ``GramPoints`` holds
+them as coefficient rows over the points and computes all three from the
+points' Gram matrix G, with no d-wide product; a few-shot episode with no
+more points than feature columns solves on it (N <= d, so G is no larger
+than the features).
 
 Every squared distance in the package (prototype scores, kernel weights,
-mean-shift steps, k-means++ seeding, the brute-force rho-NN search) is one
-GEMM in the expansion ||x||^2 + ||v||^2 - 2 x.v, clamped at 0, through
-CenteredFeatures. The brute-force search's exact pass ranks on half of it,
-(||x||^2/2 + ||v||^2/2) - x.v (``_half_sqdist``), and doubles and clamps
+k-means++ seeding, the brute-force rho-NN search) is the expansion
+||x||^2 + ||v||^2 - 2 x.v, clamped at 0: one GEMM through CenteredFeatures,
+or, through GramPoints, one N-wide product G alpha^t and the prototypes'
+norms alpha G alpha^t. The brute-force search's exact pass ranks on half of
+it, (||x||^2/2 + ||v||^2/2) - x.v (``_half_sqdist``), and doubles and clamps
 only the distances it keeps; halving is exact, so those are the expansion's
-values bitwise. The kd-tree search of low-dimensional features and the
-brute-force search's float32 prefilter (the same half expansion in single
-precision) only pick candidate pairs; their distances come from the same
-expansion in float64 with each dot product taken row by row
-(``CenteredFeatures.pair_sqdist``).
+values bitwise. Searching a GramPoints, a pass over every point in one block
+reads G's rows instead of making the product, and G is that product bitwise.
+The kd-tree search of low-dimensional features and the brute-force search's
+float32 prefilter (the same half expansion in single precision) only pick
+candidate pairs; their distances come from the same expansion in float64
+with each dot product taken row by row (``CenteredFeatures.pair_sqdist``).
 The expansion cancels, and its rounding error grows with ||x||^2 rather than
 with the distance, so X and the prototypes are first shifted by the column
 mean of X; the shift leaves every distance unchanged. On 8-D standard normal
 points offset by 1e6, the uncentered expansion is off by up to 1.5e-3
-relative per entry, the centered one by under 1e-15. The mode update steps
-every cluster with positive mass at once; a cluster leaves the active set
-when its own step falls below the tolerance.
+relative per entry, the centered one by under 1e-15; G is the Gram matrix
+of the centered points. The mode update steps every cluster with positive
+mass at once; a cluster leaves the active set when its own step falls below
+the tolerance.
 
 Every function here and in ``affinity`` that takes a feature matrix also
 accepts a CenteredFeatures in its place, so a run validates and centers its
 features once and hands the same object to the search, the seeding and the
-solve.
+solve. The search, the scores, the updates and ``solve`` also accept a
+GramPoints, and then take and return coefficient prototypes.
 """
 
 from __future__ import annotations
@@ -58,7 +70,8 @@ RULE_MODES = "modes"
 
 @dataclass(frozen=True)
 class Prototypes:
-    """K x d prototype matrix with its update-rule tag."""
+    """K x d prototype matrix with its update-rule tag; on GramPoints, K x N
+    coefficient rows over the points."""
 
     values: np.ndarray
     rule: str
@@ -112,10 +125,22 @@ class CenteredFeatures:
         self.centered = self.X - self.mean
         self.sq_norms = np.einsum("ij,ij->i", self.centered, self.centered)
 
+    @property
+    def n_points(self):
+        return self.X.shape[0]
+
     def sqdist(self, V):
         """N x K squared distances ||x_p - v_k||^2 to the rows of V, clamped at 0."""
         Vc = V - self.mean
         return _sqdist(self.centered, self.sq_norms, Vc, np.einsum("ij,ij->i", Vc, Vc))
+
+    def weighted_sums(self, w):
+        """w^t X (K x d) for N x K weights w, by ``_weighted_sums``."""
+        return _weighted_sums(w, self.X)
+
+    def step_lengths(self, diff):
+        """The Euclidean norm of each row of ``diff``, a K x d change of prototypes."""
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm's, without its copy
 
     def pair_sqdist(self, nbrs, rows=slice(None)):
         """Squared distances from each point p of ``rows`` (a slice or an index
@@ -136,7 +161,52 @@ class CenteredFeatures:
         return np.maximum(sqd, 0.0, out=sqd)
 
 
-def _half_sqdist(C, rows, half_norms, out):
+class GramPoints:
+    """The points of a CenteredFeatures seen through their Gram matrix
+    G = C C^t, with each prototype a row of coefficients over the points.
+
+    A weighted mean or a mean-shift step is a weighted average of the points,
+    so a prototype v = alpha C is a 1 x N row alpha (summing to 1, so that
+    alpha C is v minus the column mean). The three operations of
+    ``CenteredFeatures`` then read only G: the squared distances are
+    |c_p|^2 + alpha G alpha^t - 2 (G alpha^t)_p, a weighted sum w^t X is the
+    coefficient rows w^t, and a step's length is sqrt(dalpha G dalpha^t).
+    None of them makes a d-wide product. G is N x N, so it is no larger than
+    the features when N <= d, which is when a few-shot episode builds one. The
+    squared norms |c_p|^2 are the features', which the rho-NN search also
+    reads; ``features`` is kept for that search (``affinity.knn_graph`` takes
+    a GramPoints, and its exact pass over every point reads G).
+    """
+
+    __slots__ = ("features", "gram", "sq_norms")
+
+    def __init__(self, P: CenteredFeatures):
+        self.features = P
+        self.gram = P.centered @ P.centered.T  # a SYRK, bitwise the exact search pass's product
+        self.sq_norms = P.sq_norms
+
+    @property
+    def n_points(self):
+        return self.gram.shape[0]
+
+    def sqdist(self, A):
+        """N x K squared distances from each point to the prototypes of the
+        coefficient rows A, by the expansion of ``_sqdist``, clamped at 0."""
+        g = self.gram @ A.T
+        return _expansion(g, self.sq_norms, np.einsum("ki,ik->k", A, g))
+
+    def weighted_sums(self, w):
+        """w^t X as the K x N coefficient rows w^t (a view of w)."""
+        return w.T
+
+    def step_lengths(self, diff):
+        """The length of each prototype change, a K x N row of coefficients
+        dalpha: sqrt(dalpha G dalpha^t), clamped at 0 against rounding."""
+        q = np.einsum("ki,ki->k", diff, diff @ self.gram)
+        return np.sqrt(np.maximum(q, 0.0, out=q))
+
+
+def _half_sqdist(C, rows, half_norms, out, gram=None):
     """len(rows) x N half squared distances from the points ``rows`` (a slice
     or an index array) of the centered rows C to all of them:
     (|c_i|^2/2 + |c_j|^2/2) - c_i.c_j, unclamped, in the precision of C,
@@ -144,12 +214,14 @@ def _half_sqdist(C, rows, half_norms, out):
 
     ``half_norms`` is the squared row norms over 2. Halving is exact outside
     the subnormal range, so in float64 twice a value is bitwise ``_sqdist``'s
-    value before its clamp at 0. ``out`` is a pair of len(rows) x N buffers:
-    the result is written into the first and the second is scratch for the
-    product, which is a SYRK when ``rows`` is every point.
+    value before its clamp at 0. ``out`` is a sequence of len(rows) x N
+    buffers: the result is written into the first and the second is scratch
+    for the product, which is a SYRK when ``rows`` is every point. ``gram``,
+    when given, is that product over every point (``GramPoints.gram``), whose
+    rows are read instead, and ``out`` needs only its first buffer.
     """
-    h, g = out
-    np.matmul(C[rows], C.T, out=g)
+    h = out[0]
+    g = np.matmul(C[rows], C.T, out=out[1]) if gram is None else gram[rows]
     np.add(half_norms[rows, None], half_norms[None, :], out=h)
     h -= g
     return h
@@ -157,15 +229,21 @@ def _half_sqdist(C, rows, half_norms, out):
 
 def _sqdist(A, a_norms, B, b_norms):
     """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j over the rows of A and B, clamped at 0."""
-    g = A @ B.T
+    return _expansion(A @ B.T, a_norms, b_norms)
+
+
+def _expansion(g, a_norms, b_norms):
+    """a_norms_i + b_norms_j - 2 g_ij, clamped at 0; g is overwritten."""
     g *= 2.0
     sqd = a_norms[:, None] + b_norms[None, :]
     sqd -= g
     return np.maximum(sqd, 0.0, out=sqd)
 
 
-def _centered(X) -> CenteredFeatures:
-    return X if isinstance(X, CenteredFeatures) else CenteredFeatures(X)
+def _centered(X):
+    """X itself when it is a point set (CenteredFeatures or GramPoints), else
+    the CenteredFeatures of the feature matrix X."""
+    return X if isinstance(X, (CenteredFeatures, GramPoints)) else CenteredFeatures(X)
 
 
 def _rbf(sqd, sigma2):
@@ -196,19 +274,20 @@ def _weighted_sums(w, X):
 
 
 def update_means(X, S, prev: Prototypes | None = None):
-    """Weighted means m_k = X^t S_k / 1^t S_k.
+    """Weighted means m_k = X^t S_k / 1^t S_k; on GramPoints, the coefficient
+    rows S_k / 1^t S_k.
 
     A zero-mass column raises EmptyClusterError unless ``prev`` supplies a
     prototype to keep. Returns (Prototypes, empty_mask).
     """
-    X = _centered(X).X
+    P = _centered(X)
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
     mass = rows.sum(axis=0)
     empty = mass <= 0.0
     if empty.any() and prev is None:
         raise EmptyClusterError(int(np.nonzero(empty)[0][0]))
     safe_mass = np.where(empty, 1.0, mass)
-    M = _weighted_sums(rows, X) / safe_mass[:, None]
+    M = P.weighted_sums(rows) / safe_mass[:, None]
     if empty.any():
         M[empty] = prev.values[empty]
     return Prototypes(values=M, rule=RULE_MEANS), empty
@@ -223,7 +302,7 @@ def meanshift_step(X, s_col, m, sigma2):
     total = w.sum(axis=0)[0]
     if total <= 0.0:
         raise EmptyClusterError(-1)
-    return _weighted_sums(w, P.X)[0] / total
+    return P.weighted_sums(w)[0] / total
 
 
 def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
@@ -250,21 +329,22 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     return M, [np.array(u) for u in u_traces], warnings
 
 
-def _mean_shift(P: CenteredFeatures, rows, cfg: ModeSolverConfig, M_init: Prototypes,
-                kernel=None):
-    """``update_modes`` on centered features and plain rows, with its outcome
-    as masks instead of warnings and its kernel matrix carried along.
+def _mean_shift(P, rows, cfg: ModeSolverConfig, M_init: Prototypes, kernel=None):
+    """``update_modes`` on a point set P (CenteredFeatures or GramPoints) and
+    plain rows, with its outcome as masks instead of warnings and its kernel
+    matrix carried along.
 
     ``kernel`` is the N x K kernel matrix at ``M_init`` (the modes rule's
     prototype scores), computed here when not given. Each step weighs the rows
     by it, moves the active clusters, and computes the full-width kernel at the
     new modes, which is the next step's weights and, after the last step, the
-    scores of the returned modes: a step costs one distance GEMM and one
-    weighted-sum GEMM. Returns (Prototypes, kernel, history, zero_mass,
-    capped): the kernel at the returned modes; per step, the active cluster
-    indices and their kernel masses; the clusters with no mass, whose modes
-    are kept, and those that made ``cfg.max_iters`` steps without one falling
-    below ``cfg.tol``.
+    scores of the returned modes. A step calls each of P's three operations
+    once: on CenteredFeatures that is one distance GEMM and the weighted-sum
+    block GEMMs, on GramPoints two N-wide products and no d-wide one. Returns
+    (Prototypes, kernel, history, zero_mass, capped): the kernel at the
+    returned modes; per step, the active cluster indices and their kernel
+    masses; the clusters with no mass, whose modes are kept, and those that
+    made ``cfg.max_iters`` steps without one falling below ``cfg.tol``.
     """
     modes = np.array(M_init.values, dtype=np.float64, copy=True)
     if kernel is None:
@@ -277,9 +357,8 @@ def _mean_shift(P: CenteredFeatures, rows, cfg: ModeSolverConfig, M_init: Protot
             break
         w = rows * kernel
         total = w.sum(axis=0)[active]
-        new = _weighted_sums(w, P.X)[active] / total[:, None]
-        diff = new - modes[active]
-        step = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm's, without its copy
+        new = P.weighted_sums(w)[active] / total[:, None]
+        step = P.step_lengths(new - modes[active])
         modes[active] = new
         history.append((active, total))
         kernel = _rbf(P.sqdist(modes), cfg.sigma2)

@@ -42,7 +42,8 @@ from lapclust import (
 )
 from lapclust.io import TaskSpec
 from lapclust.optimizer import SoftAssignment
-from lapclust.prototypes import ModeSolverConfig, meanshift_step, update_means, update_modes
+from lapclust.prototypes import (GramPoints, ModeSolverConfig, meanshift_step, update_means,
+                                 update_modes)
 
 
 def report(criterion, ok, detail):
@@ -355,6 +356,42 @@ def test_criterion_9_thread_count_determinism(tmp_path):
           and fewshot_artifacts[0] == fewshot_artifacts[1])
     report(9, ok, "BLAS threads {1,2}: cluster artifacts bitwise identical, "
                   "few-shot artifacts identical after masking wall-time fields")
+
+
+def test_gram_episodes_are_thread_count_deterministic(tmp_path):
+    # criterion 9's episodes (N=18, d=6) keep the features; these (N = 80 and
+    # 100, d=128) solve on their Gram matrices, whose products BLAS may split
+    # across threads
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    feats, offset = [], 0
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    for i, shots in enumerate((1, 5, 1, 5)):
+        X, task, _ = generate_synthetic_episode(5, shots, 15, 128, 6.0, seed=90 + i)
+        (P, _, _, _), _ = lapclust.fewshot._prepare_episode(
+            task, X, pre, SolverConfig(lam=0.5, rule="modes"), 3, "max")
+        assert isinstance(P, GramPoints)
+        shifted = TaskSpec(k_way=task.k_way,
+                           support=tuple((p + offset, c) for p, c in task.support),
+                           queries=tuple(q + offset for q in task.queries))
+        save_task(shifted, tasks_dir / f"e{i}.task")
+        feats.append(X)
+        offset += X.shape[0]
+    fpath = tmp_path / "features.csv"
+    save_features(np.vstack(feats), fpath)
+
+    artifacts = []
+    for threads in (1, 2):
+        for algo in ("slk-ms", "slk-means"):
+            out = tmp_path / f"fewshot_{algo}_t{threads}"
+            _run_cli(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir),
+                      "--algo", algo, "--lambda", "0.5", "--cl2", "--bias",
+                      "--out-dir", str(out)], threads)
+            summary = json.loads((out / "summary.json").read_text())
+            summary.pop("mean_wall_time")
+            artifacts.append((algo, _mask_timing_lines((out / "episodes.csv").read_text()),
+                              json.dumps(summary, sort_keys=True)))
+    assert artifacts[:2] == artifacts[2:]
 
 
 def test_block_products_are_thread_count_deterministic(tmp_path, monkeypatch):

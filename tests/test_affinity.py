@@ -174,9 +174,9 @@ def test_knn_path_is_chosen_by_dimension(monkeypatch):
     taken = []
 
     def spy(name, search):
-        def run(P, rho):
+        def run(P, rho, *gram):
             taken.append((name, P.X.shape[1]))
-            return search(P, rho)
+            return search(P, rho, *gram)
         return run
 
     for name, search in SEARCH_PATHS.items():
@@ -414,9 +414,9 @@ def spy_exact_rows(monkeypatch):
     calls = []
     exact_rows = affinity._exact_rows
 
-    def spy(P, rho, ids, idx_out, sqd_out):
+    def spy(P, rho, ids, idx_out, sqd_out, gram=None):
         calls.append(ids.copy())
-        exact_rows(P, rho, ids, idx_out, sqd_out)
+        exact_rows(P, rho, ids, idx_out, sqd_out, gram)
 
     monkeypatch.setattr(affinity, "_exact_rows", spy)
     return calls

@@ -400,6 +400,19 @@ def test_fewshot_bad_task_entry_is_a_data_error(episode_batch, tmp_path, capsys)
     assert "e9.task: bad support entry 'x:2'" in capsys.readouterr().err
 
 
+def test_fewshot_zero_norm_row_is_named_at_its_row_in_x(tmp_path, capsys):
+    X = np.random.default_rng(11).standard_normal((30, 4))
+    fpath, mpath = tmp_path / "f.csv", tmp_path / "base_mean.csv"
+    save_features(X, fpath)
+    save_features(X[17:18], mpath)  # CL2 centered on support row 17 leaves it at norm 0
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    (tasks_dir / "e0.task").write_text("kway=2\nsupport=17:0,3:1\nquery=5,9,21\n")
+    assert main(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir), "--cl2",
+                 "--base-mean", str(mpath), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "data error: row 17 has zero norm after centering" in capsys.readouterr().err
+
+
 def test_base_mean_without_cl2_is_a_config_error(episode_batch, tmp_path, capsys,
                                                  neighbor_searches):
     fpath, _, tasks_dir = episode_batch

@@ -14,11 +14,13 @@ from lapclust import (
     fewshot_accuracy,
     generate_synthetic_episode,
     init_prototypes,
+    knn_graph,
     run_episode,
     solve,
+    symmetrize,
     tune_lambda,
 )
-from lapclust import fewshot, optimizer, prototypes
+from lapclust import affinity, fewshot, optimizer, prototypes
 from lapclust.errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 
 
@@ -484,3 +486,100 @@ def test_episode_prototypes_and_clamps_are_the_compact_tasks(rule):
     assert M0.rule == rule and M0.values.tobytes() == want.values.tobytes()
     assert clamp_class.dtype == np.int64
     assert clamp_class.tolist() == [c for _, c in compact.support] + [-1] * len(compact.queries)
+
+
+@pytest.mark.parametrize("which, row", [("support", 17), ("query", 21)])
+def test_episode_zero_norm_row_is_named_at_its_row_in_x(which, row):
+    # CL2 centered on one of the episode's own rows leaves it at norm 0; the
+    # error names that row of X, not its place in the episode
+    X = np.random.default_rng(11).standard_normal((30, 4))
+    task = TaskSpec(k_way=2, support=((17, 0), (3, 1)), queries=(5, 9, 21))
+    pre = PreprocessConfig(base_mean=X[row], apply_cl2=True)
+    with pytest.raises(ZeroVectorError, match=f"row {row} has zero norm") as exc:
+        run_episode(task, X, pre, SolverConfig(lam=1.0))
+    assert exc.value.row == row
+
+
+def prepared(n_shot, dim, seed, rule, lam=1.0, n_query=15):
+    """A 5-way synthetic episode prepared with CL2 and bias correction:
+    (X, task, truth, (P, W, M0, clamp_class), cfg)."""
+    X, task, truth = generate_synthetic_episode(5, n_shot, n_query, dim, 6.0, seed=seed)
+    pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
+    episode, cfg = fewshot._prepare_episode(task, X, pre, SolverConfig(lam=lam, rule=rule),
+                                            3, "max")
+    return X, task, truth, episode, cfg
+
+
+def compact_task(n_shot, n_query=15):
+    """The task of a prepared 5-way episode over its own rows, supports first."""
+    n_s = 5 * n_shot
+    return TaskSpec(k_way=5, support=tuple((i, i // n_shot) for i in range(n_s)),
+                    queries=tuple(range(n_s, n_s + 5 * n_query)))
+
+
+@pytest.mark.parametrize("n_shot, dim, points", [
+    (1, 64, prototypes.CenteredFeatures),  # N = 80 > d
+    (1, 80, prototypes.GramPoints),  # N = d
+    (5, 99, prototypes.CenteredFeatures),  # N = 100 > d
+    (5, 640, prototypes.GramPoints),
+])
+def test_episode_takes_the_gram_path_when_it_has_no_more_points_than_columns(
+        n_shot, dim, points):
+    _, _, _, (P, _, M0, _), _ = prepared(n_shot, dim, 2, "modes")
+    assert type(P) is points
+    n = 5 * (n_shot + 15)
+    if points is prototypes.GramPoints:
+        assert P.gram.shape == (n, n) and M0.values.shape == (5, n)
+        # M0 is the class means of the supports: 1/n_k on each class-k support
+        np.testing.assert_allclose(M0.values @ P.features.X,
+                                   init_prototypes(compact_task(n_shot), P.features.X).values,
+                                   rtol=0, atol=1e-15)  # the rows are unit vectors
+    else:
+        assert not hasattr(P, "gram") and M0.values.shape == (5, dim)
+
+
+@pytest.mark.parametrize("n_shot, n_query", [(1, 15), (5, 15), (5, 55)])
+def test_gram_episode_graph_is_the_feature_search(n_shot, n_query):
+    # the search reads its exact half distances from G, bitwise the product it
+    # would make from the features
+    _, _, _, (P, W, _, _), _ = prepared(n_shot, 640, 5, "modes", n_query=n_query)
+    assert isinstance(P, prototypes.GramPoints)
+    want = knn_graph(P.features, 3)
+    assert (W.matrix != symmetrize(want, "max").matrix).nnz == 0
+    assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_gram_search_reads_g_only_for_a_pass_over_every_point(monkeypatch, blocks):
+    # G's rows can differ in the last bits from a product of fewer rows, so a
+    # search pass in smaller blocks makes the features' products; every
+    # distance is kept (rho = N - 1), so any such difference would show
+    _, _, _, (P, _, _, _), _ = prepared(5, 640, 5, "modes")
+    n = P.n_points
+    monkeypatch.setattr(affinity, "_CHUNK_BUDGET", -(-n // blocks) * n)
+    want = knn_graph(P.features, n - 1)
+    got = knn_graph(P, n - 1)
+    assert (got.matrix != want.matrix).nnz == 0
+    assert got.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+
+
+@pytest.mark.parametrize("n_shot", [1, 5])
+@pytest.mark.parametrize("dim", [128, 640])
+@pytest.mark.parametrize("rule", ["means", "modes"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_gram_episode_labels_are_the_feature_paths(n_shot, dim, rule, lam):
+    # the same solve on the episode's features, with feature-space prototypes,
+    # through the public solve
+    X, task, truth, (P, W, _, clamp_class), cfg = prepared(n_shot, dim, dim + n_shot, rule, lam)
+    assert isinstance(P, prototypes.GramPoints)
+    result = run_episode(task, X, PreprocessConfig(apply_cl2=True, apply_bias=True),
+                         SolverConfig(lam=lam, rule=rule), rho=3, truth=truth)
+    features = P.features
+    S, M, report = solve(features, W, init_prototypes(compact_task(n_shot), features.X, rule),
+                         cfg, clamp_class=clamp_class)
+    np.testing.assert_array_equal(result.query_labels, S.hard_labels()[~S.clamped])
+    got = result.solve_report
+    assert got.inner_iters_per_outer == report.inner_iters_per_outer
+    assert (got.redone_sweeps, got.mode_cap_hits) == (report.redone_sweeps, report.mode_cap_hits)
+    np.testing.assert_allclose(got.relaxed_trace, report.relaxed_trace, rtol=1e-12)
+    assert M.values.shape == (5, dim)  # a feature-space caller gets feature-space prototypes

@@ -263,6 +263,21 @@ def test_task_spec_overlap_rejected():
         TaskSpec(k_way=2, support=((0, 0), (1, 1)), queries=(1, 2))
 
 
+@pytest.mark.parametrize("support, queries, message", [
+    (((0, 0), (0, 1), (3, 1)), (5,), "support index 0 is listed twice"),  # clamped to two classes
+    (((0, 0), (3, 1), (3, 1)), (5,), "support index 3 is listed twice"),
+    (((0, 0), (3, 1)), (5, 5, 9), "query index 5 is listed twice"),  # solved and scored twice
+])
+def test_task_spec_repeated_index_rejected(tmp_path, support, queries, message):
+    with pytest.raises(DataError, match=message):
+        TaskSpec(k_way=2, support=support, queries=queries)
+    path = tmp_path / "t.task"
+    path.write_text("kway=2\nsupport=" + ",".join(f"{p}:{c}" for p, c in support)
+                    + "\nquery=" + ",".join(map(str, queries)) + "\n")
+    with pytest.raises(DataError, match=message):
+        load_task(path, n_points=10)
+
+
 def test_task_index_out_of_range(tmp_path):
     path = tmp_path / "t.task"
     path.write_text("kway=2\nsupport=0:0,1:1\nquery=99\n")
@@ -303,6 +318,17 @@ def test_labels_read_assignment_files(tmp_path, include_soft):
     path = tmp_path / "assignments.csv"
     save_assignments(S, path, include_soft=include_soft)
     np.testing.assert_array_equal(load_labels(path), [1, 0, 2, 0])
+
+
+@pytest.mark.parametrize("text, line", [("1\nlabel\n2\n", 1), ("label\n1\nlabel\n", 2),
+                                        ("\nlabel\n0\n\nlabel,s0\n", 4)])
+def test_labels_header_only_on_the_first_line(tmp_path, text, line):
+    path = tmp_path / "l.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"l.txt: line {line}: cannot parse label 'label'"):
+        load_labels(path)
+    path.write_text("\n\nlabel\n1\n\n2\n")  # a header after blank lines is still the first
+    np.testing.assert_array_equal(load_labels(path), [1, 2])
 
 
 def test_labels_negative_rejected(tmp_path):

@@ -862,27 +862,33 @@ def test_capped_mode_blocks_keep_descent(mean_shifts, case):
 
 @pytest.mark.parametrize("case", ["episode_d640", "blobs"])
 def test_modes_solve_computes_each_kernel_matrix_once(monkeypatch, case):
-    # one distance GEMM for the first scores, then one per mean-shift step, in
-    # the loop and in the hard re-fit, which starts from the loop's last scores
+    # one distance product for the first scores, then one per mean-shift step,
+    # in the loop and in the hard re-fit, which starts from the loop's last
+    # scores; the d=640 episode computes its distances from its Gram matrix
     X, W, M0, cfg, clamp_class = capped_modes_inputs(case)
     sqdists, steps = [], []
-    sqdist, mean_shift = prototypes.CenteredFeatures.sqdist, optimizer._mean_shift
+    mean_shift = optimizer._mean_shift
 
-    def counting_sqdist(self, V):
-        sqdists.append(V.shape)
-        return sqdist(self, V)
+    def counting(sqdist):
+        def counting_sqdist(self, V):
+            sqdists.append((type(self), V.shape))
+            return sqdist(self, V)
+        return counting_sqdist
 
     def counting_mean_shift(P, rows, cfg, M_init, kernel=None):
         out = mean_shift(P, rows, cfg, M_init, kernel)
         steps.append(len(out[2]))
         return out
 
-    monkeypatch.setattr(prototypes.CenteredFeatures, "sqdist", counting_sqdist)
+    for points in (prototypes.CenteredFeatures, prototypes.GramPoints):
+        monkeypatch.setattr(points, "sqdist", counting(points.sqdist))
     monkeypatch.setattr(optimizer, "_mean_shift", counting_mean_shift)
     _, _, report = solve(X, W, M0, cfg, clamp_class=clamp_class)
     assert len(steps) == report.outer_iters + 1  # the loop's blocks, then the re-fit
     assert steps[-1] > optimizer._MODE_STEPS
     assert len(sqdists) == 1 + sum(steps)
+    points = prototypes.GramPoints if case == "episode_d640" else prototypes.CenteredFeatures
+    assert {kind for kind, _ in sqdists} == {points}
     assert np.isfinite(report.discrete_objective)
 
 

@@ -21,7 +21,7 @@ from lapclust import (
 )
 from lapclust.errors import DataError, EmptyClusterError
 from lapclust.optimizer import s_inner_update
-from lapclust.prototypes import CenteredFeatures
+from lapclust.prototypes import CenteredFeatures, GramPoints
 
 
 def test_means_hard_assignment():
@@ -332,6 +332,48 @@ def test_centered_features_accepted_in_place_of_x():
     assert estimate_sigma2(X, 3) == estimate_sigma2(P, 3)
     np.testing.assert_array_equal(kmeans_pp_seeds(X, 3, np.random.default_rng(5)),
                                   kmeans_pp_seeds(P, 3, np.random.default_rng(5)))
+
+
+def gram_case(n=60, d=96, k=4, seed=41):
+    """(X, its CenteredFeatures, its GramPoints, k coefficient rows summing to
+    1, n x k soft rows), with X off the origin so the centering matters."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((k, d))[rng.integers(k, size=n)] + rng.standard_normal((n, d)) + 5.0
+    P = CenteredFeatures(X)
+    alpha = rng.dirichlet(np.ones(n), size=k)
+    return X, P, GramPoints(P), alpha, rng.dirichlet(np.ones(k), size=n)
+
+
+def test_gram_points_operations_match_the_features():
+    # a coefficient row alpha stands for the feature-space point alpha X
+    X, P, G, alpha, rows = gram_case()
+    assert G.n_points == P.n_points == X.shape[0]
+    np.testing.assert_allclose(G.sqdist(alpha), P.sqdist(alpha @ X), rtol=1e-12)
+    mass = rows.sum(axis=0)[:, None]
+    np.testing.assert_allclose((G.weighted_sums(rows) / mass) @ X, P.weighted_sums(rows) / mass,
+                               rtol=1e-12)
+    beta = np.roll(alpha, 1, axis=0)
+    np.testing.assert_allclose(G.step_lengths(alpha - beta), P.step_lengths((alpha - beta) @ X),
+                               rtol=1e-12)
+    assert G.step_lengths(alpha - alpha).tolist() == [0.0] * alpha.shape[0]
+
+
+def test_gram_points_updates_are_the_feature_updates():
+    # update_means, update_modes and the scores take either point set; on
+    # GramPoints their prototypes are coefficient rows over the points
+    X, P, G, alpha, rows = gram_case()
+    M_g, empty_g = update_means(G, rows)
+    M_p, empty_p = update_means(P, rows)
+    assert M_g.values.shape == (4, X.shape[0]) and not empty_g.any() and not empty_p.any()
+    np.testing.assert_allclose(M_g.values @ X, M_p.values, rtol=1e-12)
+    cfg = ModeSolverConfig(sigma2=float(X.shape[1]), max_iters=5)
+    modes_g, u_g, _ = update_modes(G, rows, cfg, Prototypes(alpha, "modes"))
+    modes_p, u_p, _ = update_modes(P, rows, cfg, Prototypes(alpha @ X, "modes"))
+    np.testing.assert_allclose(modes_g.values @ X, modes_p.values, rtol=1e-12)
+    for trace_g, trace_p in zip(u_g, u_p):
+        np.testing.assert_allclose(trace_g, trace_p, rtol=1e-12)
+    np.testing.assert_allclose(prototype_scores(G, modes_g, cfg.sigma2),
+                               prototype_scores(P, modes_p, cfg.sigma2), rtol=1e-12)
 
 
 # Run in a fresh process whose BLAS uses the thread count of its environment:
