@@ -22,8 +22,8 @@ the feature dimension d:
 - wider features: brute force in row blocks of at most 8 MB
   (``_CHUNK_BUDGET`` float64 distances, or twice as many float32 ones),
   written in place into two buffers allocated once per search pass, so its
-  memory is bounded by that budget whatever N is and no dense N x N matrix is
-  ever materialized. When N holds more than
+  memory is bounded by that budget whatever N is: only a search whose N x N
+  distances fit in one block holds them all at once. When N holds more than
   rho + 1 strided groups of ``_GROUP_SIZE`` columns, the search has three
   stages, as FAISS ranks by a single-precision product (Johnson, Douze &
   Jegou 2019) and the tree path certifies its rows:
@@ -67,9 +67,19 @@ row sums. Only ``knn_graph`` attaches its search distances, from which
 ``estimate_sigma2`` takes the kernel width without a second search. Only
 ``with_diag_shift`` sets a shift, and only ``symmetrize`` marks a graph
 ``symmetric`` (``solve`` compares any other graph with its transpose); both
-derive valid graphs from a checked one and skip that O(nnz) check. Every
-function here that takes a feature matrix also accepts a ``CenteredFeatures``,
-so a caller that already centered X does not do it again.
+derive valid graphs from a checked one and skip that O(nnz) check.
+``_symmetric_knn_graph``, below, is ``knn_graph`` then ``symmetrize`` in one
+step, so its graph has both. Every function here that takes a feature matrix
+also accepts a ``CenteredFeatures``, so a caller that already centered X does
+not do it again.
+
+One graph is dense: a few-shot episode with at most ``_DENSE_MAX_N`` points
+builds ``symmetrize(knn_graph(X, rho), sym)`` in one step from the search's
+indices, as its N x N adjacency of 0, 1/2 and 1 (``_symmetric_knn_graph``).
+It takes at most 80 KB, and its votes are one BLAS product
+(``optimizer.neighbor_votes``) instead of scipy's sparse dispatch. Its CSR
+matrix, bitwise the one ``symmetrize`` returns, is made only when something
+reads it: converting a 100 x 100 adjacency takes longer than building it.
 """
 
 from __future__ import annotations
@@ -105,6 +115,18 @@ _TREE_QUERIES_PER_WORKER = 1024
 _SPARE = 2
 _F32 = np.finfo(np.float32)
 SYM_MODES = ("max", "mean")  # elementwise max or mean of W and its transpose
+# Most points of a dense graph. Its votes, the product of the transposed rows
+# with the adjacency, add each row's terms in column order, as the CSR product
+# does, and the terms are exact (a weight of 1/2 or 1 times a vote row outside
+# the subnormal range), so the two are bitwise equal as long as OpenBLAS
+# multiplies with its unblocked small-matrix kernel: up to K N^2 = 10^6 under
+# 2 threads (OpenBLAS 0.3.31, AVX-512 Xeon; a larger product is split across
+# threads and regrouped). An episode has fewer classes K than points, so every
+# K passes at N <= 100; test_affinity.py's
+# test_dense_votes_are_the_csr_product checks every K at N = 100 under 1 and
+# 2 threads. At N = 80 and 100, K = 5, a dense product took 3.5 and 4.4 us
+# against 6.8 and 7.9 us for the CSR one (best of 5 x 5000 calls).
+_DENSE_MAX_N = 100
 
 
 @dataclass(frozen=True)
@@ -114,8 +136,10 @@ class SparseAffinity:
     Every other field is set by the one function that computes it: ``degrees``
     (the row sums) here, ``knn_sqdist`` (the N x rho squared distances of the
     search; None on a graph built directly) by ``knn_graph``, ``diag_shift``
-    (the psd correction, never stored as edges) by ``with_diag_shift``, and
-    ``symmetric`` by ``symmetrize``.
+    (the psd correction, never stored as edges) by ``with_diag_shift``,
+    ``symmetric`` by ``symmetrize``, and ``dense`` (the N x N adjacency, None
+    on every CSR-built graph) by ``_symmetric_knn_graph``, whose graph makes its
+    ``matrix`` from ``dense`` on first read.
     """
 
     matrix: sp.csr_matrix
@@ -123,6 +147,7 @@ class SparseAffinity:
     diag_shift: float = field(default=0.0, init=False)
     symmetric: bool = field(default=False, init=False)
     knn_sqdist: np.ndarray | None = field(default=None, init=False)
+    dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -134,9 +159,17 @@ class SparseAffinity:
             raise DataError("affinity graph must not contain self-loops")
         object.__setattr__(self, "degrees", np.asarray(m.sum(axis=1)).ravel())
 
+    def __getattr__(self, name):
+        """Only a dense graph lacks an attribute, its ``matrix``, until it is read."""
+        if name != "matrix" or self.dense is None:
+            raise AttributeError(name)
+        m = sp.csr_matrix(self.dense)  # indices sorted, no zero stored
+        object.__setattr__(self, "matrix", m)
+        return m
+
     @property
     def n_points(self):
-        return self.matrix.shape[0]
+        return (self.matrix if self.dense is None else self.dense).shape[0]
 
     def with_diag_shift(self, delta: float) -> "SparseAffinity":
         delta = float(delta)
@@ -149,8 +182,12 @@ def _derived(W, **changes):
     """W with ``changes`` applied, skipping the O(nnz) checks of ``__post_init__``.
 
     Only for graphs derived from a checked one whose edges stay finite,
-    non-negative, loop-free and summed into ``degrees`` by construction.
+    non-negative, loop-free and summed into ``degrees`` by construction. A new
+    ``matrix`` drops the dense adjacency, so the derived graph's votes are
+    CSR products.
     """
+    if "matrix" in changes:
+        changes = {"dense": None, **changes}
     out = copy.copy(W)
     for name, value in changes.items():
         object.__setattr__(out, name, value)
@@ -432,6 +469,33 @@ def knn_graph(X, rho: int) -> SparseAffinity:
     m = sp.csr_matrix((data, idx.ravel(), indptr), shape=(n, n))
     m.sort_indices()
     return _derived(SparseAffinity(matrix=m), knn_sqdist=sqd)
+
+
+def _symmetric_knn_graph(X, rho, mode):
+    """``symmetrize(knn_graph(X, rho), mode)``, held as its dense adjacency
+    when X has at most ``_DENSE_MAX_N`` points.
+
+    The dense graph is built from the search's indices: the directed graph's
+    ones are set in an N x N array of zeros, which is then combined with its
+    transpose by max or mean, as ``symmetrize`` does. Every entry is 0, 1/2 or
+    1, and the degrees are the row sums, exact in any order. So edges,
+    weights, degrees and ``knn_sqdist`` are the CSR graph's bitwise, with no
+    CSR built, checked or summed; the graph's ``matrix`` is made from
+    ``dense`` only when it is read.
+    """
+    P = _centered(X)
+    if P.n_points > _DENSE_MAX_N:
+        return symmetrize(knn_graph(P, rho), mode)
+    idx, sqd = _neighbor_search(P, rho)
+    n = idx.shape[0]
+    A = np.zeros((n, n))
+    A[np.arange(n)[:, None], idx] = 1.0
+    A = np.maximum(A, A.T) if mode == "max" else (A + A.T) * 0.5
+    W = SparseAffinity.__new__(SparseAffinity)
+    for name, value in (("dense", A), ("degrees", A.sum(axis=1)), ("symmetric", True),
+                        ("knn_sqdist", sqd)):
+        object.__setattr__(W, name, value)
+    return W
 
 
 def _check_sym_mode(mode):

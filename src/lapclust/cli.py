@@ -159,6 +159,7 @@ def cmd_cluster(args) -> int:
         "objective": report.discrete_objective,
         "relaxed_final": report.relaxed_trace[-1],
         "iters": report.outer_iters,
+        "stop_reason": report.stop_reason,
         **{name: getattr(report, name) for name in _SOLVE_COUNTS},
         "warnings": report.warnings,
     }

@@ -20,6 +20,7 @@ included.
 
 from __future__ import annotations
 
+import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -52,6 +53,22 @@ def validate_features(X) -> np.ndarray:
     return X
 
 
+def _integer_array(values, name):
+    """``values`` (an array) as int64, rejected unless it holds integers or
+    booleans (read as 0 and 1): a cast would truncate 0.9 to 0."""
+    if values.size and values.dtype.kind not in "biu":
+        raise DataError(f"{name} must hold integers, got dtype {values.dtype}")
+    return values.astype(np.int64)
+
+
+def _index(value, name):
+    """``value`` as an int, rejected unless it is an integer (``operator.index``)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One few-shot episode: K-way support pairs plus query indices."""
@@ -61,8 +78,9 @@ class TaskSpec:
     queries: tuple  # of point_index
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple((int(p), int(c)) for p, c in self.support))
-        object.__setattr__(self, "queries", tuple(int(q) for q in self.queries))
+        object.__setattr__(self, "support", tuple(
+            (_index(p, "support index"), _index(c, "support class")) for p, c in self.support))
+        object.__setattr__(self, "queries", tuple(_index(q, "query index") for q in self.queries))
         if self.k_way < 1:
             raise DataError(f"k_way must be >= 1, got {self.k_way}")
         seen = set()

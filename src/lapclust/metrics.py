@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
+from .io import _integer_array
 
 
 def contingency_table(pred, truth):
-    """K_pred x K_true count matrix; labels are assumed in [0, max+1)."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    """K_pred x K_true count matrix; labels are integers in [0, max+1)."""
+    pred = _integer_array(np.asarray(pred), "pred")
+    truth = _integer_array(np.asarray(truth), "truth")
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 1:
         raise DataError("pred and truth must be equal-length non-empty 1-D arrays")
     if pred.min() < 0 or truth.min() < 0:

@@ -52,11 +52,13 @@ product at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .affinity import SparseAffinity, laplacian_quadratic
 from .errors import DataError
+from .io import _integer_array
 from .prototypes import (
     ModeSolverConfig,
     Prototypes,
@@ -64,8 +66,8 @@ from .prototypes import (
     RULE_MODES,
     _centered,
     _mean_shift,
+    _weighted_means,
     prototype_scores,
-    update_means,
 )
 
 
@@ -132,9 +134,7 @@ def _clamp_array(clamp_class, n, k):
     values = np.asarray(clamp_class)
     if values.shape != (n,):
         raise DataError(f"clamp_class must have shape ({n},), got {values.shape}")
-    if values.size and values.dtype.kind not in "iu":  # a cast would truncate 0.9 to class 0
-        raise DataError(f"clamp_class must hold integers, got dtype {values.dtype}")
-    clamp_class = values.astype(np.int64)
+    clamp_class = _integer_array(values, "clamp_class")
     bad = (clamp_class < -1) | (clamp_class >= k)
     if bad.any():
         raise DataError(f"clamp class {clamp_class[bad][0]} outside [0, {k})")
@@ -182,6 +182,7 @@ class SolveReport:
     inner_cap_hits: int = 0  # assignment blocks that spent inner_max sweeps
     redone_sweeps: int = 0  # sweeps whose bound gap was negative, redone with the KL term
     mode_cap_hits: int = 0  # clusters that spent a prototype block's mean-shift steps
+    stop_reason: str | None = None  # why the outer loop stopped: "tolerance" or "outer_max"
     warnings: list = field(default_factory=list)
 
     @property
@@ -194,9 +195,21 @@ class SolveReport:
 
 
 def neighbor_votes(W: SparseAffinity, S):
-    """b_{p,k} = sum_q w(p,q) s_{q,k}, plus the diagonal-shift correction."""
+    """b_{p,k} = sum_q w(p,q) s_{q,k}, plus the diagonal-shift correction.
+
+    A CSR graph's votes are scipy's sparse product. A dense graph (a few-shot
+    episode's, see ``affinity._symmetric_knn_graph``) is symmetric, so its
+    votes are the transpose of one BLAS product S^t A. That product adds each
+    row's terms in column order, as the CSR product does, and every term is
+    exact, so at the sizes ``affinity._DENSE_MAX_N`` admits the votes are the
+    CSR product's bitwise. They are returned in C order, as the CSR product's
+    are, so no later reduction over them sums in another order.
+    """
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    b = W.matrix @ rows
+    if W.dense is None:
+        b = W.matrix @ rows
+    else:
+        b = (rows.T @ W.dense).T.copy()
     if W.diag_shift > 0.0:
         b += W.diag_shift * rows
     return b
@@ -277,7 +290,7 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
     (SoftAssignment, n_inner_iters, n_redone_sweeps).
     """
     a = _scores(X, M, cfg)
-    rows, _, iters, redone, _ = _s_block(W, a, S.rows, ~S.clamped, cfg)
+    rows, _, iters, redone, _ = _s_block(W, a, S.rows, _block_setup(W, ~S.clamped, cfg), cfg)
     return SoftAssignment(rows=rows, clamp_class=S.clamp_class), iters, redone
 
 
@@ -288,8 +301,28 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
 _CERT_RTOL = 1e-12
 
 
-def _s_block(W, a, rows, free, cfg, b=None):
-    """s_block on plain rows from the prototype scores a; only the ``free`` rows change.
+class _BlockSetup(NamedTuple):
+    """What every assignment block of a solve reads and none changes."""
+
+    sel: object  # the free rows, by ``_selector``: a slice, an index array, or None
+    degree_total: float  # sum_p d_p + N delta: R's pairwise constant and the certificate's scale
+    redo_c: float  # the KL weight of a redone sweep, lambda (max degree - delta)_+
+
+
+def _block_setup(W, free, cfg):
+    """The ``_BlockSetup`` of blocks on graph W whose ``free`` rows change."""
+    return _BlockSetup(sel=_selector(free), degree_total=_degree_total(W),
+                       redo_c=cfg.lam * max(0.0, float(W.degrees.max()) - W.diag_shift))
+
+
+def _degree_total(W):
+    """sum_p d_p + N delta, the degree total of W with its diagonal shift."""
+    return float(W.degrees.sum()) + W.diag_shift * W.n_points
+
+
+def _s_block(W, a, rows, setup, cfg, b=None):
+    """s_block on plain rows from the prototype scores a; only the free rows
+    (``setup.sel``) change.
 
     ``b``, when given, holds the votes of ``rows``; the block keeps the votes
     of its current rows in that one array. Returns (rows, b, iters, redone,
@@ -305,7 +338,9 @@ def _s_block(W, a, rows, free, cfg, b=None):
     same anchor by ``_redo_sweep``, which costs two more products: the
     anchor's votes again, and the redone rows'.
 
-    The free rows are addressed through one selector: a slice when they are
+    ``setup`` holds what the block reads of the solve and does not change,
+    made once per solve by ``_block_setup``: the certificate's scale, the
+    redo's KL weight, and the free rows' selector, a slice when they are
     contiguous (all rows when clustering, the queries after an episode's
     leading supports), otherwise their index array. The block works on one
     copy of ``rows``, so the caller's array is never written, and each sweep
@@ -314,7 +349,7 @@ def _s_block(W, a, rows, free, cfg, b=None):
     votes no later sweep reads: beyond the votes, a sweep allocates only the
     (K, n_free) copy of a cluster-major ``_softmax_in_place``.
     """
-    sel = _selector(free)
+    sel = setup.sel
     if sel is None:
         return rows, b, 0, 0, 0.0
     rows = rows.copy()
@@ -324,7 +359,7 @@ def _s_block(W, a, rows, free, cfg, b=None):
         return rows, None, 1, 0, 0.0
     if b is None:
         b = neighbor_votes(W, rows)
-    scale = _CERT_RTOL * (float(W.degrees.sum()) + W.diag_shift * rows.shape[0])
+    scale = _CERT_RTOL * setup.degree_total
     z = np.empty_like(a_sel)
     anchor = np.empty_like(a_sel)
     redone = 0
@@ -340,7 +375,7 @@ def _s_block(W, a, rows, free, cfg, b=None):
         np.subtract(b_next, b, out=b)
         z *= b[sel]
         if z.sum() < -scale * delta:
-            c = cfg.lam * max(0.0, float(W.degrees.max()) - W.diag_shift)
+            c = setup.redo_c
             if c > 0.0:  # else W + diag_shift is diagonally dominant: the gap is rounding
                 rows[sel] = anchor
                 del b_next  # the anchor's votes again, with two votes arrays alive at most
@@ -388,26 +423,27 @@ def _entropy(rows):
     return float(np.sum(r * np.log(r)))
 
 
-def _pairwise_relaxed(W, rows, lam, b=None):
-    """(lambda/2) * (sum_p d_p - sum_{p,q} w s_p.s_q), including the delta shift;
-    ``b``, when given, holds the votes of ``rows``."""
+def _pairwise_relaxed(W, rows, lam, degree_total, b=None):
+    """(lambda/2) * (sum_p d_p - sum_{p,q} w s_p.s_q), including the delta shift,
+    from W's ``_degree_total``; ``b``, when given, holds the votes of ``rows``."""
     if lam == 0.0:
         return 0.0
     if b is None:
         b = neighbor_votes(W, rows)
-    total = float(W.degrees.sum()) + W.diag_shift * rows.shape[0]
-    return 0.5 * lam * (total - float(np.sum(rows * b)))
+    return 0.5 * lam * (degree_total - float(np.sum(rows * b)))
 
 
 def relaxed_objective(X, W: SparseAffinity, S, M: Prototypes, cfg: SolverConfig) -> float:
     """R(S, M): prototype term + concave Laplacian surrogate + entropy barrier."""
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    return _relaxed(W, rows, _scores(X, M, cfg), cfg.lam)
+    return _relaxed(W, rows, _scores(X, M, cfg), cfg.lam, _degree_total(W))
 
 
-def _relaxed(W, rows, a, lam, b=None):
-    """R from the prototype scores a of M (and the votes b of the rows, when given)."""
-    return -float(np.sum(rows * a)) + _pairwise_relaxed(W, rows, lam, b) + _entropy(rows)
+def _relaxed(W, rows, a, lam, degree_total, b=None):
+    """R from the prototype scores a of M and W's ``_degree_total`` (and the
+    votes b of the rows, when given)."""
+    return (-float(np.sum(rows * a)) + _pairwise_relaxed(W, rows, lam, degree_total, b)
+            + _entropy(rows))
 
 
 def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverConfig) -> float:
@@ -442,24 +478,25 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
         b = neighbor_votes(W, anchor)
         value -= cfg.lam * float(np.sum(rows * b))
         anchor_quad = float(np.sum(anchor * b))
-        degree_total = float(W.degrees.sum()) + W.diag_shift * rows.shape[0]
-        value += 0.5 * cfg.lam * (degree_total + anchor_quad)
+        value += 0.5 * cfg.lam * (_degree_total(W) + anchor_quad)
     return value
 
 
 def _update_prototypes(P, rows, M, mode_cfg, a):
     """One prototype block: weighted means, or mean-shift from M when
-    ``mode_cfg`` is given, starting from ``a``, the kernel matrix at M (the
-    scores of M). Returns (Prototypes, scores, warnings, mode_cap_hits): the
-    scores of the new prototypes, which under modes are mean-shift's last
-    kernel matrix, and the clusters that spent ``mode_cfg.max_iters`` steps,
-    counted, not warned about.
+    ``mode_cfg`` (the solve's, made once) is given, starting from ``a``, the
+    kernel matrix at M (the scores of M). Returns (Prototypes, scores,
+    warnings, mode_cap_hits): the new prototypes, unchecked, as they are made
+    from the loop's validated inputs; their scores, which under modes are
+    mean-shift's last kernel matrix; and the clusters that spent
+    ``mode_cfg.max_iters`` steps, counted, not warned about.
     """
     if mode_cfg is not None:
         M_new, a_new, _, zero_mass, capped = _mean_shift(P, rows, mode_cfg, M, a)
         return M_new, a_new, [f"cluster {int(k)}: zero assignment mass, mode kept"
-                              for k in np.flatnonzero(zero_mass)], int(capped.sum())
-    M_new, empty = update_means(P, rows, prev=M)
+                              for k in np.flatnonzero(zero_mass)], int(np.count_nonzero(capped))
+    values, empty = _weighted_means(P, rows, M)
+    M_new = Prototypes._of_valid(values, RULE_MEANS)
     return M_new, prototype_scores(P, M_new), [f"cluster {int(k)}: zero mass, previous mean kept"
                                                for k in np.flatnonzero(empty)], 0
 
@@ -510,7 +547,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
     n = P.n_points
     if W.n_points != n:
         raise DataError(f"graph has {W.n_points} points, features have {n}")
-    # only symmetrize sets W.symmetric; any other graph gets one O(nnz) comparison
+    # a graph from symmetrize is marked symmetric; any other gets one O(nnz) comparison
     if cfg.lam > 0.0 and not (W.symmetric or (W.matrix != W.matrix.T).nnz == 0):
         raise DataError(f"lambda={cfg.lam} > 0 needs a symmetric affinity graph, for the "
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
@@ -539,7 +576,15 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     accept: centered features, a graph of their size (symmetric when lambda >
     0) and an int64 ``clamp_class`` in [-1, K). Returns (rows, Prototypes,
     scores, SolveReport): the scores of the returned prototypes, which the
-    hard re-fit starts from, and the report with E unset (NaN).
+    hard re-fit starts from, and the report with E unset (NaN) and
+    ``stop_reason`` set: "tolerance" when R settled, "outer_max" at the cap.
+
+    What no block changes is made once, before the first: the blocks' setup
+    (free rows, certificate scale, redo weight; ``_block_setup``), whose
+    degree total R's pairwise term reads too, and the mean-shift budget. The
+    prototypes a block makes are not checked again: they are averages of the
+    validated points. A non-finite R, which no valid input gives, stops the
+    loop with a DataError.
     """
     M = M0
     report = SolveReport()
@@ -548,6 +593,7 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     mode_cfg = (None if cfg.rule == RULE_MEANS
                 else ModeSolverConfig(sigma2=cfg.sigma2, max_iters=_MODE_STEPS))
     free = clamp_class < 0
+    setup = _block_setup(W, free, cfg)
     rows = s_inner_update(a)
     idx = np.flatnonzero(~free)
     rows[idx] = 0.0
@@ -556,28 +602,32 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     # the votes of the current rows: each block starts from the previous one's,
     # and R at the block's end is evaluated from them
     b = neighbor_votes(W, rows) if cfg.lam != 0.0 else None
-    r_prev = _relaxed(W, rows, a, cfg.lam, b)
+    r_prev = _relaxed(W, rows, a, cfg.lam, setup.degree_total, b)
     report.relaxed_trace.append(r_prev)
     report.inner_iters_per_outer.append(0)
 
     for _ in range(cfg.outer_max):
-        rows, b, inner_iters, redone, delta = _s_block(W, a, rows, free, cfg, b)
+        rows, b, inner_iters, redone, delta = _s_block(W, a, rows, setup, cfg, b)
         M, a, w_proto, mode_cap_hits = _update_prototypes(P, rows, M, mode_cfg, a)
         report.warnings.extend(w_proto)
         report.inner_iters_per_outer.append(inner_iters)
         report.inner_cap_hits += int(inner_iters == cfg.inner_max and delta >= cfg.inner_tol)
         report.redone_sweeps += redone
         report.mode_cap_hits += mode_cap_hits
-        r = _relaxed(W, rows, a, cfg.lam, b)
+        r = _relaxed(W, rows, a, cfg.lam, setup.degree_total, b)
         report.relaxed_trace.append(r)
+        if not np.isfinite(r):
+            raise DataError(f"relaxed objective is {r} at outer iteration {report.outer_iters}")
         if r > r_prev + 1e-9 * (1.0 + abs(r_prev)):
             report.warnings.append(
                 f"relaxed objective increased at outer iteration {report.outer_iters} "
                 f"({r_prev:.12g} -> {r:.12g})")
         if abs(r - r_prev) <= cfg.outer_tol * (1.0 + abs(r_prev)):
+            report.stop_reason = "tolerance"
             break
         r_prev = r
     else:
+        report.stop_reason = "outer_max"
         report.warnings.append(f"outer loop hit outer_max={cfg.outer_max}")
     return rows, M, a, report
 

@@ -10,8 +10,9 @@ modes, and it runs to convergence only in the hard re-fit that defines E.
 Each step computes the full-width N x K kernel matrix at its new modes once:
 it weighs the next step, and after the last one it is the modes' prototype
 scores, which the solver's next assignment block starts from. The step loop
-keeps no traces; it returns its history (the active clusters and their
-masses at each step), from which ``update_modes`` builds its u traces.
+keeps no traces; only for ``update_modes`` does it record its history (the
+active clusters and their masses at each step), from which that builds its u
+traces.
 
 Both updates run on a point set through three of its operations: squared
 distances to prototype rows (``sqdist``), weighted sums of the points
@@ -85,6 +86,16 @@ class Prototypes:
         if self.rule not in (RULE_MEANS, RULE_MODES):
             raise DataError(f"unknown prototype rule: {self.rule!r}")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _of_valid(cls, values, rule):
+        """One whose 2-D float64 ``values`` its caller made from validated
+        inputs (the solve loop's updates, an episode's support coefficients),
+        unchecked."""
+        M = cls.__new__(cls)
+        object.__setattr__(M, "values", values)
+        object.__setattr__(M, "rule", rule)
+        return M
 
     @property
     def k(self):
@@ -247,8 +258,13 @@ def _centered(X):
 
 
 def _rbf(sqd, sigma2):
-    """exp(-sqd / (2 sigma^2)), exponent clamped against underflow."""
-    return np.exp(np.maximum(-sqd / (2.0 * sigma2), _EXP_CLAMP))
+    """exp(-sqd / (2 sigma^2)), exponent clamped against underflow; computed in
+    sqd's place (every caller's is a fresh distance matrix), with no temporary.
+    sqd / (-2 sigma^2) is -sqd / (2 sigma^2) bitwise: division rounds the
+    magnitude, whatever the signs."""
+    z = np.divide(sqd, -2.0 * sigma2, out=sqd)
+    np.maximum(z, _EXP_CLAMP, out=z)
+    return np.exp(z, out=z)
 
 
 # Rows per block of ``_weighted_sums``. One GEMM over all N rows splits its
@@ -280,8 +296,13 @@ def update_means(X, S, prev: Prototypes | None = None):
     A zero-mass column raises EmptyClusterError unless ``prev`` supplies a
     prototype to keep. Returns (Prototypes, empty_mask).
     """
-    P = _centered(X)
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
+    M, empty = _weighted_means(_centered(X), rows, prev)
+    return Prototypes(values=M, rule=RULE_MEANS), empty
+
+
+def _weighted_means(P, rows, prev):
+    """``update_means`` on a point set and plain rows: (values, empty_mask)."""
     mass = rows.sum(axis=0)
     empty = mass <= 0.0
     if empty.any() and prev is None:
@@ -290,7 +311,7 @@ def update_means(X, S, prev: Prototypes | None = None):
     M = P.weighted_sums(rows) / safe_mass[:, None]
     if empty.any():
         M[empty] = prev.values[empty]
-    return Prototypes(values=M, rule=RULE_MEANS), empty
+    return M, empty
 
 
 def meanshift_step(X, s_col, m, sigma2):
@@ -314,8 +335,11 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     kernel mass u^n at every visited iterate of cluster k; non-convergence
     within max_iters is reported as a warning, not a failure.
     """
-    M, _, history, zero_mass, capped = _mean_shift(
-        _centered(X), np.asarray(getattr(S, "rows", S), dtype=np.float64), cfg, M_init)
+    history = []
+    M, _, _, zero_mass, capped = _mean_shift(
+        _centered(X), np.asarray(getattr(S, "rows", S), dtype=np.float64), cfg, M_init,
+        history=history)
+    M = Prototypes(values=M.values, rule=RULE_MODES)  # checked here, at the public boundary
     u_traces = [[] for _ in range(M.k)]
     for active, masses in history:
         for k, u in zip(active.tolist(), masses.tolist()):
@@ -329,7 +353,7 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     return M, [np.array(u) for u in u_traces], warnings
 
 
-def _mean_shift(P, rows, cfg: ModeSolverConfig, M_init: Prototypes, kernel=None):
+def _mean_shift(P, rows, cfg: ModeSolverConfig, M_init: Prototypes, kernel=None, history=None):
     """``update_modes`` on a point set P (CenteredFeatures or GramPoints) and
     plain rows, with its outcome as masks instead of warnings and its kernel
     matrix carried along.
@@ -340,32 +364,36 @@ def _mean_shift(P, rows, cfg: ModeSolverConfig, M_init: Prototypes, kernel=None)
     new modes, which is the next step's weights and, after the last step, the
     scores of the returned modes. A step calls each of P's three operations
     once: on CenteredFeatures that is one distance GEMM and the weighted-sum
-    block GEMMs, on GramPoints two N-wide products and no d-wide one. Returns
-    (Prototypes, kernel, history, zero_mass, capped): the kernel at the
-    returned modes; per step, the active cluster indices and their kernel
-    masses; the clusters with no mass, whose modes are kept, and those that
-    made ``cfg.max_iters`` steps without one falling below ``cfg.tol``.
+    block GEMMs, on GramPoints two N-wide products and no d-wide one.
+    ``history``, when given (by ``update_modes``, for its u traces), is a list
+    to which each step appends its active cluster indices and their kernel
+    masses. Returns (Prototypes, kernel, steps, zero_mass, capped): the modes,
+    unchecked (they are averages of validated points); the kernel at them; the
+    steps made; the clusters with no mass, whose modes are kept, and those
+    that made ``cfg.max_iters`` steps without one falling below ``cfg.tol``.
     """
     modes = np.array(M_init.values, dtype=np.float64, copy=True)
     if kernel is None:
         kernel = _rbf(P.sqdist(modes), cfg.sigma2)
     zero_mass = rows.sum(axis=0) <= 0.0
-    history = []
     active = np.flatnonzero(~zero_mass)
-    for _ in range(cfg.max_iters):
-        if not active.size:
-            break
+    steps = 0
+    while steps < cfg.max_iters and active.size:
+        # all clusters, the usual case, are selected by a slice: views, not copies
+        sel = slice(None) if active.size == modes.shape[0] else active
         w = rows * kernel
-        total = w.sum(axis=0)[active]
-        new = P.weighted_sums(w)[active] / total[:, None]
-        step = P.step_lengths(new - modes[active])
-        modes[active] = new
-        history.append((active, total))
+        total = w.sum(axis=0)[sel]
+        new = P.weighted_sums(w)[sel] / total[:, None]
+        step = P.step_lengths(new - modes[sel])
+        modes[sel] = new
+        if history is not None:
+            history.append((active, total))
         kernel = _rbf(P.sqdist(modes), cfg.sigma2)
         active = active[~(step < cfg.tol)]
+        steps += 1
     capped = np.zeros(modes.shape[0], dtype=bool)
     capped[active] = True
-    return Prototypes(values=modes, rule=RULE_MODES), kernel, history, zero_mass, capped
+    return Prototypes._of_valid(modes, RULE_MODES), kernel, steps, zero_mass, capped
 
 
 def prototype_scores(X, M: Prototypes, sigma2=None):

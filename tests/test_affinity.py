@@ -703,3 +703,66 @@ def test_self_loops_rejected():
     m = sp.csr_matrix(([1.0], ([0], [0])), shape=(2, 2))
     with pytest.raises(DataError):
         SparseAffinity(matrix=m)
+
+
+# Run in a fresh process whose BLAS uses the thread count of its environment:
+# every K from 1 to N - 1 on dense graphs of N points, max and mean, rho 1 and
+# 3; prints the cases where the dense votes are not the CSR product bitwise.
+_DENSE_VOTES_SCRIPT = """
+import sys
+import numpy as np
+from lapclust import affinity
+from lapclust.optimizer import neighbor_votes
+n = int(sys.argv[1])
+rng = np.random.default_rng(n)
+bad = []
+for mode in affinity.SYM_MODES:
+    for rho in (1, 3):
+        W = affinity._symmetric_knn_graph(rng.standard_normal((n, 12)), rho, mode)
+        assert W.dense is not None
+        for k in range(1, n):
+            z = 10.0 * rng.standard_normal((n, k))
+            rows = np.exp(z - z.max(axis=1, keepdims=True))
+            rows /= rows.sum(axis=1, keepdims=True)
+            rows[rng.integers(n, size=n // 10)] = np.eye(k)[rng.integers(k, size=n // 10)]
+            if neighbor_votes(W, rows).tobytes() != (W.matrix @ rows).tobytes():
+                bad.append((mode, rho, k))
+print(bad)
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [80, affinity._DENSE_MAX_N])
+def test_dense_votes_are_the_csr_product(threads, n):
+    # the BLAS product adds each row's terms in column order only while it
+    # multiplies with its unblocked kernel; an episode has fewer classes than
+    # points, so every K it can have is checked
+    src_dir = os.path.dirname(os.path.dirname(affinity.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _DENSE_VOTES_SCRIPT, str(n)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("mode", affinity.SYM_MODES)
+def test_dense_graph_is_the_symmetrized_search(mode):
+    X = np.random.default_rng(23).standard_normal((affinity._DENSE_MAX_N, 16))
+    want = symmetrize(knn_graph(X, 3), mode)
+    W = affinity._symmetric_knn_graph(X, 3, mode)
+    assert W.dense is not None and "matrix" not in vars(W)  # no CSR until one is read
+    assert W.symmetric and W.diag_shift == 0.0 and W.n_points == X.shape[0]
+    assert W.degrees.tobytes() == want.degrees.tobytes()
+    assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+    assert W.dense.tobytes() == want.matrix.toarray().tobytes()
+    for part in ("data", "indices", "indptr"):
+        assert getattr(W.matrix, part).tobytes() == getattr(want.matrix, part).tobytes(), part
+    # a graph derived with a new matrix is CSR again; a shifted one keeps the dense form
+    assert symmetrize(W, mode).dense is None
+    assert W.with_diag_shift(0.5).dense is W.dense
+    # a larger one is the CSR graph
+    X = np.random.default_rng(24).standard_normal((affinity._DENSE_MAX_N + 1, 16))
+    W = affinity._symmetric_knn_graph(X, 3, mode)
+    assert W.dense is None
+    assert (W.matrix != symmetrize(knn_graph(X, 3), mode).matrix).nnz == 0

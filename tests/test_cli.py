@@ -1,6 +1,7 @@
 """Command-line front end: artifacts, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -58,6 +59,22 @@ def test_cluster_same_seed_byte_identical(blob_data, tmp_path):
         outs.append(out)
     for artifact in ("assignments.csv", "trace.csv", "report.json"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("outer_max, reason", [(100, "tolerance"), (1, "outer_max")])
+def test_cluster_report_says_why_the_outer_loop_stopped(blob_data, tmp_path, monkeypatch,
+                                                        outer_max, reason):
+    # no flag sets outer_max, so the test lowers it on the way into solve
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda X, W, M0, cfg: solve(
+        X, W, M0, dataclasses.replace(cfg, outer_max=outer_max)))
+    fpath, lpath = blob_data
+    out = tmp_path / "out"
+    assert main(["cluster", "--features", str(fpath), "--labels", str(lpath), "--k", "2",
+                 "--algo", "slk-means", "--lambda", "0.5", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["stop_reason"] == reason
+    assert (report["iters"] == 1) == (reason == "outer_max")
 
 
 def test_cluster_missing_file_exit_2(tmp_path):

@@ -366,29 +366,31 @@ def test_base_mean_without_cl2_is_a_config_error():
 
 
 @pytest.fixture
-def knn_graph_calls(monkeypatch):
-    """The rho of every knn_graph call made by an episode while the test runs."""
+def graph_calls(monkeypatch):
+    """The rho of every graph an episode builds while the test runs."""
     calls = []
-    real = fewshot.knn_graph
+    real = fewshot._symmetric_knn_graph
 
-    def counting(X, rho):
+    def counting(X, rho, mode):
         calls.append(rho)
-        return real(X, rho)
+        return real(X, rho, mode)
 
-    monkeypatch.setattr(fewshot, "knn_graph", counting)
+    monkeypatch.setattr(fewshot, "_symmetric_knn_graph", counting)
     return calls
 
 
-def test_truth_length_is_checked_before_any_search(knn_graph_calls):
+def test_truth_length_is_checked_before_any_search(graph_calls):
     X, task, truth = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=0)
     cfg = SolverConfig(lam=1.0)
     with pytest.raises(DataError, match="^truth length does not match query count$"):
         run_episode(task, X, PreprocessConfig(), cfg, truth=truth[:-1])
-    assert knn_graph_calls == []
+    assert graph_calls == []
     good = generate_synthetic_episode(3, 1, 5, 6, 6.0, seed=1)
     with pytest.raises(DataError, match="^truth length does not match query count$"):
         tune_lambda([0.0, 0.5, 1.0], [good, (X, task, truth[:-1])], cfg)
-    assert knn_graph_calls == []
+    assert graph_calls == []
+    run_episode(task, X, PreprocessConfig(), cfg, rho=3, truth=truth)
+    assert graph_calls == [3]  # the spy sees an episode's one graph
 
 
 @pytest.mark.parametrize("rule", ["means", "modes"])
@@ -426,13 +428,13 @@ def test_modes_episode_computes_each_kernel_matrix_once(monkeypatch):
 
     def recording_mean_shift(P, rows, cfg, M_init, kernel=None):
         out = mean_shift(P, rows, cfg, M_init, kernel)
-        steps.append(len(out[2]))
+        steps.append(out[2])
         modes.append((P, out[0]))
         return out
 
-    def recording_s_block(W, a, rows, free, cfg, b=None):
+    def recording_s_block(W, a, rows, setup, cfg, b=None):
         blocks.append((a, cfg.sigma2))
-        return s_block(W, a, rows, free, cfg, b)
+        return s_block(W, a, rows, setup, cfg, b)
 
     monkeypatch.setattr(prototypes.CenteredFeatures, "sqdist", counting_sqdist)
     monkeypatch.setattr(optimizer, "_mean_shift", recording_mean_shift)
@@ -500,13 +502,13 @@ def test_episode_zero_norm_row_is_named_at_its_row_in_x(which, row):
     assert exc.value.row == row
 
 
-def prepared(n_shot, dim, seed, rule, lam=1.0, n_query=15):
+def prepared(n_shot, dim, seed, rule, lam=1.0, n_query=15, sym="max"):
     """A 5-way synthetic episode prepared with CL2 and bias correction:
     (X, task, truth, (P, W, M0, clamp_class), cfg)."""
     X, task, truth = generate_synthetic_episode(5, n_shot, n_query, dim, 6.0, seed=seed)
     pre = PreprocessConfig(apply_cl2=True, apply_bias=True)
     episode, cfg = fewshot._prepare_episode(task, X, pre, SolverConfig(lam=lam, rule=rule),
-                                            3, "max")
+                                            3, sym)
     return X, task, truth, episode, cfg
 
 
@@ -538,15 +540,40 @@ def test_episode_takes_the_gram_path_when_it_has_no_more_points_than_columns(
         assert not hasattr(P, "gram") and M0.values.shape == (5, dim)
 
 
+@pytest.mark.parametrize("n_shot, dim, n_query", [
+    (1, 12, 15),  # N = 80 > d
+    (5, 99, 15),  # N = 100 > d
+    (5, 99, 16),  # N = 105 > d
+])
+def test_episode_graph_is_dense_by_its_size_alone(n_shot, dim, n_query):
+    # off the Gram path too, an episode of at most affinity._DENSE_MAX_N
+    # points gets the dense adjacency, and a larger one the CSR graph; both
+    # are the symmetrized search's, bitwise
+    _, _, _, (P, W, _, _), _ = prepared(n_shot, dim, 8, "means", n_query=n_query, sym="mean")
+    assert (W.dense is not None) == (P.n_points <= affinity._DENSE_MAX_N)
+    want = symmetrize(knn_graph(getattr(P, "features", P), 3), "mean")
+    for part in ("data", "indices", "indptr"):
+        assert getattr(W.matrix, part).tobytes() == getattr(want.matrix, part).tobytes()
+    assert W.degrees.tobytes() == want.degrees.tobytes()
+    assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+
+
 @pytest.mark.parametrize("n_shot, n_query", [(1, 15), (5, 15), (5, 55)])
 def test_gram_episode_graph_is_the_feature_search(n_shot, n_query):
     # the search reads its exact half distances from G, bitwise the product it
-    # would make from the features
-    _, _, _, (P, W, _, _), _ = prepared(n_shot, 640, 5, "modes", n_query=n_query)
-    assert isinstance(P, prototypes.GramPoints)
-    want = knn_graph(P.features, 3)
-    assert (W.matrix != symmetrize(want, "max").matrix).nnz == 0
-    assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+    # would make from the features; up to affinity._DENSE_MAX_N points the
+    # graph is built dense from its indices, with the CSR graph's edges,
+    # weights and degrees
+    for sym in ("max", "mean"):
+        _, _, _, (P, W, _, _), _ = prepared(n_shot, 640, 5, "modes", n_query=n_query, sym=sym)
+        assert isinstance(P, prototypes.GramPoints)
+        assert (W.dense is not None) == (P.n_points <= affinity._DENSE_MAX_N)
+        want = symmetrize(knn_graph(P.features, 3), sym)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(W.matrix, part).tobytes() == getattr(want.matrix, part).tobytes()
+        assert W.degrees.tobytes() == want.degrees.tobytes()
+        assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+        assert W.symmetric and W.diag_shift == 0.0
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
@@ -583,3 +610,78 @@ def test_gram_episode_labels_are_the_feature_paths(n_shot, dim, rule, lam):
     assert (got.redone_sweeps, got.mode_cap_hits) == (report.redone_sweeps, report.mode_cap_hits)
     np.testing.assert_allclose(got.relaxed_trace, report.relaxed_trace, rtol=1e-12)
     assert M.values.shape == (5, dim)  # a feature-space caller gets feature-space prototypes
+
+
+def reference_loop(P, W, M0, cfg, clamp_class):
+    """The solve loop block by block through the public updates, on the CSR
+    graph: each block makes its own setup and votes, and every prototype is
+    checked. Returns (relaxed trace, sweeps per block, redone sweeps, inner
+    cap hits, mode cap hits)."""
+    W = affinity._derived(W, matrix=W.matrix)
+    free = clamp_class < 0
+    degrees = W.matrix.toarray().sum(axis=1)  # exact: 0, 1/2 and 1 weights
+    rows = optimizer.s_inner_update(prototypes.prototype_scores(P, M0, cfg.sigma2))
+    rows[~free] = np.eye(M0.k)[clamp_class[~free]]
+    M = M0
+    trace = [optimizer.relaxed_objective(P, W, rows, M, cfg)]
+    sweeps, redone, inner_caps, mode_caps = [], 0, 0, 0
+    for _ in range(cfg.outer_max):
+        a = prototypes.prototype_scores(P, M, cfg.sigma2)
+        setup = optimizer._BlockSetup(sel=slice(int(np.argmax(free)), len(free)),
+                                      degree_total=float(degrees.sum()),
+                                      redo_c=cfg.lam * float(degrees.max()))
+        rows, _, iters, n_redone, delta = optimizer._s_block(W, a, rows, setup, cfg)
+        sweeps.append(iters)
+        redone += n_redone
+        inner_caps += int(iters == cfg.inner_max and delta >= cfg.inner_tol)
+        if cfg.rule == "modes":
+            mode_cfg = prototypes.ModeSolverConfig(sigma2=cfg.sigma2,
+                                                   max_iters=optimizer._MODE_STEPS)
+            M, _, warnings = prototypes.update_modes(P, rows, mode_cfg, M)
+            mode_caps += sum("hit max_iters" in w for w in warnings)
+        else:
+            M, _ = prototypes.update_means(P, rows, prev=M)
+        trace.append(optimizer.relaxed_objective(P, W, rows, M, cfg))
+        if abs(trace[-1] - trace[-2]) <= cfg.outer_tol * (1.0 + abs(trace[-2])):
+            break
+    return trace, sweeps, redone, inner_caps, mode_caps
+
+
+@pytest.mark.parametrize("n_shot", [1, 5])
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+@pytest.mark.parametrize("rule", ["modes", "means"])
+def test_episode_loop_is_the_block_by_block_reference(n_shot, lam, rule):
+    # run_episode computes the loop's invariants once, takes its votes from the
+    # dense graph and checks no prototype it makes; none of that moves a bit.
+    # At lambda 1, seeds 110 and 128 (1-shot) and 125 (5-shot) redo sweeps
+    seeds = (110, 125, 128, 142) if rule == "modes" else (110, 125)
+    redone_total = 0
+    for seed in seeds:
+        X, task, truth, episode, cfg = prepared(n_shot, 640, seed, rule, lam)
+        P, W, M0, clamp_class = episode
+        assert isinstance(P, prototypes.GramPoints) and W.dense is not None
+        result = run_episode(task, X, PreprocessConfig(apply_cl2=True, apply_bias=True),
+                             SolverConfig(lam=lam, rule=rule), rho=3, truth=truth)
+        got = result.solve_report
+        trace, sweeps, redone, inner_caps, mode_caps = reference_loop(P, W, M0, cfg, clamp_class)
+        assert got.relaxed_trace == trace
+        assert got.inner_iters_per_outer == [0, *sweeps]
+        assert (got.redone_sweeps, got.inner_cap_hits, got.mode_cap_hits) == (
+            redone, inner_caps, mode_caps)
+        assert got.stop_reason == "tolerance"
+        redone_total += redone
+    assert redone_total > 0 or lam != 1.0
+
+
+@pytest.mark.parametrize("truth", [np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
+                                   [0, 1, 2, 0, 1, 2, 0, 1, 2.9]])
+def test_non_integer_truth_is_rejected(truth):
+    # a cast to int64 would truncate 2.9 to class 2 and score it as right
+    X, task, _ = generate_synthetic_episode(3, 1, 3, 6, 6.0, seed=0)
+    with pytest.raises(DataError, match="^truth must hold integers, got dtype float64$"):
+        run_episode(task, X, PreprocessConfig(), SolverConfig(lam=1.0), truth=truth)
+    with pytest.raises(DataError, match="^truth must hold integers, got dtype float64$"):
+        tune_lambda([0.5], [(X, task, truth)], SolverConfig(lam=1.0))
+    good = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2], dtype=np.uint8)
+    assert run_episode(task, X, PreprocessConfig(), SolverConfig(lam=1.0),
+                       truth=good).accuracy is not None

@@ -1,5 +1,6 @@
 """File ingestion/emission: parsing, round trips, rejection cases."""
 
+import re
 import warnings
 
 import numpy as np
@@ -283,6 +284,26 @@ def test_task_index_out_of_range(tmp_path):
     path.write_text("kway=2\nsupport=0:0,1:1\nquery=99\n")
     with pytest.raises(IndexOutOfRangeError):
         load_task(path, n_points=10)
+
+
+@pytest.mark.parametrize("support, queries, message", [
+    (((0.9, 0), (1, 1)), (2, 3), "support index 0.9 is not an integer"),
+    (((0, 0), (1, 1.7)), (2, 3), "support class 1.7 is not an integer"),
+    (((0, 0), (1, 1)), (2.5, 3), "query index 2.5 is not an integer"),
+    (((0, 0), (1, 1)), (2, np.float64(3.0)), f"query index {np.float64(3.0)!r} is not an integer"),
+    (((0, 0), ("1", 1)), (2, 3), "support index '1' is not an integer"),
+])
+def test_task_spec_non_integer_entry_rejected(support, queries, message):
+    # int() would truncate 0.9 to point 0 and 1.7 to class 1
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        TaskSpec(k_way=2, support=support, queries=queries)
+
+
+def test_task_spec_takes_numpy_integers():
+    task = TaskSpec(k_way=2, support=((np.int64(0), np.int32(0)), (np.uint8(1), 1)),
+                    queries=tuple(np.arange(2, 4)))
+    assert task.support == ((0, 0), (1, 1)) and task.queries == (2, 3)
+    assert all(type(i) is int for i in (*task.support_indices, *task.queries))
 
 
 @pytest.mark.parametrize("line, entry", [

@@ -150,3 +150,21 @@ def test_fewshot_simulation_cross_check():
 def test_fewshot_empty_rejected():
     with pytest.raises(DataError):
         fewshot_accuracy([])
+
+
+@pytest.mark.parametrize("metric", [nmi, accuracy_hungarian, contingency_table])
+def test_non_integer_labels_rejected(metric):
+    # a cast to int64 would truncate these to a perfect match
+    with pytest.raises(DataError, match=r"^truth must hold integers, got dtype float64$"):
+        metric([0, 0, 1, 1], [0.2, 0.7, 1.9, 1.1])
+    with pytest.raises(DataError, match=r"^pred must hold integers, got dtype float64$"):
+        metric(np.array([0.0, 0.0, 1.0, 1.0]), [0, 0, 1, 1])
+    metric(np.array([0, 0, 1, 1], dtype=np.uint8), [0, 0, 1, 1])
+
+
+def test_boolean_labels_are_zero_and_one():
+    # a boolean cannot be truncated, so it is read exactly, as 0 and 1
+    pred, truth = np.array([False, False, True, True]), np.array([1, 1, 0, 0])
+    np.testing.assert_array_equal(contingency_table(pred, truth), [[0, 2], [2, 0]])
+    assert nmi(pred, truth) == nmi([0, 0, 1, 1], truth)
+    assert accuracy_hungarian(pred, truth) == 1.0

@@ -293,7 +293,8 @@ def test_s_block_and_solve_leave_their_inputs_unchanged(layout):
     before = S0.rows.copy()
     cfg = SolverConfig(lam=1.0, rule="means")
     S1, _, _ = s_block(W, X, M, S0, cfg)
-    rows = optimizer._s_block(W, prototype_scores(X, M), S0.rows, ~S0.clamped, cfg)[0]
+    setup = optimizer._block_setup(W, ~S0.clamped, cfg)
+    rows = optimizer._s_block(W, prototype_scores(X, M), S0.rows, setup, cfg)[0]
     assert S0.rows.tobytes() == before.tobytes()
     assert S1.rows is not S0.rows and rows is not S0.rows
     X_before, M_before = X.copy(), M.values.copy()
@@ -813,9 +814,11 @@ def mean_shifts(monkeypatch):
     real = optimizer._mean_shift
 
     def recording(P, rows, cfg, M_init, kernel=None):
-        out = real(P, rows, cfg, M_init, kernel)
+        history = []
+        out = real(P, rows, cfg, M_init, kernel, history)
+        assert out[2] == len(history)
         u_traces = [[] for _ in range(M_init.k)]
-        for active, masses in out[2]:
+        for active, masses in history:
             for k, u in zip(active, masses):
                 u_traces[k].append(u)
         calls.append((cfg.max_iters, [np.array(u) for u in u_traces], out[4]))
@@ -877,7 +880,7 @@ def test_modes_solve_computes_each_kernel_matrix_once(monkeypatch, case):
 
     def counting_mean_shift(P, rows, cfg, M_init, kernel=None):
         out = mean_shift(P, rows, cfg, M_init, kernel)
-        steps.append(len(out[2]))
+        steps.append(out[2])
         return out
 
     for points in (prototypes.CenteredFeatures, prototypes.GramPoints):
@@ -905,3 +908,32 @@ def test_modes_objective_is_at_the_uncapped_refit(mean_shifts, case):
     M_capped, _, _ = update_modes(
         X, hard, ModeSolverConfig(sigma2=cfg.sigma2, max_iters=optimizer._MODE_STEPS), M)
     assert report.discrete_objective != discrete_objective(X, W, hard, M_capped, cfg)
+
+
+def test_solve_reports_why_the_outer_loop_stopped():
+    X = np.random.default_rng(33).standard_normal((40, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    M0 = Prototypes(values=X[:3], rule="means")
+    _, _, report = solve(X, W, M0, SolverConfig(lam=1.0, rule="means"))
+    assert report.stop_reason == "tolerance" and 1 < report.outer_iters < 100
+    assert not any("outer_max" in w for w in report.warnings)
+    _, _, capped = solve(X, W, M0, SolverConfig(lam=1.0, rule="means", outer_max=1))
+    assert capped.stop_reason == "outer_max" and capped.outer_iters == 1
+    assert capped.warnings == ["outer loop hit outer_max=1"]
+    assert optimizer.SolveReport().stop_reason is None
+
+
+def test_solve_stops_on_a_non_finite_objective(monkeypatch):
+    # the loop's prototypes go unchecked; a NaN that reached them anyway shows
+    # in R, which stops the loop instead of running it to outer_max
+    X = np.random.default_rng(34).standard_normal((30, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    real = optimizer._update_prototypes
+
+    def nan_scores(P, rows, M, mode_cfg, a):
+        M_new, a_new, warnings, caps = real(P, rows, M, mode_cfg, a)
+        return M_new, np.full_like(a_new, np.nan), warnings, caps
+
+    monkeypatch.setattr(optimizer, "_update_prototypes", nan_scores)
+    with pytest.raises(DataError, match="^relaxed objective is nan at outer iteration 1$"):
+        solve(X, W, Prototypes(values=X[:3], rule="means"), SolverConfig(lam=1.0))
