@@ -62,31 +62,30 @@ These brute-force times predate the float32 prefilter. At N=10k, d=128
 (clustered, rho=5, best of 5) the prefiltered search takes 0.52 s on one BLAS
 thread and 0.44 s on two, against 0.91 and 0.61 s for the exact pass alone.
 
-A graph is built from its matrix alone, checked in full; its degrees are the
-row sums. Only ``knn_graph`` attaches its search distances, from which
+A graph built from a caller's matrix is checked in full; its degrees are the
+row sums. ``knn_graph``, ``symmetrize`` and ``with_diag_shift`` derive their
+graphs from the search or from a graph already valid, so they skip that
+O(nnz) check. Only ``knn_graph`` attaches its search distances, from which
 ``estimate_sigma2`` takes the kernel width without a second search. Only
 ``with_diag_shift`` sets a shift, and only ``symmetrize`` marks a graph
-``symmetric`` (``solve`` compares any other graph with its transpose); both
-derive valid graphs from a checked one and skip that O(nnz) check.
-``_symmetric_knn_graph``, below, is ``knn_graph`` then ``symmetrize`` in one
-step, so its graph has both. Every function here that takes a feature matrix
-also accepts a ``CenteredFeatures``, so a caller that already centered X does
-not do it again.
+``symmetric`` (``solve`` compares any other graph with its transpose). Every
+function here that takes a feature matrix also accepts a
+``CenteredFeatures``, so a caller that already centered X does not do it
+again.
 
-One graph is dense: a few-shot episode with at most ``_DENSE_MAX_N`` points
-builds ``symmetrize(knn_graph(X, rho), sym)`` in one step from the search's
-indices, as its N x N adjacency of 0, 1/2 and 1 (``_symmetric_knn_graph``).
-It takes at most 80 KB, and its votes are one BLAS product
+A graph of at most ``_DENSE_MAX_N`` points (a few-shot episode, or a small
+clustering run) is dense: ``knn_graph`` sets the search's ones in an N x N
+array of zeros, and ``symmetrize`` and ``with_diag_shift`` keep that form. It
+takes at most 80 KB, and the votes of a symmetrized one are one BLAS product
 (``optimizer.neighbor_votes``) instead of scipy's sparse dispatch. Its CSR
-matrix, bitwise the one ``symmetrize`` returns, is made only when something
-reads it: converting a 100 x 100 adjacency takes longer than building it.
+matrix, bitwise the one the sparse form would hold, is made only when
+something reads it: converting a 100 x 100 adjacency takes longer than
+building it.
 """
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,77 +120,69 @@ SYM_MODES = ("max", "mean")  # elementwise max or mean of W and its transpose
 # the subnormal range), so the two are bitwise equal as long as OpenBLAS
 # multiplies with its unblocked small-matrix kernel: up to K N^2 = 10^6 under
 # 2 threads (OpenBLAS 0.3.31, AVX-512 Xeon; a larger product is split across
-# threads and regrouped). An episode has fewer classes K than points, so every
-# K passes at N <= 100; test_affinity.py's
-# test_dense_votes_are_the_csr_product checks every K at N = 100 under 1 and
-# 2 threads. At N = 80 and 100, K = 5, a dense product took 3.5 and 4.4 us
-# against 6.8 and 7.9 us for the CSR one (best of 5 x 5000 calls).
+# threads and regrouped). So every K up to N passes at N <= 100 (an episode has
+# fewer classes than points, and k-means++ seeds at most N);
+# test_affinity.py's test_dense_votes_are_the_csr_product checks every such K
+# at N = 80 and 100 under 1 and 2 threads. At N = 80 and 100, K = 5, a dense
+# product took 3.5 and 4.4 us against 6.8 and 7.9 us for the CSR one (best of
+# 5 x 5000 calls).
 _DENSE_MAX_N = 100
 
 
-@dataclass(frozen=True)
 class SparseAffinity:
-    """CSR affinity graph, built from its matrix alone.
+    """Affinity graph: a CSR matrix, or a dense N x N adjacency (``dense``)
+    whose CSR ``matrix`` is made on first read.
 
-    Every other field is set by the one function that computes it: ``degrees``
-    (the row sums) here, ``knn_sqdist`` (the N x rho squared distances of the
-    search; None on a graph built directly) by ``knn_graph``, ``diag_shift``
-    (the psd correction, never stored as edges) by ``with_diag_shift``,
-    ``symmetric`` by ``symmetrize``, and ``dense`` (the N x N adjacency, None
-    on every CSR-built graph) by ``_symmetric_knn_graph``, whose graph makes its
-    ``matrix`` from ``dense`` on first read.
+    ``SparseAffinity(matrix)`` checks a caller's CSR matrix in full and takes
+    its row sums as ``degrees``. Every other field is set by the one function
+    that computes it: ``dense`` (None on a CSR graph) and ``knn_sqdist`` (the
+    N x rho squared distances of the search; None on a graph built directly)
+    by ``knn_graph``, ``diag_shift`` (the psd correction, never stored as
+    edges) by ``with_diag_shift``, and ``symmetric`` by ``symmetrize``.
     """
 
-    matrix: sp.csr_matrix
-    degrees: np.ndarray = field(init=False)
-    diag_shift: float = field(default=0.0, init=False)
-    symmetric: bool = field(default=False, init=False)
-    knn_sqdist: np.ndarray | None = field(default=None, init=False)
-    dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_matrix", "dense", "degrees", "diag_shift", "symmetric", "knn_sqdist")
 
-    def __post_init__(self):
-        m = self.matrix
+    def __init__(self, matrix):
+        m = matrix
         if m.shape[0] != m.shape[1]:
             raise DataError(f"affinity matrix must be square, got {m.shape}")
         if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
             raise DataError("affinity weights must be finite and >= 0")
         if m.diagonal().any():
             raise DataError("affinity graph must not contain self-loops")
-        object.__setattr__(self, "degrees", np.asarray(m.sum(axis=1)).ravel())
+        self._fill(m, None, np.asarray(m.sum(axis=1)).ravel())
 
-    def __getattr__(self, name):
-        """Only a dense graph lacks an attribute, its ``matrix``, until it is read."""
-        if name != "matrix" or self.dense is None:
-            raise AttributeError(name)
-        m = sp.csr_matrix(self.dense)  # indices sorted, no zero stored
-        object.__setattr__(self, "matrix", m)
-        return m
+    @classmethod
+    def _of_valid(cls, matrix, dense, degrees, **fields):
+        """One whose CSR ``matrix`` (None to make it from ``dense`` when read)
+        or ``dense`` adjacency is valid by construction, with ``degrees`` its
+        row sums, unchecked."""
+        W = cls.__new__(cls)
+        W._fill(matrix, dense, degrees, **fields)
+        return W
+
+    def _fill(self, matrix, dense, degrees, knn_sqdist=None, symmetric=False, diag_shift=0.0):
+        self._matrix, self.dense, self.degrees = matrix, dense, degrees
+        self.knn_sqdist, self.symmetric, self.diag_shift = knn_sqdist, symmetric, diag_shift
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = sp.csr_matrix(self.dense)  # indices sorted, no zero stored
+        return self._matrix
 
     @property
     def n_points(self):
-        return (self.matrix if self.dense is None else self.dense).shape[0]
+        return self.degrees.shape[0]
 
     def with_diag_shift(self, delta: float) -> "SparseAffinity":
         delta = float(delta)
         if delta < 0:
             raise DataError("diag_shift must be >= 0")
-        return _derived(self, diag_shift=delta)
-
-
-def _derived(W, **changes):
-    """W with ``changes`` applied, skipping the O(nnz) checks of ``__post_init__``.
-
-    Only for graphs derived from a checked one whose edges stay finite,
-    non-negative, loop-free and summed into ``degrees`` by construction. A new
-    ``matrix`` drops the dense adjacency, so the derived graph's votes are
-    CSR products.
-    """
-    if "matrix" in changes:
-        changes = {"dense": None, **changes}
-    out = copy.copy(W)
-    for name, value in changes.items():
-        object.__setattr__(out, name, value)
-    return out
+        return SparseAffinity._of_valid(self._matrix, self.dense, self.degrees,
+                                        knn_sqdist=self.knn_sqdist, symmetric=self.symmetric,
+                                        diag_shift=delta)
 
 
 def _neighbor_search(X, rho):
@@ -461,41 +452,25 @@ def _nearest_columns(h, rho):
 
 
 def knn_graph(X, rho: int) -> SparseAffinity:
-    """Directed binary rho-NN graph: w(p,q) = 1 iff q is among p's rho nearest."""
+    """Directed binary rho-NN graph: w(p,q) = 1 iff q is among p's rho nearest.
+
+    Up to ``_DENSE_MAX_N`` points the graph is dense, the N x N adjacency;
+    beyond, it is CSR. The search returns rho distinct other points per row,
+    so the graph has no self-loop and every degree is rho, and it is not
+    checked again.
+    """
     idx, sqd = _neighbor_search(X, rho)
     n = idx.shape[0]
+    degrees = np.full(n, float(rho))
+    if n <= _DENSE_MAX_N:
+        A = np.zeros((n, n))
+        A[np.arange(n)[:, None], idx] = 1.0
+        return SparseAffinity._of_valid(None, A, degrees, knn_sqdist=sqd)
     indptr = np.arange(0, n * rho + 1, rho, dtype=np.int64)
     data = np.ones(n * rho, dtype=np.float64)
     m = sp.csr_matrix((data, idx.ravel(), indptr), shape=(n, n))
     m.sort_indices()
-    return _derived(SparseAffinity(matrix=m), knn_sqdist=sqd)
-
-
-def _symmetric_knn_graph(X, rho, mode):
-    """``symmetrize(knn_graph(X, rho), mode)``, held as its dense adjacency
-    when X has at most ``_DENSE_MAX_N`` points.
-
-    The dense graph is built from the search's indices: the directed graph's
-    ones are set in an N x N array of zeros, which is then combined with its
-    transpose by max or mean, as ``symmetrize`` does. Every entry is 0, 1/2 or
-    1, and the degrees are the row sums, exact in any order. So edges,
-    weights, degrees and ``knn_sqdist`` are the CSR graph's bitwise, with no
-    CSR built, checked or summed; the graph's ``matrix`` is made from
-    ``dense`` only when it is read.
-    """
-    P = _centered(X)
-    if P.n_points > _DENSE_MAX_N:
-        return symmetrize(knn_graph(P, rho), mode)
-    idx, sqd = _neighbor_search(P, rho)
-    n = idx.shape[0]
-    A = np.zeros((n, n))
-    A[np.arange(n)[:, None], idx] = 1.0
-    A = np.maximum(A, A.T) if mode == "max" else (A + A.T) * 0.5
-    W = SparseAffinity.__new__(SparseAffinity)
-    for name, value in (("dense", A), ("degrees", A.sum(axis=1)), ("symmetric", True),
-                        ("knn_sqdist", sqd)):
-        object.__setattr__(W, name, value)
-    return W
+    return SparseAffinity._of_valid(m, None, degrees, knn_sqdist=sqd)
 
 
 def _check_sym_mode(mode):
@@ -505,14 +480,23 @@ def _check_sym_mode(mode):
 
 
 def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
-    """Symmetrize stored weights by elementwise max or mean."""
+    """Symmetrize stored weights by elementwise max or mean, in W's form.
+
+    A dense graph's adjacency (knn_graph's 0 and 1) is combined with its
+    transpose; every entry is then 0, 1/2 or 1, and its row sums, exact in
+    any order, are the degrees the CSR form would have, bitwise.
+    """
     _check_sym_mode(mode)
+    kept = dict(knn_sqdist=W.knn_sqdist, symmetric=True, diag_shift=W.diag_shift)
+    if W.dense is not None:
+        A = W.dense
+        A = np.maximum(A, A.T) if mode == "max" else (A + A.T) * 0.5
+        return SparseAffinity._of_valid(None, A, A.sum(axis=1), **kept)
     m = W.matrix.maximum(W.matrix.T) if mode == "max" else (W.matrix + W.matrix.T) * 0.5
     m = m.tocsr()
     m.eliminate_zeros()
     m.sort_indices()
-    degrees = np.asarray(m.sum(axis=1)).ravel()
-    return _derived(W, matrix=m, degrees=degrees, symmetric=True)
+    return SparseAffinity._of_valid(m, None, np.asarray(m.sum(axis=1)).ravel(), **kept)
 
 
 def estimate_sigma2(X, rho: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affinity import _check_sym_mode, _symmetric_knn_graph, estimate_sigma2
+from .affinity import _check_sym_mode, estimate_sigma2, knn_graph, symmetrize
 from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 from .io import TaskSpec, _integer_array, validate_features
 from .metrics import fewshot_accuracy
@@ -189,10 +189,10 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     no d-wide product. G is then no larger than the features. A wider episode
     (N > d) keeps its CenteredFeatures and feature-space M0.
 
-    W is ``affinity._symmetric_knn_graph``'s, whatever d is: an episode of at
-    most ``affinity._DENSE_MAX_N`` points (80 KB as an N x N array) gets a
-    dense adjacency built straight from the search's indices, whose votes are
-    one BLAS product, bitwise the CSR one; a larger one gets the CSR graph.
+    W is ``symmetrize(knn_graph(P, rho), sym)``, whatever d is: an episode of
+    at most ``affinity._DENSE_MAX_N`` points (80 KB as an N x N array) gets a
+    dense adjacency, whose votes are one BLAS product, bitwise the CSR one; a
+    larger one gets the CSR graph.
 
     Only the episode's rows of ``X_raw`` are read and validated, once; a
     non-finite value, or a row CL2 leaves at zero norm, is reported at its
@@ -230,7 +230,7 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
         M0 = _init_coefficients(classes, Xe.shape[0], task.k_way, cfg.rule)
     else:
         M0 = _init_prototypes(Xe[:n_s], classes, task.k_way, cfg.rule)
-    W = _symmetric_knn_graph(P, rho, sym)
+    W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
     clamp_class = np.concatenate([classes, np.full(len(task.queries), -1, dtype=np.int64)])

@@ -179,7 +179,8 @@ class SolveReport:
     relaxed_trace: list = field(default_factory=list)
     inner_iters_per_outer: list = field(default_factory=list)
     discrete_objective: float = np.nan
-    inner_cap_hits: int = 0  # assignment blocks that spent inner_max sweeps
+    # assignment blocks that spent inner_max sweeps with their last change still >= inner_tol
+    inner_cap_hits: int = 0
     redone_sweeps: int = 0  # sweeps whose bound gap was negative, redone with the KL term
     mode_cap_hits: int = 0  # clusters that spent a prototype block's mean-shift steps
     stop_reason: str | None = None  # why the outer loop stopped: "tolerance" or "outer_max"
@@ -197,19 +198,20 @@ class SolveReport:
 def neighbor_votes(W: SparseAffinity, S):
     """b_{p,k} = sum_q w(p,q) s_{q,k}, plus the diagonal-shift correction.
 
-    A CSR graph's votes are scipy's sparse product. A dense graph (a few-shot
-    episode's, see ``affinity._symmetric_knn_graph``) is symmetric, so its
-    votes are the transpose of one BLAS product S^t A. That product adds each
-    row's terms in column order, as the CSR product does, and every term is
-    exact, so at the sizes ``affinity._DENSE_MAX_N`` admits the votes are the
-    CSR product's bitwise. They are returned in C order, as the CSR product's
-    are, so no later reduction over them sums in another order.
+    A symmetric dense graph's (see ``affinity.knn_graph``; a few-shot episode's
+    or a small clustering run's) votes are the transpose of one BLAS product
+    S^t A. That product adds each row's terms in column order, as the CSR
+    product does, and every term is exact, so at the sizes
+    ``affinity._DENSE_MAX_N`` admits the votes are the CSR product's bitwise.
+    They are returned in C order, as the CSR product's are, so no later
+    reduction over them sums in another order. Every other graph's votes,
+    a directed dense one's too, are scipy's sparse product with its matrix.
     """
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    if W.dense is None:
-        b = W.matrix @ rows
-    else:
+    if W.dense is not None and W.symmetric:
         b = (rows.T @ W.dense).T.copy()
+    else:
+        b = W.matrix @ rows
     if W.diag_shift > 0.0:
         b += W.diag_shift * rows
     return b

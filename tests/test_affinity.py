@@ -513,20 +513,31 @@ def test_import_leaves_scipy_spatial_unloaded():
 
 
 def test_derived_graphs_are_not_checked_again(monkeypatch):
+    # only a caller's matrix is checked: knn_graph, symmetrize and
+    # with_diag_shift build valid graphs, dense (30 points) or CSR (130)
     checks = []
-    post_init = SparseAffinity.__post_init__
-    monkeypatch.setattr(SparseAffinity, "__post_init__",
-                        lambda self: (checks.append(self.n_points), post_init(self)))
-    W = knn_graph(np.random.default_rng(18).standard_normal((30, 3)), 4)
-    for mode in ("max", "mean"):
-        shifted = symmetrize(W, mode).with_diag_shift(0.25)
-        assert shifted.diag_shift == 0.25
-        assert shifted.knn_sqdist is W.knn_sqdist
-        np.testing.assert_array_equal(shifted.degrees,
-                                      np.asarray(shifted.matrix.sum(axis=1)).ravel())
-    assert checks == [30]
-    with pytest.raises(DataError):
-        W.with_diag_shift(-1.0)
+    init = SparseAffinity.__init__
+
+    def counting(self, matrix):
+        checks.append(matrix.shape[0])
+        init(self, matrix)
+
+    monkeypatch.setattr(SparseAffinity, "__init__", counting)
+    for n in (30, 130):
+        W = knn_graph(np.random.default_rng(18).standard_normal((n, 3)), 4)
+        assert (W.dense is not None) == (n <= affinity._DENSE_MAX_N)
+        for mode in ("max", "mean"):
+            shifted = symmetrize(W, mode).with_diag_shift(0.25)
+            assert shifted.diag_shift == 0.25 and shifted.symmetric
+            assert shifted.knn_sqdist is W.knn_sqdist
+            assert (shifted.dense is not None) == (W.dense is not None)
+            np.testing.assert_array_equal(shifted.degrees,
+                                          np.asarray(shifted.matrix.sum(axis=1)).ravel())
+        with pytest.raises(DataError):
+            W.with_diag_shift(-1.0)
+    assert checks == []
+    SparseAffinity(matrix=W.matrix)
+    assert checks == [130]
 
 
 def test_knn_rho_out_of_range():
@@ -543,20 +554,30 @@ def test_symmetrize_max_adds_reverse_edge():
     assert S.symmetric
 
 
+def both_forms(W):
+    """A small knn_graph's dense graph, and its matrix as a CSR graph."""
+    assert W.dense is not None
+    return W, SparseAffinity(matrix=W.matrix)
+
+
 def test_symmetrize_max_idempotent():
     rng = np.random.default_rng(5)
-    W = symmetrize(knn_graph(rng.standard_normal((15, 2)), 3), "max")
-    W2 = symmetrize(W, "max")
-    assert (W.matrix != W2.matrix).nnz == 0
-    np.testing.assert_array_equal(W.degrees, W2.degrees)
+    for G in both_forms(knn_graph(rng.standard_normal((15, 2)), 3)):
+        W = symmetrize(G, "max")
+        W2 = symmetrize(W, "max")
+        assert (W.dense is None) == (W2.dense is None) == (G.dense is None)
+        assert (W.matrix != W2.matrix).nnz == 0
+        np.testing.assert_array_equal(W.degrees, W2.degrees)
 
 
 def test_symmetrize_mean_matches_dense_oracle():
     rng = np.random.default_rng(6)
-    W = knn_graph(rng.standard_normal((12, 2)), 3)
-    dense = W.matrix.toarray()
-    got = symmetrize(W, "mean").matrix.toarray()
-    np.testing.assert_allclose(got, (dense + dense.T) / 2.0, atol=1e-15)
+    for W in both_forms(knn_graph(rng.standard_normal((12, 2)), 3)):
+        dense = W.matrix.toarray()
+        S = symmetrize(W, "mean")
+        got = S.matrix.toarray()
+        np.testing.assert_allclose(got, (dense + dense.T) / 2.0, atol=1e-15)
+        np.testing.assert_array_equal(S.degrees, got.sum(axis=1))
 
 
 def test_symmetrize_rejects_none():
@@ -668,15 +689,17 @@ def test_laplacian_matches_dense_oracle():
     rng = np.random.default_rng(10)
     for _ in range(5):
         n, k = int(rng.integers(8, 25)), int(rng.integers(2, 5))
-        W = symmetrize(knn_graph(rng.standard_normal((n, 3)), 3), "max")
+        G = knn_graph(rng.standard_normal((n, 3)), 3)
         g = rng.gamma(1.0, size=(n, k))
         S = g / g.sum(axis=1, keepdims=True)
-        dense = W.matrix.toarray()
-        expected = sum(
-            dense[p, q] * float(np.sum((S[p] - S[q]) ** 2))
-            for p in range(n) for q in range(n)
-        )
-        assert laplacian_quadratic(W, S) == pytest.approx(expected, rel=1e-10)
+        for W in both_forms(G):
+            W = symmetrize(W, "max")
+            dense = W.matrix.toarray()
+            expected = sum(
+                dense[p, q] * float(np.sum((S[p] - S[q]) ** 2))
+                for p in range(n) for q in range(n)
+            )
+            assert laplacian_quadratic(W, S) == pytest.approx(expected, rel=1e-10)
 
 
 def test_binary_identity_random():
@@ -706,21 +729,23 @@ def test_self_loops_rejected():
 
 
 # Run in a fresh process whose BLAS uses the thread count of its environment:
-# every K from 1 to N - 1 on dense graphs of N points, max and mean, rho 1 and
-# 3; prints the cases where the dense votes are not the CSR product bitwise.
+# every K from 1 to N on dense graphs of N points, directed and symmetrized by
+# max and mean, rho 1 and 3; prints the cases where the votes are not the CSR
+# product bitwise.
 _DENSE_VOTES_SCRIPT = """
 import sys
 import numpy as np
-from lapclust import affinity
+from lapclust import knn_graph, symmetrize
 from lapclust.optimizer import neighbor_votes
 n = int(sys.argv[1])
 rng = np.random.default_rng(n)
 bad = []
-for mode in affinity.SYM_MODES:
-    for rho in (1, 3):
-        W = affinity._symmetric_knn_graph(rng.standard_normal((n, 12)), rho, mode)
-        assert W.dense is not None
-        for k in range(1, n):
+for rho in (1, 3):
+    D = knn_graph(rng.standard_normal((n, 12)), rho)
+    for mode in ("directed", "max", "mean"):
+        W = D if mode == "directed" else symmetrize(D, mode)
+        assert W.dense is not None and W.symmetric == (W is not D)
+        for k in range(1, n + 1):
             z = 10.0 * rng.standard_normal((n, k))
             rows = np.exp(z - z.max(axis=1, keepdims=True))
             rows /= rows.sum(axis=1, keepdims=True)
@@ -736,7 +761,8 @@ print(bad)
 def test_dense_votes_are_the_csr_product(threads, n):
     # the BLAS product adds each row's terms in column order only while it
     # multiplies with its unblocked kernel; an episode has fewer classes than
-    # points, so every K it can have is checked
+    # points and k-means++ seeds at most N, so every K a graph of N points
+    # can be solved with is checked
     src_dir = os.path.dirname(os.path.dirname(affinity.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
@@ -748,21 +774,58 @@ def test_dense_votes_are_the_csr_product(threads, n):
 
 @pytest.mark.parametrize("mode", affinity.SYM_MODES)
 def test_dense_graph_is_the_symmetrized_search(mode):
+    # the reference symmetrizes the same edges as a CSR graph built directly
     X = np.random.default_rng(23).standard_normal((affinity._DENSE_MAX_N, 16))
-    want = symmetrize(knn_graph(X, 3), mode)
-    W = affinity._symmetric_knn_graph(X, 3, mode)
-    assert W.dense is not None and "matrix" not in vars(W)  # no CSR until one is read
+    D = knn_graph(X, 3)
+    want = symmetrize(SparseAffinity(matrix=D.matrix), mode)
+    assert want.dense is None
+    W = symmetrize(D, mode)
+    assert W.dense is not None and W._matrix is None  # no CSR until one is read
     assert W.symmetric and W.diag_shift == 0.0 and W.n_points == X.shape[0]
     assert W.degrees.tobytes() == want.degrees.tobytes()
-    assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+    assert W.knn_sqdist.tobytes() == affinity._neighbor_search(X, 3)[1].tobytes()
     assert W.dense.tobytes() == want.matrix.toarray().tobytes()
     for part in ("data", "indices", "indptr"):
         assert getattr(W.matrix, part).tobytes() == getattr(want.matrix, part).tobytes(), part
-    # a graph derived with a new matrix is CSR again; a shifted one keeps the dense form
-    assert symmetrize(W, mode).dense is None
+    # symmetrize and with_diag_shift keep the dense form
+    again = symmetrize(W, mode)
+    assert again.dense.tobytes() == W.dense.tobytes()
+    assert again.degrees.tobytes() == W.degrees.tobytes()
     assert W.with_diag_shift(0.5).dense is W.dense
     # a larger one is the CSR graph
     X = np.random.default_rng(24).standard_normal((affinity._DENSE_MAX_N + 1, 16))
-    W = affinity._symmetric_knn_graph(X, 3, mode)
+    W = symmetrize(knn_graph(X, 3), mode)
     assert W.dense is None
-    assert (W.matrix != symmetrize(knn_graph(X, 3), mode).matrix).nnz == 0
+    want = symmetrize(SparseAffinity(matrix=knn_graph(X, 3).matrix), mode)
+    assert (W.matrix != want.matrix).nnz == 0
+
+
+def duplicate_heavy(n, dim, rho, seed):
+    """n points in dim columns: 3 (rho + 2) copies of one point, rho + 2
+    copies of each of two others, and distinct points nearby."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((3, dim))
+    X = np.vstack([np.repeat(base[:1], 3 * (rho + 2), axis=0),
+                   np.repeat(base[1:], rho + 2, axis=0)])
+    X = np.vstack([X, base[rng.integers(3, size=n - len(X))]
+                   + 0.1 * rng.standard_normal((n - len(X), dim))])
+    return X[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("dim", [2, 12])  # kd-tree, brute force
+@pytest.mark.parametrize("n", [60, 150])  # dense, CSR (with the float32 prefilter at d = 12)
+def test_knn_graph_has_no_self_loops_and_degree_rho(n, dim):
+    # knn_graph does not check its own graph, so the search must give each row
+    # rho distinct other points, also where more than rho + 1 points coincide
+    rho = 3
+    W = knn_graph(duplicate_heavy(n, dim, rho, seed=n + dim), rho)
+    assert (W.dense is not None) == (n <= affinity._DENSE_MAX_N)
+    m = W.matrix
+    assert not m.diagonal().any()
+    np.testing.assert_array_equal(np.diff(m.indptr), rho)
+    np.testing.assert_array_equal(m.data, 1.0)
+    assert W.degrees.tobytes() == np.full(n, float(rho)).tobytes()
+    assert SparseAffinity(matrix=m).degrees.tobytes() == W.degrees.tobytes()
+    if W.dense is not None:
+        assert not W.dense.diagonal().any()
+        assert W.dense.tobytes() == m.toarray().tobytes()

@@ -8,6 +8,7 @@ import pytest
 from lapclust import (
     PreprocessConfig,
     SolverConfig,
+    SparseAffinity,
     TaskSpec,
     bias_correct,
     cl2_normalize,
@@ -369,13 +370,13 @@ def test_base_mean_without_cl2_is_a_config_error():
 def graph_calls(monkeypatch):
     """The rho of every graph an episode builds while the test runs."""
     calls = []
-    real = fewshot._symmetric_knn_graph
+    real = fewshot.knn_graph
 
-    def counting(X, rho, mode):
+    def counting(X, rho):
         calls.append(rho)
-        return real(X, rho, mode)
+        return real(X, rho)
 
-    monkeypatch.setattr(fewshot, "_symmetric_knn_graph", counting)
+    monkeypatch.setattr(fewshot, "knn_graph", counting)
     return calls
 
 
@@ -548,14 +549,15 @@ def test_episode_takes_the_gram_path_when_it_has_no_more_points_than_columns(
 def test_episode_graph_is_dense_by_its_size_alone(n_shot, dim, n_query):
     # off the Gram path too, an episode of at most affinity._DENSE_MAX_N
     # points gets the dense adjacency, and a larger one the CSR graph; both
-    # are the symmetrized search's, bitwise
+    # are the search's edges symmetrized as a CSR graph, bitwise
     _, _, _, (P, W, _, _), _ = prepared(n_shot, dim, 8, "means", n_query=n_query, sym="mean")
     assert (W.dense is not None) == (P.n_points <= affinity._DENSE_MAX_N)
-    want = symmetrize(knn_graph(getattr(P, "features", P), 3), "mean")
+    search = knn_graph(getattr(P, "features", P), 3)
+    want = symmetrize(SparseAffinity(matrix=search.matrix), "mean")
     for part in ("data", "indices", "indptr"):
         assert getattr(W.matrix, part).tobytes() == getattr(want.matrix, part).tobytes()
     assert W.degrees.tobytes() == want.degrees.tobytes()
-    assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+    assert W.knn_sqdist.tobytes() == search.knn_sqdist.tobytes()
 
 
 @pytest.mark.parametrize("n_shot, n_query", [(1, 15), (5, 15), (5, 55)])
@@ -568,11 +570,12 @@ def test_gram_episode_graph_is_the_feature_search(n_shot, n_query):
         _, _, _, (P, W, _, _), _ = prepared(n_shot, 640, 5, "modes", n_query=n_query, sym=sym)
         assert isinstance(P, prototypes.GramPoints)
         assert (W.dense is not None) == (P.n_points <= affinity._DENSE_MAX_N)
-        want = symmetrize(knn_graph(P.features, 3), sym)
+        search = knn_graph(P.features, 3)
+        want = symmetrize(SparseAffinity(matrix=search.matrix), sym)
         for part in ("data", "indices", "indptr"):
             assert getattr(W.matrix, part).tobytes() == getattr(want.matrix, part).tobytes()
         assert W.degrees.tobytes() == want.degrees.tobytes()
-        assert W.knn_sqdist.tobytes() == want.knn_sqdist.tobytes()
+        assert W.knn_sqdist.tobytes() == search.knn_sqdist.tobytes()
         assert W.symmetric and W.diag_shift == 0.0
 
 
@@ -617,7 +620,8 @@ def reference_loop(P, W, M0, cfg, clamp_class):
     graph: each block makes its own setup and votes, and every prototype is
     checked. Returns (relaxed trace, sweeps per block, redone sweeps, inner
     cap hits, mode cap hits)."""
-    W = affinity._derived(W, matrix=W.matrix)
+    assert W.diag_shift == 0.0
+    W = SparseAffinity(matrix=W.matrix)
     free = clamp_class < 0
     degrees = W.matrix.toarray().sum(axis=1)  # exact: 0, 1/2 and 1 weights
     rows = optimizer.s_inner_update(prototypes.prototype_scores(P, M0, cfg.sigma2))
