@@ -4,8 +4,11 @@ The affinity graph connects each point to its rho nearest neighbors (squared
 Euclidean distance, binary weights). Neighbor sets are exact under the
 package's one centered kernel (``prototypes.CenteredFeatures``), which keeps
 them exact far from the origin; ties are broken toward the lower point index
-for cross-platform determinism. The search takes one of two paths, chosen on
-the feature dimension d:
+for cross-platform determinism. The search is one function
+(``_neighbor_search``) over three passes. A candidate pass, chosen on the
+feature dimension d and on N, writes every row and returns the rows it cannot
+certify; ``_neighbor_search`` then sends those rows to the exact pass, its
+only call. The candidate passes:
 
 - d <= ``_TREE_MAX_DIM`` (10): a kd-tree (``scipy.spatial.cKDTree``, Friedman,
   Bentley & Finkel 1977), split at the sliding midpoint (Maneewongvatana &
@@ -13,39 +16,38 @@ the feature dimension d:
   queried in the tree's leaf order on every CPU the process may use (at most
   one thread per 1024 queries), and the results are scattered back; each
   query is exact and independent, so the result does not depend on the
-  worker count. A row whose
-  rho-th and (rho+1)-th lie within the kernel's rounding of each other
-  (``_near_tie``) is searched again by the exact pass; every other row's
-  distances are recomputed by the kernel's expansion pair by pair, so they can
-  differ from the exact pass's GEMM values in the last bits (and sigma^2 with
-  them). Memory is a few N x (rho + 2) arrays.
-- wider features: brute force in row blocks of at most 8 MB
-  (``_CHUNK_BUDGET`` float64 distances, or twice as many float32 ones),
-  written in place into two buffers allocated once per search pass, so its
-  memory is bounded by that budget whatever N is: only a search whose N x N
-  distances fit in one block holds them all at once. When N holds more than
-  rho + 1 strided groups of ``_GROUP_SIZE`` columns, the search has three
-  stages, as FAISS ranks by a single-precision product (Johnson, Douze &
-  Jegou 2019) and the tree path certifies its rows:
-  1. a float32 prefilter: blocks of half distances in single precision, twice
-     the rows per block, keep each row's rho + 1 + ``_SPARE`` candidates and
-     the next float32 value as a threshold;
-  2. a float64 re-rank of the candidates by the kernel's expansion pair by
-     pair, as on the tree path;
-  3. the exact pass for every row the re-rank cannot certify: a tie or near
-     tie at the cut, a (rho+1)-th within float32 rounding of the threshold,
-     or a scale where float32 overflows or underflows.
-  The exact pass, which is the whole search of a smaller N (the paper's
-  few-shot episodes), fills float64 blocks with half distances, made by the product and
-  two elementwise passes; only the entries a row keeps are doubled and
-  clamped, which gives the kernel's GEMM values bitwise. Searching a
-  ``GramPoints`` (an episode with N <= d), a pass over every point in one
-  block reads the product from the points' Gram matrix G instead, which is
-  that product bitwise. A row's rho + 1 nearest are selected in two stages:
-  the minimum of each strided group of columns, then only the groups with
-  the smallest minima (``_nearest_columns``, which also picks the
-  prefilter's candidates). Only a row whose rho-th and (rho+1)-th distances
-  are equal takes the tie pass.
+  worker count. A row whose rho-th and (rho+1)-th lie within the kernel's
+  rounding of each other (``_near_tie``) is left to the exact pass; every
+  other row's distances are recomputed by the kernel's expansion pair by
+  pair, so they can differ from the exact pass's GEMM values in the last bits
+  (and sigma^2 with them). Memory is a few N x (rho + 2) arrays.
+- wider features, when N holds more than rho + 1 strided groups of
+  ``_GROUP_SIZE`` columns: a float32 prefilter, as FAISS ranks by a
+  single-precision product (Johnson, Douze & Jegou 2019). Blocks of half
+  distances in single precision, twice the rows per block, keep each row's
+  rho + 1 + ``_SPARE`` candidates and the next float32 value as a threshold;
+  the candidates are re-ranked in float64 pair by pair, as on the tree path.
+  A row is left to the exact pass when it has a tie or near tie at the cut, a
+  (rho+1)-th within float32 rounding of the threshold, or a scale where
+  float32 overflows or underflows.
+- otherwise (the paper's few-shot episodes, among others) there is no
+  candidate pass, and the exact pass searches every row.
+
+The exact pass is brute force in row blocks of at most 8 MB
+(``_CHUNK_BUDGET`` float64 distances; a prefilter block holds twice as many
+float32 ones), written in place into two buffers allocated once per pass, so
+its memory is bounded by that budget whatever N is: only a search whose N x N
+distances fit in one block holds them all at once. It fills float64 blocks
+with half distances, made by the product and two elementwise passes; only the
+entries a row keeps are doubled and clamped, which gives the kernel's GEMM
+values bitwise. Searching a ``GramPoints`` (an episode with N <= d), a pass
+over every point in one block reads the product from the points' Gram matrix
+G instead, which is that product bitwise. A row's rho + 1 nearest are
+selected in two stages: the minimum of each strided group of columns, then
+only the groups with the smallest minima (``_nearest_columns``, which also
+picks the prefilter's candidates). Only a row whose rho-th and (rho+1)-th
+distances are equal takes the tie pass. Every pass orders its rows by
+(distance, index) with ``_by_distance``.
 
 The threshold is measured (N=10k, rho=5, one core of a 2-core VM, best of 3,
 two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
@@ -189,12 +191,17 @@ def _neighbor_search(X, rho):
     """Exact rho-NN per row. Returns (indices, sqdists), both (N, rho), each row
     in (distance, index) order.
 
-    Features of at most ``_TREE_MAX_DIM`` columns are searched with a kd-tree
-    (``_tree_search``), wider ones by blocked brute force (``_brute_search``);
-    both return the neighbor sets of the centered kernel's distances. Within a
-    row, two neighbors whose distances differ only by rounding can come in
-    either order on the tree path. The points of a ``GramPoints`` are searched
-    as its features, with the brute-force exact pass reading G.
+    The search is one pipeline over the centered kernel's distances. The
+    outputs are allocated here, and a candidate pass chosen by d and N fills
+    them and returns the rows it cannot certify: the kd-tree (``_tree_rows``)
+    for features of at most ``_TREE_MAX_DIM`` columns, else the float32
+    prefilter (``_prefiltered_rows``) when N holds more than rho + 1 groups of
+    ``_GROUP_SIZE`` columns. Both re-rank their candidates in float64, pair by
+    pair, so within a row two neighbors whose distances differ only by rounding
+    can come in either order. A smaller search has no candidate pass: every
+    row is redone. This function then makes the one call of the exact pass,
+    ``_exact_rows``, over the rows to redo (none, often). The points of a
+    ``GramPoints`` are searched as its features, with the exact pass reading G.
     """
     P = _centered(X)
     gram = None
@@ -203,28 +210,23 @@ def _neighbor_search(X, rho):
     n, dim = P.X.shape
     if not 1 <= rho < n:
         raise DataError(f"rho must satisfy 1 <= rho < n_points, got rho={rho}, n={n}")
-    if dim <= _TREE_MAX_DIM:
-        return _tree_search(P, rho)
-    return _brute_search(P, rho, gram)
-
-
-def _brute_search(P, rho, gram=None):
-    """rho-NN of every point of the CenteredFeatures P by blocked brute force.
-
-    A search over more than rho + 1 column groups is prefiltered in single
-    precision (``_prefiltered_rows``); the rows it cannot certify, and every
-    row of a smaller search, go through ``_exact_rows``, which can read its
-    products from ``gram``, the points' Gram matrix, when it is given.
-    """
-    n = P.X.shape[0]
     idx_out = np.empty((n, rho), dtype=np.int64)
     sqd_out = np.empty((n, rho), dtype=np.float64)
-    if n > (rho + 1) * _GROUP_SIZE:
+    if dim <= _TREE_MAX_DIM:
+        redo = _tree_rows(P, rho, idx_out, sqd_out)
+    elif n > (rho + 1) * _GROUP_SIZE:
         redo = _prefiltered_rows(P, rho, idx_out, sqd_out)
     else:
         redo = np.arange(n)
     _exact_rows(P, rho, redo, idx_out, sqd_out, gram)
     return idx_out, sqd_out
+
+
+def _by_distance(cand, cand_d, keep=None):
+    """The candidate columns ``cand`` and their distances ``cand_d``, each row
+    in (distance, index) order, cut to its first ``keep`` (all when None)."""
+    order = np.lexsort((cand, cand_d), axis=1)[:, :keep]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cand_d, order, axis=1)
 
 
 def _prefiltered_rows(P, rho, idx_out, sqd_out):
@@ -260,13 +262,8 @@ def _prefiltered_rows(P, rho, idx_out, sqd_out):
             h[rows, rows + start] = np.inf
             part = _nearest_columns(h, k)
             cutoff = 2.0 * h[rows, part[:, k]].astype(np.float64) - slack[block]
-        cand = part[:, :k]
-        cand_d = P.pair_sqdist(cand, block)
-        order = np.lexsort((cand, cand_d), axis=1)[:, :rho + 1]
-        cand = np.take_along_axis(cand, order, axis=1)
-        cand_d = np.take_along_axis(cand_d, order, axis=1)
-        idx_out[block] = cand[:, :rho]
-        sqd_out[block] = cand_d[:, :rho]
+        cand, cand_d = _by_distance(part[:, :k], P.pair_sqdist(part[:, :k], block), rho + 1)
+        idx_out[block], sqd_out[block] = cand[:, :rho], cand_d[:, :rho]
         certified = (cand_d[:, rho] < cutoff) & ~_near_tie(P, block, cand_d)
         redo.append(start + np.flatnonzero(~certified))
     return np.concatenate(redo)
@@ -301,17 +298,17 @@ def _near_tie(P, rows, t):
     return t[:, -1] - t[:, -2] <= rtol * (P.sq_norms[rows] + t[:, -2])
 
 
-def _tree_search(P, rho):
-    """rho-NN of every point of the CenteredFeatures P by a kd-tree.
+def _tree_rows(P, rho, idx_out, sqd_out):
+    """Writes the rho-NN of every point of the CenteredFeatures P found by a
+    kd-tree; returns the points whose set it cannot certify, increasing.
 
     The tree returns each point's rho + 2 nearest, itself among them unless
     more than rho + 1 points coincide with it; such a row drops its farthest
     instead, and its rho-th and (rho+1)-th are then both at distance 0. A row
     whose rho-th and (rho+1)-th other points are a ``_near_tie`` could order
-    differently under the centered kernel and is searched again by
-    ``_exact_rows``. For every other row the kernel's
-    rounding cannot move a point across the cut, so the set is the kernel's;
-    its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
+    differently under the centered kernel and is returned. For every other row
+    the kernel's rounding cannot move a point across the cut, so the set is the
+    kernel's; its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
 
     The points are queried in the tree's leaf order (``tree.indices``), so
     consecutive queries walk the same nodes, on ``_search_workers(n)`` threads,
@@ -332,15 +329,9 @@ def _tree_search(P, rho):
     own[~own.any(axis=1), -1] = True
     nbr = nbr[~own].reshape(n, rho + 1)  # at rho = n - 1 the last column is missing (index n)
     t = np.square(dist[~own].reshape(n, rho + 1))
-    redo = _near_tie(P, slice(None), t[:, rho - 1:])
     cand = nbr[:, :rho]
-    cand_d = P.pair_sqdist(cand)
-    order = np.lexsort((cand, cand_d), axis=1)
-    idx_out = np.take_along_axis(cand, order, axis=1)
-    sqd_out = np.take_along_axis(cand_d, order, axis=1)
-    if redo.any():
-        _exact_rows(P, rho, np.flatnonzero(redo), idx_out, sqd_out)
-    return idx_out, sqd_out
+    idx_out[:], sqd_out[:] = _by_distance(cand, P.pair_sqdist(cand))
+    return np.flatnonzero(_near_tie(P, slice(None), t[:, rho - 1:]))
 
 
 def _search_workers(n):
@@ -390,12 +381,9 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
         else:
             part = np.argpartition(h, rho, axis=1)[:, :rho + 1].copy()  # frees the N-wide block
         part_d = np.maximum(2.0 * np.take_along_axis(h, part, axis=1), 0.0)
-        cand, cand_d = part[:, :rho], part_d[:, :rho]
-        cutoff = cand_d.max(axis=1)
+        cutoff = part_d[:, :rho].max(axis=1)
         tied = part_d[:, rho] == cutoff
-        order = np.lexsort((cand, cand_d), axis=1)
-        idx_out[block] = np.take_along_axis(cand, order, axis=1)
-        sqd_out[block] = np.take_along_axis(cand_d, order, axis=1)
+        idx_out[block], sqd_out[block] = _by_distance(part[:, :rho], part_d[:, :rho])
         if tied.any():
             _resolve_ties(h, block, np.flatnonzero(tied), cutoff, rho, idx_out, sqd_out)
 

@@ -122,7 +122,11 @@ class SoftAssignment:
 
     @staticmethod
     def from_hard(labels, k) -> "SoftAssignment":
-        labels = np.asarray(labels, dtype=np.int64)
+        """The one-hot rows of ``labels``, integers in [0, k)."""
+        labels = _integer_array(np.asarray(labels), "labels")
+        bad = (labels < 0) | (labels >= k)
+        if bad.any():
+            raise DataError(f"label {labels[bad][0]} outside [0, {k})")
         rows = np.zeros((labels.shape[0], k))
         rows[np.arange(labels.shape[0]), labels] = 1.0
         return SoftAssignment.unclamped(rows)
@@ -503,25 +507,20 @@ def _update_prototypes(P, rows, M, mode_cfg, a):
                                                for k in np.flatnonzero(empty)], 0
 
 
-def _refit_hard(P, W, rows, M, a, cfg, warnings):
+def _refit_hard(P, W, rows, M, a, cfg):
     """Round to hard labels, re-fit prototypes once, and evaluate E.
 
     ``a`` is the loop's last scores, those of M. Under modes the re-fit runs
     mean-shift from M, with ``a`` as the kernel matrix at M, to convergence
     (or to ``ModeSolverConfig``'s default cap), not within the loop's budget,
-    so E is taken at converged modes, from the scores the re-fit returns. A
-    re-fit that fails keeps the soft prototypes M and their scores ``a`` for
-    E and says so in ``warnings``.
+    so E is taken at converged modes, from the scores the re-fit returns. The
+    re-fit cannot fail: a cluster the rounding leaves empty keeps its
+    prototype in M.
     """
     hard = np.zeros_like(rows)
     hard[np.arange(rows.shape[0]), np.argmax(rows, axis=1)] = 1.0
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
-    try:
-        a_hard = _update_prototypes(P, hard, M, mode_cfg, a)[1]
-    except DataError as exc:
-        warnings.append(f"hard re-fit failed ({exc}); discrete objective uses the soft prototypes")
-        a_hard = a
-    return _discrete(W, hard, a_hard, cfg.lam)
+    return _discrete(W, hard, _update_prototypes(P, hard, M, mode_cfg, a)[1], cfg.lam)
 
 
 def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=None):
@@ -555,7 +554,7 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
     clamp_class = _clamp_array(np.full(n, -1) if clamp_class is None else clamp_class, n, M0.k)
     rows, M, a, report = _solve_loop(P, W, M0, cfg, clamp_class)
-    report.discrete_objective = _refit_hard(P, W, rows, M, a, cfg, report.warnings)
+    report.discrete_objective = _refit_hard(P, W, rows, M, a, cfg)
     return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
 
 

@@ -296,9 +296,20 @@ def update_means(X, S, prev: Prototypes | None = None):
     A zero-mass column raises EmptyClusterError unless ``prev`` supplies a
     prototype to keep. Returns (Prototypes, empty_mask).
     """
-    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    M, empty = _weighted_means(_centered(X), rows, prev)
+    P = _centered(X)
+    M, empty = _weighted_means(P, _assignment_rows(S, P), prev)
     return Prototypes(values=M, rule=RULE_MEANS), empty
+
+
+def _assignment_rows(S, P):
+    """S (a SoftAssignment or an array) as float64 rows, checked to be one per
+    point of P: a blocked sum would skip rows past the points, and a single
+    row would broadcast over them."""
+    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != P.n_points:
+        raise DataError(f"assignment matrix must have one row per point ({P.n_points}), "
+                        f"got shape {rows.shape}")
+    return rows
 
 
 def _weighted_means(P, rows, prev):
@@ -335,10 +346,10 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     kernel mass u^n at every visited iterate of cluster k; non-convergence
     within max_iters is reported as a warning, not a failure.
     """
+    P = _centered(X)
     history = []
-    M, _, _, zero_mass, capped = _mean_shift(
-        _centered(X), np.asarray(getattr(S, "rows", S), dtype=np.float64), cfg, M_init,
-        history=history)
+    M, _, _, zero_mass, capped = _mean_shift(P, _assignment_rows(S, P), cfg, M_init,
+                                             history=history)
     M = Prototypes(values=M.values, rule=RULE_MODES)  # checked here, at the public boundary
     u_traces = [[] for _ in range(M.k)]
     for active, masses in history:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,13 +30,23 @@ def brute_force_neighbors(X, rho):
     return out
 
 
-SEARCH_PATHS = {"tree": affinity._tree_search, "brute": affinity._brute_search}
+# the _TREE_MAX_DIM that sends a search of any d down each path
+SEARCH_PATHS = {"tree": np.inf, "brute": 0}
+
+
+def on_path(name):
+    """A context in which ``_neighbor_search`` takes the path ``name`` whatever d is."""
+    return mock.patch.object(affinity, "_TREE_MAX_DIM", SEARCH_PATHS[name])
 
 
 def path_searches(X, rho):
-    """(path name, indices, squared distances) from each search path, called directly."""
+    """(path name, indices, squared distances) from the search on each path."""
     P = CenteredFeatures(X)
-    return [(name, *search(P, rho)) for name, search in SEARCH_PATHS.items()]
+    runs = []
+    for name in SEARCH_PATHS:
+        with on_path(name):
+            runs.append((name, *affinity._neighbor_search(P, rho)))
+    return runs
 
 
 def assert_paths_match(X, rho, expected):
@@ -139,15 +150,16 @@ def test_knn_blocked_search_matches_one_block(monkeypatch, rows_per_block, rho):
         assert (wider[:, rho - 1] == wider[:, rho]).any()
 
 
-def traced_peak(search, X, rho):
+def traced_peak(path, X, rho):
     """Peak traced bytes of centering X and searching it on one path."""
-    search(CenteredFeatures(X[:50]), rho)  # first-call allocations out of the measurement
-    tracemalloc.start()
-    try:
-        search(CenteredFeatures(X), rho)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with on_path(path):
+        affinity._neighbor_search(CenteredFeatures(X[:50]), rho)  # first-call allocations out
+        tracemalloc.start()
+        try:
+            affinity._neighbor_search(CenteredFeatures(X), rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     return peak
 
 
@@ -158,7 +170,7 @@ def test_knn_search_memory_is_bounded_by_its_block():
     block_bytes = 8 * 1_000_000
     assert affinity._CHUNK_BUDGET * 8 <= block_bytes
     X = np.random.default_rng(17).standard_normal((4000, 8))
-    assert traced_peak(affinity._brute_search, X, 5) < 4 * block_bytes
+    assert traced_peak("brute", X, 5) < 4 * block_bytes
 
 
 def test_knn_tree_search_memory_is_linear_in_n():
@@ -167,25 +179,34 @@ def test_knn_tree_search_memory_is_linear_in_n():
     rho = 5
     for n in (4000, 16000):
         X = np.random.default_rng(17).standard_normal((n, 8))
-        assert traced_peak(affinity._tree_search, X, rho) < 10 * n * (rho + 2) * 8
+        assert traced_peak("tree", X, rho) < 10 * n * (rho + 2) * 8
 
 
 def test_knn_path_is_chosen_by_dimension(monkeypatch):
+    # the tree up to _TREE_MAX_DIM columns; wider, the float32 prefilter when N
+    # holds more than rho + 1 groups, else no candidate pass. Every search then
+    # makes one exact pass, over every row when there was no candidate pass.
     taken = []
 
     def spy(name, search):
-        def run(P, rho, *gram):
-            taken.append((name, P.X.shape[1]))
-            return search(P, rho, *gram)
+        def run(P, rho, *out):
+            taken.append((name, P.X.shape))
+            return search(P, rho, *out)
         return run
 
-    for name, search in SEARCH_PATHS.items():
-        monkeypatch.setattr(affinity, f"_{name}_search", spy(name, search))
+    for name in ("tree", "prefiltered"):
+        monkeypatch.setattr(affinity, f"_{name}_rows", spy(name, getattr(affinity, f"_{name}_rows")))
+    exact = spy_exact_rows(monkeypatch)
     rng = np.random.default_rng(21)
-    d = affinity._TREE_MAX_DIM
+    d, rho = affinity._TREE_MAX_DIM, 3
+    big = (rho + 1) * affinity._GROUP_SIZE + 1
     for dim in (1, d, d + 1, 128):
-        knn_graph(rng.standard_normal((30, dim)), 3)
-    assert taken == [("tree", 1), ("tree", d), ("brute", d + 1), ("brute", 128)]
+        for n in (30, big):
+            knn_graph(rng.standard_normal((n, dim)), rho)
+    assert taken == [("tree", (30, 1)), ("tree", (big, 1)), ("tree", (30, d)), ("tree", (big, d)),
+                     ("prefiltered", (big, d + 1)), ("prefiltered", (big, 128))]
+    assert len(exact) == 8
+    assert exact[4].tolist() == exact[6].tolist() == list(range(30))
 
 
 def test_knn_paths_agree_on_the_scalability_stream():
@@ -217,12 +238,13 @@ def test_tree_search_does_not_depend_on_its_worker_count(monkeypatch):
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(affinity, "_search_workers", lambda n: workers)
-        runs.append(affinity._tree_search(P, rho))
+        runs.append(affinity._neighbor_search(P, rho))
     assert seen == [1, 2]
     (idx1, sqd1), (idx2, sqd2) = runs
     assert idx1.tobytes() == idx2.tobytes()
     assert sqd1.tobytes() == sqd2.tobytes()
-    np.testing.assert_array_equal(idx1, affinity._brute_search(P, rho)[0])
+    with on_path("brute"):
+        np.testing.assert_array_equal(idx1, affinity._neighbor_search(P, rho)[0])
 
 
 def test_tree_search_starts_no_thread_for_a_small_search():
@@ -383,7 +405,7 @@ def test_two_stage_selection_needs_more_groups_than_it_keeps(monkeypatch):
     edge = (rho + 1) * affinity._GROUP_SIZE
     for n in (edge, edge + 1):
         X = rng.standard_normal((n, 12))
-        idx, sqd = affinity._brute_search(CenteredFeatures(X), rho)
+        idx, sqd = affinity._neighbor_search(X, rho)
         np.testing.assert_array_equal(idx, brute_force_neighbors(X, rho))
     assert calls == [(edge + 1, edge + 1)]
 
@@ -437,7 +459,7 @@ def test_prefiltered_search_matches_the_exact_rows(monkeypatch, case, scale):
     want_sqd = np.empty((n, rho))
     affinity._exact_rows(P, rho, np.arange(n), want_idx, want_sqd)
     calls = spy_exact_rows(monkeypatch)
-    idx, sqd = affinity._brute_search(P, rho)
+    idx, sqd = affinity._neighbor_search(P, rho)
     (redone,) = calls
     np.testing.assert_array_equal(idx, want_idx)
     assert sqd[redone].tobytes() == want_sqd[redone].tobytes()
@@ -467,7 +489,7 @@ def test_near_tie_at_high_dimension_is_redone(monkeypatch):
     want_sqd = np.empty((n, rho))
     affinity._exact_rows(P, rho, np.arange(n), want_idx, want_sqd)
     calls = spy_exact_rows(monkeypatch)
-    idx, sqd = affinity._brute_search(P, rho)
+    idx, sqd = affinity._neighbor_search(P, rho)
     assert len(calls) == 1 and 0 in calls[0]
     np.testing.assert_array_equal(idx, want_idx)
     np.testing.assert_array_equal(idx[0], np.arange(1, rho + 1))

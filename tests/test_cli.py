@@ -183,6 +183,36 @@ def test_fewshot_batch_summary_consistent(episode_batch, tmp_path):
     assert summary["mean_accuracy"] == pytest.approx(float(np.mean(accs)), abs=1e-12)
 
 
+def test_fewshot_episode_list_file_is_the_directory(episode_batch, tmp_path):
+    # --episodes also takes a file of task paths, one a line; blank lines are skipped
+    fpath, lpath, tasks_dir = episode_batch
+    paths = sorted(str(p) for p in tasks_dir.glob("*.task"))
+    list_file = tmp_path / "episodes.txt"
+    list_file.write_text("\n".join(paths[:2] + [""] + paths[2:]) + "\n")
+    runs = []
+    for spec in (tasks_dir, list_file):
+        out = tmp_path / f"fs_{spec.name}"
+        assert main(["fewshot", "--features", str(fpath), "--labels", str(lpath),
+                     "--episodes", str(spec), "--algo", "slk-means", "--lambda", "0.5",
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "episodes.csv").read_text().splitlines()[1:]
+        summary = json.loads((out / "summary.json").read_text())
+        runs.append(([ln.split(",")[:2] for ln in lines],
+                     [summary[f] for f in ("n_episodes", "mean_accuracy", "interval95")]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 4
+
+
+def test_fewshot_empty_episode_directory_exits_2(blob_data, tmp_path, capsys):
+    fpath, _ = blob_data
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    code = main(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir),
+                 "--algo", "slk-means", "--out-dir", str(tmp_path / "fs")])
+    assert code == 2
+    assert "no episode task files found" in capsys.readouterr().err
+
+
 def test_fewshot_zero_queries_na(tmp_path):
     X = np.array([[0.0, 0.0], [5.0, 5.0]])
     fpath = tmp_path / "f.csv"

@@ -392,6 +392,12 @@ def test_discrete_zero_at_prototypes():
     assert discrete_objective(X, empty_graph(2), S.rows, M, cfg) == 0.0
 
 
+@pytest.mark.parametrize("labels", [[0, -1, 2], [0, 3, 2], [0, 1.9, 2]])
+def test_from_hard_rejects_labels_outside_the_classes(labels):
+    with pytest.raises(DataError, match="label"):
+        SoftAssignment.from_hard(labels, 3)
+
+
 def test_discrete_rejects_soft_rows():
     cfg = SolverConfig(lam=0.0, rule="means")
     M = Prototypes(values=np.zeros((2, 1)), rule="means")
@@ -707,27 +713,6 @@ def test_solve_report_iteration_counts_are_derived(blocks):
     assert report.outer_iters == len(blocks) == len(report.relaxed_trace) - 1 > 1
     assert report.inner_iters_per_outer[0] == 0
     assert report.inner_iters_total == sum(report.inner_iters_per_outer) > report.outer_iters
-
-
-def test_solve_warns_when_hard_refit_fails(monkeypatch):
-    X = np.random.default_rng(20).standard_normal((12, 2))
-    W = symmetrize(knn_graph(X, 3), "max")
-    cfg = SolverConfig(lam=0.5, rule="means", outer_max=1)
-    real = optimizer._update_prototypes
-    calls = []
-
-    def fail_on_refit(P, S, M, cfg, a=None):
-        calls.append(S)
-        if len(calls) > 1:  # the outer loop runs once; the second call is the hard re-fit
-            raise DataError("re-fit failed")
-        return real(P, S, M, cfg, a)
-
-    monkeypatch.setattr(optimizer, "_update_prototypes", fail_on_refit)
-    S, M, report = solve(X, W, Prototypes(values=X[:3], rule="means"), cfg)
-    assert len(calls) == 2
-    assert any("hard re-fit failed (re-fit failed)" in w for w in report.warnings)
-    hard = SoftAssignment.from_hard(S.hard_labels(), S.k)
-    assert report.discrete_objective == discrete_objective(X, W, hard.rows, M, cfg)
 
 
 def test_solve_deterministic_reruns():

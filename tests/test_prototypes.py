@@ -57,6 +57,23 @@ def test_means_empty_cluster_raises_without_prev():
         update_means(X, S)
 
 
+@pytest.mark.parametrize("points", ["features", "gram"])
+def test_updates_reject_an_assignment_with_another_row_count(points):
+    # 300 rows for 256 points: the blocked sums read only the first 256 rows,
+    # while the mass counts all 300. One row for 40 points would broadcast.
+    rng = np.random.default_rng(61)
+    X = rng.standard_normal((256, 3))
+    P = X if points == "features" else GramPoints(CenteredFeatures(X))
+    S = rng.dirichlet(np.ones(2), size=300)
+    with pytest.raises(DataError, match="one row per point"):
+        update_means(P, S)
+    X = rng.standard_normal((40, 3))
+    P = X if points == "features" else GramPoints(CenteredFeatures(X))
+    M = Prototypes(values=X[:2] if points == "features" else np.eye(40)[:2], rule="modes")
+    with pytest.raises(DataError, match="one row per point"):
+        update_modes(P, np.full((1, 2), 0.5), ModeSolverConfig(sigma2=1.0), M)
+
+
 def test_means_empty_cluster_keeps_prev():
     X = np.array([[0.0], [1.0]])
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
