@@ -49,20 +49,15 @@ picks the prefilter's candidates). Only a row whose rho-th and (rho+1)-th
 distances are equal takes the tie pass. Every pass orders its rows by
 (distance, index) with ``_by_distance``.
 
-The threshold is measured (N=10k, rho=5, one core of a 2-core VM, best of 3,
-two runs): on unclustered Gaussians the tree takes 0.71-0.79 / 1.12-1.15 /
-1.11-1.20 s at d = 10 / 11 / 12, against 0.65-0.75 / 0.57-0.75 / 0.67-0.69 s
-for brute force; on clustered blobs it takes about 0.2 s at those d, against
-0.63-0.75 s. At d = 10 the tree is 3x faster on clustered data and about as
-fast on unclustered data, so the tree keeps d <= 10. These tree times are of
-a median-split tree queried in input order on one thread. The sliding-midpoint
-tree, queried in leaf order on 2 workers, searches the clustered d=10 input in
-about 0.13 s instead of 0.21 s at N=10k, and in 1.2-1.6 s instead of
-2.9-4.4 s at N=50k (acceptance criterion 11). At d=128 the tree took
-18.6 s, against 2.5 s for the brute force before its two-stage selection.
-These brute-force times predate the float32 prefilter. At N=10k, d=128
-(clustered, rho=5, best of 5) the prefiltered search takes 0.52 s on one BLAS
-thread and 0.44 s on two, against 0.91 and 0.61 s for the exact pass alone.
+The threshold is measured (N=10k, rho=5, 2-core VM, best of 3): on the
+criterion-11 blobs the tree takes 0.05-0.06 s at d = 10, 11 and 12, against
+0.19-0.20 s for the prefiltered brute force; on unclustered Gaussians it
+takes 0.23 s at d = 10 and 0.32-0.34 s at d = 11 and 12, against 0.18-0.19 s.
+So the tree keeps d <= 10, where it is 3x faster on clustered data and not
+much slower on unclustered data. At N=50k (acceptance criterion 11) the tree
+search takes 0.75-0.87 s. At N=10k, d=128 (clustered, rho=5, best of 5) the
+prefiltered search takes 0.52 s on one BLAS thread and 0.44 s on two, against
+0.91 and 0.61 s for the exact pass alone.
 
 A graph built from a caller's matrix is checked in full; its degrees are the
 row sums. ``knn_graph``, ``symmetrize`` and ``with_diag_shift`` derive their

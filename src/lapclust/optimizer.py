@@ -153,11 +153,9 @@ class SolverConfig:
     inner_tol: float = 1e-6
     # Sweeps per assignment block. Every sweep is certified, so this is a
     # budget, not a convergence test. On the N=10k means benchmark (d=10,
-    # K=10, lambda=1; medians of 12 interleaved runs on 2 cores) budgets 3, 4,
-    # 5, 6 and 10 took 0.421, 0.430, 0.441, 0.459 and 0.526 s, and only 4 and
-    # 10 kept its labels and NMI. Budget 3 made the few-shot benchmark slower
-    # (1.79 s against 1.47 s): its 320 solves made 1,527 outer iterations,
-    # each with a mean-shift block, against 1,279.
+    # K=10, lambda=1; medians of 7 interleaved runs on 2 cores) budgets 3, 4
+    # and 10 took 0.241, 0.239 and 0.314 s, and 3 changed its labels; budget 3
+    # made a few-shot benchmark operation slower, 0.540 s against 0.502 s.
     inner_max: int = 4
     outer_tol: float = 1e-6
     outer_max: int = 100
@@ -564,11 +562,8 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
 # from the previous modes. At the default inner budget of 4, caps of 2, 3, 5
 # and 100 steps give the same labels on the few-shot and CLI benchmark
 # workloads, and the CLI's E differs between them only in its last digit; at
-# 1, few-shot labels move. 2 is measured, on 2 cores: with the kernel matrix
-# carried from step to step, one few-shot benchmark operation took a median
-# of 1.10 s at 2 steps against 1.29 s at 3, faster in 10 of 10 interleaved
-# rounds; against 3 steps that each recomputed the kernel, 10 interleaved
-# pairs of 12 s benchmark runs read 1.55 s -> 1.25 s, faster in 9 of 10.
+# 1, few-shot labels move. One few-shot benchmark operation takes a median of
+# 0.50 s at 2 steps against 0.54 s at 3 (2-core VM, 5 interleaved runs each).
 _MODE_STEPS = 2
 
 
