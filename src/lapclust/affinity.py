@@ -88,6 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
+from .io import _index
 from .prototypes import GramPoints, _centered, _half_sqdist
 
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
@@ -203,6 +204,7 @@ def _neighbor_search(X, rho):
     if isinstance(P, GramPoints):
         P, gram = P.features, P.gram
     n, dim = P.X.shape
+    rho = _index(rho, "rho")
     if not 1 <= rho < n:
         raise DataError(f"rho must satisfy 1 <= rho < n_points, got rho={rho}, n={n}")
     idx_out = np.empty((n, rho), dtype=np.int64)
@@ -306,27 +308,26 @@ def _tree_rows(P, rho, idx_out, sqd_out):
     kernel's; its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
 
     The points are queried in the tree's leaf order (``tree.indices``), so
-    consecutive queries walk the same nodes, on ``_search_workers(n)`` threads,
-    and the results are scattered back into input order. Each query is exact
-    and independent of the others, so the result does not depend on the
-    order or on the worker count.
+    consecutive queries walk the same nodes, on ``_search_workers(n)`` threads.
+    The rows stay in that order until their final rho columns are scattered
+    into idx_out and sqd_out, so the query's own result arrays are the only
+    N x (rho + 2) ones. Each query is exact and independent of the others, and
+    each pair's distance is computed row by row, so the result does not depend
+    on the order or on the worker count.
     """
     from scipy.spatial import cKDTree  # imported here: a run at d > 10 never loads it
 
     n = P.X.shape[0]
     tree = cKDTree(P.centered, leafsize=_TREE_LEAFSIZE, balanced_tree=_TREE_BALANCED)
-    leaf_order = tree.indices
-    dist = np.empty((n, rho + 2))
-    nbr = np.empty((n, rho + 2), dtype=np.intp)
-    dist[leaf_order], nbr[leaf_order] = tree.query(
-        P.centered[leaf_order], k=rho + 2, workers=_search_workers(n))
-    own = nbr == np.arange(n)[:, None]
+    order = tree.indices
+    dist, nbr = tree.query(P.centered[order], k=rho + 2, workers=_search_workers(n))
+    own = nbr == order[:, None]
     own[~own.any(axis=1), -1] = True
-    nbr = nbr[~own].reshape(n, rho + 1)  # at rho = n - 1 the last column is missing (index n)
-    t = np.square(dist[~own].reshape(n, rho + 1))
-    cand = nbr[:, :rho]
-    idx_out[:], sqd_out[:] = _by_distance(cand, P.pair_sqdist(cand))
-    return np.flatnonzero(_near_tie(P, slice(None), t[:, rho - 1:]))
+    t = np.square(dist[~own].reshape(n, rho + 1)[:, rho - 1:])  # the rho-th and (rho+1)-th
+    cand = nbr[~own].reshape(n, rho + 1)[:, :rho]  # at rho = n - 1 the last is missing (index n)
+    del dist, nbr, own
+    idx_out[order], sqd_out[order] = _by_distance(cand, P.pair_sqdist(cand, order))
+    return np.sort(order[_near_tie(P, order, t)])
 
 
 def _search_workers(n):

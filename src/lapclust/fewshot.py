@@ -11,9 +11,12 @@ An episode reads its ``TaskSpec`` once, into plain arrays: its n_s support
 rows followed by its query rows, and the int64 classes of the supports (see
 ``_prepare_episode``). An episode with no more points than feature columns
 solves on their Gram matrix, with its prototypes as coefficient rows over
-its points (``prototypes.GramPoints``). ``run_episode`` and ``tune_lambda``
-share one solve-and-label step; only ``run_episode`` wraps its labels in a
-timed ``EpisodeResult``.
+its points (``prototypes.GramPoints``); a wider one solves on its features.
+On either, its first prototypes are one means update of its clamped rows
+(``prototypes._weighted_means``), so only ``prototypes`` knows how a
+prototype is stored. ``run_episode`` and ``tune_lambda`` share one
+solve-and-label step; only ``run_episode`` wraps its labels in a timed
+``EpisodeResult``.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ import numpy as np
 
 from .affinity import _check_sym_mode, estimate_sigma2, knn_graph, symmetrize
 from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
-from .io import TaskSpec, _integer_array, validate_features
+from .io import TaskSpec, _index, _integer_array, validate_features
 from .metrics import fewshot_accuracy
 # solve stays bound here for callers that reach it as lapclust.fewshot.solve;
 # an episode runs its loop without the hard re-fit
-from .optimizer import SolveReport, SolverConfig, _solve_loop, solve  # noqa: F401
-from .prototypes import CenteredFeatures, GramPoints, Prototypes, RULE_MODES
+from .optimizer import SolveReport, SolverConfig, _one_hot, _solve_loop, solve  # noqa: F401
+from .prototypes import CenteredFeatures, GramPoints, Prototypes, RULE_MODES, _weighted_means
 
 
 @dataclass(frozen=True)
@@ -114,28 +117,15 @@ def _bias_correct(support_rows, query_rows):
 
 
 def init_prototypes(task: TaskSpec, X, rule="means") -> Prototypes:
-    """Per-class support means (the support point itself in the 1-shot case)."""
+    """Per-class support means (the support point itself in the 1-shot case):
+    the means update of the support rows' one-hot rows, as an episode makes
+    its first prototypes."""
     X = validate_features(X)
     task.validate_indices(X.shape[0])
     support = np.array(task.support, dtype=np.int64)
-    return _init_prototypes(X[support[:, 0]], support[:, 1], task.k_way, rule)
-
-
-def _init_prototypes(support_rows, classes, k_way, rule):
-    """The mean of each class's support rows, taken in support order."""
-    M = np.empty((k_way, support_rows.shape[1]))
-    for k in range(k_way):
-        M[k] = support_rows[classes == k].mean(axis=0)
-    return Prototypes(values=M, rule=rule)
-
-
-def _init_coefficients(classes, n_points, k_way, rule):
-    """``_init_prototypes`` as coefficient rows over n_points points whose first
-    rows are the supports of ``classes``: 1/n_k on each class-k support. Every
-    class has a support (``TaskSpec`` checks it), so the rows are finite."""
-    alpha = np.zeros((k_way, n_points))
-    alpha[classes, np.arange(classes.size)] = 1.0 / np.bincount(classes, minlength=k_way)[classes]
-    return Prototypes._of_valid(alpha, rule)
+    P = CenteredFeatures._of_valid(X[support[:, 0]])
+    return Prototypes(values=_weighted_means(P, _one_hot(support[:, 1], task.k_way), None)[0],
+                      rule=rule)
 
 
 def run_episode(task: TaskSpec, X_raw, pre: PreprocessConfig, cfg: SolverConfig,
@@ -169,7 +159,7 @@ def _check_truth(task, truth):
 def _check_graph_args(rho, sym):
     """Checked for every task, also one without queries, which builds no graph."""
     _check_sym_mode(sym)
-    if rho < 1:
+    if _index(rho, "rho") < 1:
         raise DataError(f"rho must be >= 1, got {rho}")
 
 
@@ -179,15 +169,21 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     Returns ((P, W, M0, clamp_class), cfg with sigma2 set); the tuple is None
     when the task has no queries. The episode is one array of rows, the n_s
     supports then the queries, and one int64 array of the support classes:
-    bias correction shifts the rows after n_s, M0 holds each class's mean over
-    the first n_s, and clamp_class is the support classes then -1 per query.
+    bias correction shifts the rows after n_s, and clamp_class is the support
+    classes then -1 per query.
 
     P is the episode's point set. With no more points than feature columns
     (N <= d) it is a GramPoints: G = C C^t is made once, the search reads its
     half distances from G (the product it would make itself, bitwise), and
-    M0 is coefficient rows, 1/n_k on each class-k support, so the solve makes
-    no d-wide product. G is then no larger than the features. A wider episode
-    (N > d) keeps its CenteredFeatures and feature-space M0.
+    the prototypes are coefficient rows over the points, so the solve makes no
+    d-wide product. G is then no larger than the features. A wider episode
+    (N > d) keeps its CenteredFeatures and feature-row prototypes.
+
+    M0 is one means update of the clamped rows, on either point set: the
+    weighted means of clamp_class's one-hot rows, a zero row per query. So it
+    holds each class's support mean, as feature rows (bitwise the per-class
+    ``np.mean`` of up to ``prototypes._SUM_BLOCK`` supports) or as 1/n_k on
+    each class-k support.
 
     W is ``symmetrize(knn_graph(P, rho), sym)``, whatever d is: an episode of
     at most ``affinity._DENSE_MAX_N`` points (80 KB as an N x N array) gets a
@@ -227,13 +223,14 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
     P = CenteredFeatures._of_valid(Xe)
     if Xe.shape[0] <= Xe.shape[1]:
         P = GramPoints(P)
-        M0 = _init_coefficients(classes, Xe.shape[0], task.k_way, cfg.rule)
-    else:
-        M0 = _init_prototypes(Xe[:n_s], classes, task.k_way, cfg.rule)
+    clamp_class = np.concatenate([classes, np.full(len(task.queries), -1, dtype=np.int64)])
+    means, _ = _weighted_means(P, _one_hot(clamp_class, task.k_way), None)
+    # C order: on G the means are a transposed view's, and the layout of M0
+    # picks the BLAS kernel of the first product G M0^t, and so its last bits
+    M0 = Prototypes._of_valid(np.ascontiguousarray(means), cfg.rule)
     W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:
         cfg = replace(cfg, sigma2=estimate_sigma2(W, rho))
-    clamp_class = np.concatenate([classes, np.full(len(task.queries), -1, dtype=np.int64)])
     return (P, W, M0, clamp_class), cfg
 
 
@@ -258,7 +255,8 @@ def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed):
     ``separation``; samples add isotropic unit-variance noise.
     Returns (features, task, truth) with truth aligned to the query order.
     """
-    if min(k_way, n_shot, n_query, dim) < 1:
+    counts = dict(k_way=k_way, n_shot=n_shot, n_query=n_query, dim=dim)
+    if min(_index(value, name) for name, value in counts.items()) < 1:
         raise DataError("all counts must be >= 1")
     if separation < 0:
         raise DataError("separation must be >= 0")

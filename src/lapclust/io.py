@@ -81,6 +81,7 @@ class TaskSpec:
         object.__setattr__(self, "support", tuple(
             (_index(p, "support index"), _index(c, "support class")) for p, c in self.support))
         object.__setattr__(self, "queries", tuple(_index(q, "query index") for q in self.queries))
+        object.__setattr__(self, "k_way", _index(self.k_way, "k_way"))
         if self.k_way < 1:
             raise DataError(f"k_way must be >= 1, got {self.k_way}")
         seen = set()

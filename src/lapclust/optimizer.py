@@ -58,7 +58,7 @@ import numpy as np
 
 from .affinity import SparseAffinity, laplacian_quadratic
 from .errors import DataError
-from .io import _integer_array
+from .io import _index, _integer_array
 from .prototypes import (
     ModeSolverConfig,
     Prototypes,
@@ -95,7 +95,7 @@ class SoftAssignment:
             if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
                 raise DataError("assignment rows must sum to 1 within 1e-9")
         idx = np.flatnonzero(clamp_class >= 0)
-        bad = np.any(rows[idx] != (clamp_class[idx, None] == np.arange(k)), axis=1)
+        bad = np.any(rows[idx] != _one_hot(clamp_class[idx], k), axis=1)
         if bad.any():
             p = idx[bad][0]
             raise DataError(f"clamped row {p} is not the one-hot of class {clamp_class[p]}")
@@ -124,12 +124,17 @@ class SoftAssignment:
     def from_hard(labels, k) -> "SoftAssignment":
         """The one-hot rows of ``labels``, integers in [0, k)."""
         labels = _integer_array(np.asarray(labels), "labels")
+        k = _index(k, "k")
         bad = (labels < 0) | (labels >= k)
         if bad.any():
             raise DataError(f"label {labels[bad][0]} outside [0, {k})")
-        rows = np.zeros((labels.shape[0], k))
-        rows[np.arange(labels.shape[0]), labels] = 1.0
-        return SoftAssignment.unclamped(rows)
+        return SoftAssignment.unclamped(_one_hot(labels, k))
+
+
+def _one_hot(labels, k):
+    """The len(labels) x k float64 one-hot rows of int64 ``labels`` in [-1, k):
+    a label's row is 1 in its column, and -1 (a free point) gets a zero row."""
+    return (labels[:, None] == np.arange(k)).astype(np.float64)
 
 
 def _clamp_array(clamp_class, n, k):
@@ -172,7 +177,7 @@ class SolverConfig:
                 raise DataError("sigma2 must be finite and > 0 when given")
         if not all(np.isfinite(t) and t > 0 for t in (self.inner_tol, self.outer_tol)):
             raise DataError("tolerances must be finite and > 0")
-        if min(self.inner_max, self.outer_max) < 1:
+        if min(_index(self.inner_max, "inner_max"), _index(self.outer_max, "outer_max")) < 1:
             raise DataError("iteration caps must be >= 1")
 
 
@@ -515,8 +520,7 @@ def _refit_hard(P, W, rows, M, a, cfg):
     re-fit cannot fail: a cluster the rounding leaves empty keeps its
     prototype in M.
     """
-    hard = np.zeros_like(rows)
-    hard[np.arange(rows.shape[0]), np.argmax(rows, axis=1)] = 1.0
+    hard = _one_hot(np.argmax(rows, axis=1), rows.shape[1])
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
     return _discrete(W, hard, _update_prototypes(P, hard, M, mode_cfg, a)[1], cfg.lam)
 
@@ -591,9 +595,7 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     free = clamp_class < 0
     setup = _block_setup(W, free, cfg)
     rows = s_inner_update(a)
-    idx = np.flatnonzero(~free)
-    rows[idx] = 0.0
-    rows[idx, clamp_class[idx]] = 1.0
+    rows[~free] = _one_hot(clamp_class[~free], rows.shape[1])
 
     # the votes of the current rows: each block starts from the previous one's,
     # and R at the block's end is evaluated from them
@@ -632,6 +634,7 @@ def kmeans_pp_seeds(X, k, rng) -> np.ndarray:
     """K-means++ seeding: iteratively sample centers by squared distance."""
     P = _centered(X)
     n = P.X.shape[0]
+    k = _index(k, "k")
     if not 1 <= k <= n:
         raise DataError(f"need 1 <= k <= n_points, got k={k}, n={n}")
     centers = np.empty((k, P.X.shape[1]))

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyClusterError
-from .io import validate_features
+from .io import _index, validate_features
 
 _EXP_CLAMP = -700.0  # exp underflows to 0 near -745; keep denominators positive
 
@@ -111,7 +111,7 @@ class ModeSolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise DataError("sigma2 must be finite and > 0")
-        if not (np.isfinite(self.tol) and self.tol > 0) or self.max_iters < 1:
+        if not (np.isfinite(self.tol) and self.tol > 0) or _index(self.max_iters, "max_iters") < 1:
             raise DataError("tol must be finite and > 0, and max_iters >= 1")
 
 
@@ -182,7 +182,9 @@ class GramPoints:
     ``CenteredFeatures`` then read only G: the squared distances are
     |c_p|^2 + alpha G alpha^t - 2 (G alpha^t)_p, a weighted sum w^t X is the
     coefficient rows w^t, and a step's length is sqrt(dalpha G dalpha^t).
-    None of them makes a d-wide product. G is N x N, so it is no larger than
+    None of them makes a d-wide product. So the weighted means of an episode's
+    one-hot support rows, its first prototypes, are 1/n_k on each class-k
+    support. G is N x N, so it is no larger than
     the features when N <= d, which is when a few-shot episode builds one. The
     squared norms |c_p|^2 are the features', which the rho-NN search also
     reads; ``features`` is kept for that search (``affinity.knn_graph`` takes

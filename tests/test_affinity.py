@@ -104,6 +104,24 @@ def test_knn_tree_keeps_the_kernels_sets_where_rounding_decides(rho):
     np.testing.assert_array_equal(np.sort(tree_idx, axis=1), np.sort(brute_idx, axis=1))
 
 
+def test_tree_hands_the_exact_pass_its_rows_in_increasing_order(monkeypatch):
+    # shuffled copies: most rows tie at the cut, and the tree, working in its
+    # leaf order, must return them increasing, as the exact pass reads a run
+    # of consecutive rows as one slice
+    rng = np.random.default_rng(27)
+    X = rng.permutation(np.repeat(rng.standard_normal((40, 3)), 6, axis=0))
+    P = CenteredFeatures(X)
+    with on_path("brute"):
+        want = affinity._neighbor_search(P, 3)
+    calls = spy_exact_rows(monkeypatch)
+    with on_path("tree"):
+        got = affinity._neighbor_search(P, 3)
+    (ids,) = calls
+    assert ids.size > 100 and (np.diff(ids) > 0).all()
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_knn_matches_brute_force():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((20, 3))
@@ -175,7 +193,8 @@ def test_knn_search_memory_is_bounded_by_its_block():
 
 def test_knn_tree_search_memory_is_linear_in_n():
     # the tree path holds a few N x (rho + 2) arrays and N x d copies of X
-    # (d <= 10 on this path); about 7.5 of those units are measured
+    # (d <= 10 on this path); 6.45 and 6.22 of those units are measured at
+    # N = 4000 and 16000, the driver's two N x rho outputs included
     rho = 5
     for n in (4000, 16000):
         X = np.random.default_rng(17).standard_normal((n, 8))
@@ -742,6 +761,23 @@ def test_storage_is_sparse():
     n, rho = 400, 5
     W = symmetrize(knn_graph(rng.standard_normal((n, 3)), rho), "max")
     assert W.matrix.nnz <= 2 * n * rho
+
+
+@pytest.mark.parametrize("matrix, match", [
+    (sp.csr_matrix((2, 3)), r"^affinity matrix must be square, got \(2, 3\)$"),
+    (sp.csr_matrix(([-1.0], ([0], [1])), shape=(2, 2)), r"^affinity weights must be finite"),
+    (sp.csr_matrix(([np.inf], ([0], [1])), shape=(2, 2)), r"^affinity weights must be finite"),
+    (sp.csr_matrix(([np.nan], ([0], [1])), shape=(2, 2)), r"^affinity weights must be finite"),
+])
+def test_graph_matrix_rejected(matrix, match):
+    with pytest.raises(DataError, match=match):
+        SparseAffinity(matrix=matrix)
+
+
+def test_laplacian_rejects_rows_of_another_count():
+    W = knn_graph(np.random.default_rng(13).standard_normal((6, 2)), 2)
+    with pytest.raises(DataError, match=r"^assignment rows \(5\) != graph points \(6\)$"):
+        laplacian_quadratic(W, np.full((5, 2), 0.5))
 
 
 def test_self_loops_rejected():

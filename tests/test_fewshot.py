@@ -134,6 +134,24 @@ def test_init_prototypes_multi_shot_mean():
         np.testing.assert_allclose(M.values[k], X[idx].mean(axis=0), rtol=1e-12)
 
 
+def test_init_prototypes_are_the_per_class_means_bitwise():
+    # the means update of the supports' one-hot rows adds each class's rows in
+    # support order, as np.mean does, while a class has at most
+    # prototypes._SUM_BLOCK of them; far from the origin too
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        k, shots, dim = int(rng.integers(2, 11)), int(rng.integers(1, 21)), int(rng.integers(3, 700))
+        n_s = k * shots
+        X = rng.standard_normal((n_s + 5, dim)) + rng.choice([0.0, 1e3]) * rng.standard_normal(dim)
+        classes = rng.permutation(np.repeat(np.arange(k), shots))
+        order = rng.permutation(n_s + 5)
+        task = TaskSpec(k_way=k, support=tuple(zip(order[:n_s].tolist(), classes.tolist())),
+                        queries=tuple(order[n_s:].tolist()))
+        rows = X[order[:n_s]]
+        want = np.stack([rows[classes == c].mean(axis=0) for c in range(k)])
+        assert init_prototypes(task, X).values.tobytes() == want.tobytes()
+
+
 def test_run_episode_zero_queries():
     X = np.array([[0.0], [1.0]])
     task = TaskSpec(k_way=2, support=((0, 0), (1, 1)), queries=())
@@ -356,6 +374,28 @@ def test_query_less_task_checks_sym_and_rho(kwargs, match):
     assert run_episode(task, X, PreprocessConfig(), cfg, rho=99).query_labels.size == 0
 
 
+def _small_episode():
+    return generate_synthetic_episode(3, 1, 4, dim=4, separation=5.0, seed=9)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda X, task, truth: cl2_normalize(X, np.zeros(5)),
+     r"^base mean has shape \(5,\), expected \(4,\)$"),
+    (lambda X, task, truth: run_episode(
+        task, X, PreprocessConfig(base_mean=np.zeros(3), apply_cl2=True), SolverConfig()),
+     r"^base mean has shape \(3,\), expected \(4,\)$"),
+    (lambda X, task, truth: run_episode(task, X[:, 0], PreprocessConfig(), SolverConfig()),
+     r"^feature matrix must be 2-D and non-empty, got shape \(15,\)$"),
+    (lambda X, task, truth: tune_lambda([], [(X, task, truth)], SolverConfig()),
+     r"^need at least one candidate and one episode$"),
+    (lambda X, task, truth: tune_lambda([0.5], [], SolverConfig()),
+     r"^need at least one candidate and one episode$"),
+])
+def test_episode_inputs_of_the_wrong_shape_rejected(call, match):
+    with pytest.raises(DataError, match=match):
+        call(*_small_episode())
+
+
 def test_base_mean_without_cl2_is_a_config_error():
     # only the CL2 step reads the base mean; without it the mean would be ignored
     for apply_bias in (False, True):
@@ -539,6 +579,18 @@ def test_episode_takes_the_gram_path_when_it_has_no_more_points_than_columns(
                                    rtol=0, atol=1e-15)  # the rows are unit vectors
     else:
         assert not hasattr(P, "gram") and M0.values.shape == (5, dim)
+
+
+@pytest.mark.parametrize("n_shot", [1, 5])
+def test_gram_episode_starts_from_one_over_n_k_in_c_order(n_shot):
+    # the means of the one-hot support rows on G are 1/n_k on each class-k
+    # support; C order keeps the first product G M0^t on the BLAS kernel the
+    # episode's traces were measured with
+    _, _, _, (P, _, M0, clamp_class), _ = prepared(n_shot, 640, 3, "means")
+    assert isinstance(P, prototypes.GramPoints)
+    counts = np.bincount(clamp_class[clamp_class >= 0])
+    want = (clamp_class == np.arange(5)[:, None]) / counts[:, None]
+    assert M0.values.flags.c_contiguous and M0.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_shot, dim, n_query", [

@@ -1,11 +1,13 @@
 """File ingestion/emission: parsing, round trips, rejection cases."""
 
 import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+import lapclust
 from lapclust import (
     TaskSpec,
     load_features,
@@ -26,6 +28,14 @@ from lapclust.errors import (
     NonRectangularRowError,
     OverlappingIndicesError,
 )
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0)])
+def test_feature_matrix_must_be_2d_and_non_empty(tmp_path, shape):
+    message = f"feature matrix must be 2-D and non-empty, got shape {shape}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        save_features(np.ones(shape), tmp_path / "m.csv")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_csv_direct_parse(tmp_path):
@@ -183,6 +193,17 @@ def test_slkbin_bad_magic_rejected(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("head, message", [
+    (b"\x01\x00\x00\x00" + b"\x00" * 10, "truncated header"),
+    (struct.pack("<IQQ", 2, 1, 1) + b"\x00" * 8, "unsupported version 2"),
+])
+def test_slkbin_bad_header_rejected(tmp_path, head, message):
+    path = tmp_path / "m.slkbin"
+    path.write_bytes(b"SLKB" + head)
+    with pytest.raises(MalformedHeaderError, match=f"m.slkbin: {message}$"):
+        load_features(path)
+
+
 def test_slkbin_truncated_payload_rejected(tmp_path):
     path = tmp_path / "m.slkbin"
     save_features(np.ones((3, 2)), path)
@@ -240,6 +261,13 @@ def test_save_assignments_labels_match_per_line_writes(tmp_path, n, k):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_save_assignments_rejects_a_1d_array(tmp_path):
+    path = tmp_path / "a.csv"
+    with pytest.raises(DataError, match=r"^assignment matrix must be 2-D, got shape \(3,\)$"):
+        save_assignments(np.ones(3), path)
+    assert not path.exists()
+
+
 def test_save_assignments_soft_columns(tmp_path):
     path = tmp_path / "a.csv"
     save_assignments(np.array([[0.25, 0.75]]), path, include_soft=True)
@@ -279,6 +307,16 @@ def test_task_spec_repeated_index_rejected(tmp_path, support, queries, message):
         load_task(path, n_points=10)
 
 
+@pytest.mark.parametrize("k_way, support, message", [
+    (0, ((0, 0),), "k_way must be >= 1, got 0"),
+    (2, ((0, 0), (1, 2)), "support class 2 outside [0, 2)"),
+    (2, ((0, 0), (1, -1), (2, 1)), "support class -1 outside [0, 2)"),
+])
+def test_task_spec_classes_outside_k_way_rejected(k_way, support, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        TaskSpec(k_way=k_way, support=support, queries=(5,))
+
+
 def test_task_index_out_of_range(tmp_path):
     path = tmp_path / "t.task"
     path.write_text("kway=2\nsupport=0:0,1:1\nquery=99\n")
@@ -311,11 +349,25 @@ def test_task_spec_takes_numpy_integers():
     ("support=0:0,1:1,2:y", "support entry '2:y'"),
     ("support=0:0,1:1,2", "support entry '2'"),
     ("support=0:0,1:1,2:2\nquery=3,1.5", "query entry '1.5'"),
+    ("kway=three\nsupport=0:0,1:1,2:2", "kway 'three'"),
 ])
 def test_task_non_integer_entry_rejected(tmp_path, line, entry):
     path = tmp_path / "t.task"
     path.write_text(f"kway=3\n{line}\n")
     with pytest.raises(DataError, match=f"t.task: bad {entry}"):
+        load_task(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kway=2\nsupport 0:0,1:1\n", "malformed line 'support 0:0,1:1'"),
+    # a comment line is skipped: read as a line, it would be malformed
+    ("# two classes, no kway\nsupport=0:0,1:1\n", "missing field 'kway'"),
+    ("kway=2\nquery=1,2\n", "missing field 'support'"),
+])
+def test_task_file_without_its_fields_rejected(tmp_path, text, message):
+    path = tmp_path / "t.task"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"t.task: {re.escape(message)}$"):
         load_task(path)
 
 
@@ -350,6 +402,14 @@ def test_labels_header_only_on_the_first_line(tmp_path, text, line):
         load_labels(path)
     path.write_text("\n\nlabel\n1\n\n2\n")  # a header after blank lines is still the first
     np.testing.assert_array_equal(load_labels(path), [1, 2])
+
+
+@pytest.mark.parametrize("text", ["label\n", "\nlabel,s0,s1\n\n"])
+def test_labels_file_of_a_header_alone_rejected(tmp_path, text):
+    path = tmp_path / "l.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match="l.txt: no labels$"):
+        load_labels(path)
 
 
 def test_labels_negative_rejected(tmp_path):
@@ -406,3 +466,63 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
         else:
             want = "label\n" + "".join(f"{lab}\n" for lab in labels)
         assert path.read_bytes() == want.encode()
+
+
+def _episode_call(rho):
+    """A call of ``run_episode`` on a small episode with this ``rho``."""
+    def call():
+        X, task, _ = lapclust.generate_synthetic_episode(2, 1, 3, 4, 5.0, seed=0)
+        lapclust.run_episode(task, X, lapclust.PreprocessConfig(), lapclust.SolverConfig(), rho)
+    return call
+
+
+def _tuning_call(rho):
+    """A call of ``tune_lambda`` on one small episode with this ``rho``."""
+    def call():
+        episode = lapclust.generate_synthetic_episode(2, 1, 3, 4, 5.0, seed=0)
+        lapclust.tune_lambda([0.5], [episode], lapclust.SolverConfig(), rho=rho)
+    return call
+
+
+_X = np.random.default_rng(3).standard_normal((12, 4))
+_PAIRS = ((0, 0), (1, 1))
+# each call's integer parameter, and the value it is given
+INTEGER_PARAMETERS = {
+    "knn_graph-rho": (lambda: lapclust.knn_graph(_X, 2.5), "rho 2.5"),
+    "knn_graph-rho-text": (lambda: lapclust.knn_graph(_X, "3"), "rho '3'"),
+    "estimate_sigma2-rho": (lambda: lapclust.estimate_sigma2(_X, 2.0), "rho 2.0"),
+    "run_episode-rho": (_episode_call(2.5), "rho 2.5"),
+    "run_episode-rho-text": (_episode_call("3"), "rho '3'"),
+    "tune_lambda-rho": (_tuning_call(2.5), "rho 2.5"),
+    "kmeans_pp_seeds-k": (lambda: lapclust.kmeans_pp_seeds(_X, 2.5, np.random.default_rng(0)),
+                          "k 2.5"),
+    "from_hard-k": (lambda: lapclust.SoftAssignment.from_hard([0, 1], 2.5), "k 2.5"),
+    "SolverConfig-inner_max": (lambda: lapclust.SolverConfig(inner_max=2.5), "inner_max 2.5"),
+    "SolverConfig-outer_max": (lambda: lapclust.SolverConfig(outer_max=2.5), "outer_max 2.5"),
+    "ModeSolverConfig-max_iters": (lambda: lapclust.ModeSolverConfig(sigma2=1.0, max_iters=2.5),
+                                   "max_iters 2.5"),
+    "TaskSpec-k_way": (lambda: TaskSpec(k_way=2.5, support=_PAIRS, queries=(2,)), "k_way 2.5"),
+    "TaskSpec-k_way-text": (lambda: TaskSpec(k_way="2", support=_PAIRS, queries=(2,)),
+                            "k_way '2'"),
+    "generate_synthetic_episode-n_shot": (
+        lambda: lapclust.generate_synthetic_episode(2, 1.5, 3, 4, 1.0, seed=0), "n_shot 1.5"),
+    "generate_synthetic_episode-dim": (
+        lambda: lapclust.generate_synthetic_episode(2, 1, 3, "4", 1.0, seed=0), "dim '4'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_are_checked_as_integers(name):
+    # a float or a string count fails deep inside the call (a bare TypeError),
+    # or is accepted: a float cap of 2.5 runs 3 steps
+    call, value = INTEGER_PARAMETERS[name]
+    with pytest.raises(DataError, match=f"^{re.escape(value)} is not an integer$"):
+        call()
+
+
+def test_boolean_integer_parameters_are_zero_and_one():
+    # as io._integer_array reads them: a boolean cannot be truncated
+    assert lapclust.SolverConfig(inner_max=True).inner_max == 1
+    assert TaskSpec(k_way=True, support=((0, 0),), queries=(1,)).k_way == 1
+    np.testing.assert_array_equal(lapclust.knn_graph(_X, True).dense,
+                                  lapclust.knn_graph(_X, 1).dense)

@@ -162,6 +162,14 @@ def test_non_integer_labels_rejected(metric):
     metric(np.array([0, 0, 1, 1], dtype=np.uint8), [0, 0, 1, 1])
 
 
+@pytest.mark.parametrize("metric", [nmi, accuracy_hungarian, contingency_table])
+def test_negative_labels_rejected(metric):
+    # a -1 would index the last row or column of the contingency table
+    for pred, truth in (([0, -1, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, -1])):
+        with pytest.raises(DataError, match=r"^labels must be non-negative$"):
+            metric(pred, truth)
+
+
 def test_boolean_labels_are_zero_and_one():
     # a boolean cannot be truncated, so it is read exactly, as 0 and 1
     pred, truth = np.array([False, False, True, True]), np.array([1, 1, 0, 0])

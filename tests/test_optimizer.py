@@ -736,6 +736,36 @@ def test_solver_config_rejects_non_finite_values(name, value):
         SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize("rows, match", [
+    (np.full(3, 1 / 3), r"^assignment matrix must be 2-D, got \(3,\)$"),
+    ([[1.5, -0.5]], r"^assignment entries must be finite and >= 0$"),
+    ([[np.nan, 1.0]], r"^assignment entries must be finite and >= 0$"),
+])
+def test_soft_assignment_rejects_rows_off_the_simplex(rows, match):
+    with pytest.raises(DataError, match=match):
+        SoftAssignment(rows=rows, clamp_class=np.full(np.shape(rows)[0], -1))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(rule="median"), r"^unknown rule: 'median'$"),
+    (dict(rule="modes", sigma2=0.0), r"^sigma2 must be finite and > 0 when given$"),
+    (dict(rule="modes", sigma2=-1.0), r"^sigma2 must be finite and > 0 when given$"),
+    (dict(inner_max=0), r"^iteration caps must be >= 1$"),
+    (dict(outer_max=0), r"^iteration caps must be >= 1$"),
+])
+def test_solver_config_rejects_values_outside_its_range(kwargs, match):
+    with pytest.raises(DataError, match=match):
+        SolverConfig(**kwargs)
+
+
+def test_solve_rejects_a_graph_of_another_size(blocks):
+    X = np.random.default_rng(24).standard_normal((6, 2))
+    W = symmetrize(knn_graph(X[:5], 3), "max")
+    with pytest.raises(DataError, match=r"^graph has 5 points, features have 6$"):
+        solve(X, W, Prototypes(values=X[:2], rule="means"), SolverConfig(lam=1.0))
+    assert blocks == []
+
+
 def test_soft_assignment_validation():
     with pytest.raises(DataError):
         SoftAssignment.unclamped(np.array([[0.6, 0.6]]))
@@ -777,6 +807,14 @@ def test_kmeans_pp_seeds_match_direct_difference_oracle():
             got = kmeans_pp_seeds(X + offset, 8, np.random.default_rng(seed))
             want = kmeans_pp_oracle(X + offset, 8, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_pp_seeds_of_identical_points_draw_uniformly():
+    # every distance is 0, so each further seed is drawn uniformly, not by weight
+    X = np.full((7, 3), 2.5)
+    seeds = kmeans_pp_seeds(X, 4, np.random.default_rng(25))
+    assert seeds.tobytes() == kmeans_pp_oracle(X, 4, np.random.default_rng(25)).tobytes()
+    assert seeds.tobytes() == np.full((4, 3), 2.5).tobytes()
 
 
 def test_kmeans_pp_seeds_basic():

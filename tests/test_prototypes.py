@@ -267,6 +267,29 @@ def test_mode_solver_config_rejects_non_finite_tol(tol):
         ModeSolverConfig(sigma2=1.0, tol=tol)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+def test_mode_solver_config_rejects_a_bad_kernel_width(sigma2):
+    with pytest.raises(DataError, match=r"^sigma2 must be finite and > 0$"):
+        ModeSolverConfig(sigma2=sigma2)
+
+
+@pytest.mark.parametrize("values, rule, match", [
+    (np.ones(3), "means", r"^prototype matrix must be 2-D with k >= 1, got \(3,\)$"),
+    (np.ones((0, 3)), "means", r"^prototype matrix must be 2-D with k >= 1, got \(0, 3\)$"),
+    ([[0.0, np.nan]], "modes", r"^prototypes must be finite$"),
+    (np.ones((2, 3)), "median", r"^unknown prototype rule: 'median'$"),
+])
+def test_prototypes_reject_bad_values(values, rule, match):
+    with pytest.raises(DataError, match=match):
+        Prototypes(values=values, rule=rule)
+
+
+def test_meanshift_step_without_mass_raises():
+    X = np.array([[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(EmptyClusterError):
+        meanshift_step(X, [0.0, 0.0], np.zeros(2), sigma2=1.0)
+
+
 def test_modes_zero_mass_cluster_flagged():
     X = np.array([[0.0], [1.0]])
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
