@@ -225,8 +225,9 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
         P = GramPoints(P)
     clamp_class = np.concatenate([classes, np.full(len(task.queries), -1, dtype=np.int64)])
     means, _ = _weighted_means(P, _one_hot(clamp_class, task.k_way), None)
-    # C order: on G the means are a transposed view's, and the layout of M0
-    # picks the BLAS kernel of the first product G M0^t, and so its last bits
+    # C order: on G the means come out F-ordered, from a transposed view, and
+    # the layout of M0 picks the BLAS kernel of the first product G M0^t, so
+    # its last bits
     M0 = Prototypes._of_valid(np.ascontiguousarray(means), cfg.rule)
     W = symmetrize(knn_graph(P, rho), sym)
     if cfg.rule == RULE_MODES and cfg.sigma2 is None:

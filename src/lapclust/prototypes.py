@@ -184,11 +184,11 @@ class GramPoints:
     coefficient rows w^t, and a step's length is sqrt(dalpha G dalpha^t).
     None of them makes a d-wide product. So the weighted means of an episode's
     one-hot support rows, its first prototypes, are 1/n_k on each class-k
-    support. G is N x N, so it is no larger than
-    the features when N <= d, which is when a few-shot episode builds one. The
-    squared norms |c_p|^2 are the features', which the rho-NN search also
-    reads; ``features`` is kept for that search (``affinity.knn_graph`` takes
-    a GramPoints, and its exact pass over every point reads G).
+    support. G is N x N, so it is no larger than the features when N <= d,
+    which is when a few-shot episode builds one. The squared norms |c_p|^2
+    are the features', which the rho-NN search also reads; ``features`` is
+    kept for that search (``affinity.knn_graph`` takes a GramPoints, and its
+    exact pass over every point reads G).
     """
 
     __slots__ = ("features", "gram", "sq_norms")

@@ -194,7 +194,7 @@ def test_knn_search_memory_is_bounded_by_its_block():
 def test_knn_tree_search_memory_is_linear_in_n():
     # the tree path holds a few N x (rho + 2) arrays and N x d copies of X
     # (d <= 10 on this path); 6.45 and 6.22 of those units are measured at
-    # N = 4000 and 16000, the driver's two N x rho outputs included
+    # N = 4000 and 16000, the search's two N x rho outputs included
     rho = 5
     for n in (4000, 16000):
         X = np.random.default_rng(17).standard_normal((n, 8))
