@@ -38,16 +38,15 @@ The exact pass is brute force in row blocks of at most 8 MB
 float32 ones), written in place into two buffers allocated once per pass, so
 its memory is bounded by that budget whatever N is: only a search whose N x N
 distances fit in one block holds them all at once. It fills float64 blocks
-with half distances, made by the product and two elementwise passes; only the
-entries a row keeps are doubled and clamped, which gives the kernel's GEMM
-values bitwise. Searching a ``GramPoints`` (an episode with N <= d), a pass
-over every point in one block reads the product from the points' Gram matrix
-G instead, which is that product bitwise. A row's rho + 1 nearest are
-selected in two stages: the minimum of each strided group of columns, then
-only the groups with the smallest minima (``_nearest_columns``, which also
-picks the prefilter's candidates). Only a row whose rho-th and (rho+1)-th
-distances are equal takes the tie pass. Every pass orders its rows by
-(distance, index) with ``_by_distance``.
+with half distances, made by the product and two elementwise passes, then
+doubles and clamps them in place, which gives the kernel's GEMM values
+bitwise. Searching a ``GramPoints`` (an episode with N <= d), a pass over
+every point in one block reads the product from the points' Gram matrix G
+instead, which is that product bitwise. A row's rho nearest come from rho
+``argmin`` passes, each picked column set to inf before the next; ``argmin``
+returns the first of equal minima, so the row comes in (distance, index)
+order, ties included. The candidate passes order their rows by (distance,
+index) with ``_by_distance``.
 
 The threshold is measured (N=10k, rho=5, 2-core VM, best of 3): on the
 criterion-11 blobs the tree takes 0.05-0.06 s at d = 10, 11 and 12, against
@@ -92,7 +91,7 @@ from .io import _index
 from .prototypes import GramPoints, _centered, _half_sqdist
 
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
-_GROUP_SIZE = 32  # columns per strided group of the two-stage selection
+_GROUP_SIZE = 32  # columns per strided group of the prefilter's two-stage selection
 _TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force is faster
 # The kd-tree splits at the sliding midpoint (Maneewongvatana & Mount 1999)
 # into leaves of up to 64 points. On the N=10k, d=10, rho=5 clustered input
@@ -349,14 +348,11 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
     reads the product from the points' Gram matrix ``gram``, when given, and
     needs one buffer: G is that product (a SYRK) bitwise, but a product of
     fewer rows (a GEMM) can differ from G's rows in the last bits. A block
-    holds half distances (``_half_sqdist``), which rank as the kernel's
-    unclamped values do; only the entries a row keeps are doubled and clamped
-    at 0, which gives the kernel's values bitwise. Each row's rho nearest and
-    its (rho+1)-th come from ``_nearest_columns`` when N holds more than
-    rho + 1 groups of ``_GROUP_SIZE`` columns, else from one argpartition of
-    the row. Only a row where the two are equally far after the clamp has a
-    tie at the cut; it is resolved in full by (distance, index) order over
-    every point within its cutoff.
+    holds half distances (``_half_sqdist``); doubling them and clamping at 0
+    in place gives the kernel's values bitwise. With each row's own column at
+    inf, rho ``argmin`` passes pick its neighbors, each picked column set to
+    inf after it is picked: ``argmin`` returns the first of equal minima, so
+    the picks come in (distance, index) order, ties at the cut included.
     """
     n = P.X.shape[0]
     chunk = max(1, min(ids.size, _CHUNK_BUDGET // n))
@@ -364,61 +360,34 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
         gram = None
     buffers = np.empty((1 if gram is not None else 2, chunk, n))
     half_norms = 0.5 * P.sq_norms
-    grouped = n > (rho + 1) * _GROUP_SIZE
     for start in range(0, ids.size, chunk):
         block = ids[start:start + chunk]
         rows = np.arange(block.size)
         contiguous = block[-1] - block[0] + 1 == block.size
         sel = slice(int(block[0]), int(block[-1]) + 1) if contiguous else block
-        h = _half_sqdist(P.centered, sel, half_norms, out=buffers[:, :block.size], gram=gram)
-        h[rows, block] = np.inf
-        if grouped:
-            part = _nearest_columns(h, rho)
-        else:
-            part = np.argpartition(h, rho, axis=1)[:, :rho + 1].copy()  # frees the N-wide block
-        part_d = np.maximum(2.0 * np.take_along_axis(h, part, axis=1), 0.0)
-        cutoff = part_d[:, :rho].max(axis=1)
-        tied = part_d[:, rho] == cutoff
-        idx_out[block], sqd_out[block] = _by_distance(part[:, :rho], part_d[:, :rho])
-        if tied.any():
-            _resolve_ties(h, block, np.flatnonzero(tied), cutoff, rho, idx_out, sqd_out)
+        d = _half_sqdist(P.centered, sel, half_norms, out=buffers[:, :block.size], gram=gram)
+        d *= 2.0
+        np.maximum(d, 0.0, out=d)
+        d[rows, block] = np.inf
+        for j in range(rho):
+            col = d.argmin(axis=1)
+            idx_out[block, j] = col
+            sqd_out[block, j] = d[rows, col]
+            d[rows, col] = np.inf
 
 
-def _resolve_ties(h, block, tied, cutoff, rho, idx_out, sqd_out):
-    """Rows ``tied`` of the block h: their rho nearest in (distance, index) order
-    over every column within the row's cutoff, from one mask and one nonzero.
+def _nearest_columns(h, k):
+    """Per row of h, the columns of its k + 1 smallest values, the (k+1)-th
+    last, found in two stages; ``_prefiltered_rows`` picks its candidates and
+    threshold with it.
 
-    max(2h, 0) <= cutoff iff h <= cutoff / 2: the cutoff is 0 or twice a half
-    distance, which halving gives back exactly. Each row has at least rho such
-    columns, its candidates.
-    """
-    rows = h if tied.size == h.shape[0] else h[tied]  # no copy when every row ties
-    r, col = np.divmod(np.flatnonzero(rows <= 0.5 * cutoff[tied, None]), h.shape[1])
-    dist = np.maximum(2.0 * h[tied[r], col], 0.0)
-    # stable: a row's equal distances keep the increasing column order of nonzero
-    order = np.lexsort((dist, r))
-    first = np.searchsorted(r, np.arange(tied.size))
-    keep = order[first[:, None] + np.arange(rho)]
-    idx_out[block[tied]] = col[keep]
-    sqd_out[block[tied]] = dist[keep]
-
-
-def _nearest_columns(h, rho):
-    """Per row of h, the columns of its rho + 1 smallest values, the (rho+1)-th
-    last, found in two stages.
-
-    The columns fall into ng >= rho + 1 strided groups of at most
-    ``_GROUP_SIZE`` (columns j, j + ng, j + 2 ng, ...); at ng = rho + 1, which
-    only the prefilter asks for, every group is searched. One reduction gives
-    every group's minimum, and only the rho + 1 groups with the smallest minima
-    are searched. With t the largest of their minima, the searched columns hold
-    every column below t and at least rho + 1 at or below t, and every column
-    left out is at t or above. So a column left out can come before a searched
-    one in (distance, index) order only when the searched rho-th and (rho+1)-th
-    are as far as it, also after the clamp at 0: a tie at the cut, which
-    ``_exact_rows`` resolves over the whole row. A row whose groups tie at t
-    needs no second search. In ``_prefiltered_rows`` the (rho+1)-th value
-    is the threshold, at or below every column left out.
+    The columns fall into ng >= k + 1 strided groups of at most
+    ``_GROUP_SIZE`` (columns j, j + ng, j + 2 ng, ...); at ng = k + 1 every
+    group is searched. One reduction gives every group's minimum, and only
+    the k + 1 groups with the smallest minima are searched. With t the
+    largest of their minima, the searched columns hold at least k + 1 at or
+    below t, and every column left out is at t or above. So the (k+1)-th
+    value found is at or below every column left out.
     """
     b, n = h.shape
     ng = -(-n // _GROUP_SIZE)
@@ -427,12 +396,12 @@ def _nearest_columns(h, rho):
     tail = n - full * ng
     if tail:
         np.minimum(mins[:, :tail], h[:, full * ng:], out=mins[:, :tail])
-    groups = np.argpartition(mins, rho, axis=1)[:, :rho + 1]
+    groups = np.argpartition(mins, k, axis=1)[:, :k + 1]
     cols = (groups[:, :, None] + ng * np.arange(full + (tail > 0))).reshape(b, -1)
     past = cols >= n  # groups from the tail on have no column in the last stride
     vals = np.take_along_axis(h, np.where(past, 0, cols), axis=1)
     vals[past] = np.inf
-    return np.take_along_axis(cols, np.argpartition(vals, rho, axis=1)[:, :rho + 1], axis=1)
+    return np.take_along_axis(cols, np.argpartition(vals, k, axis=1)[:, :k + 1], axis=1)
 
 
 def knn_graph(X, rho: int) -> SparseAffinity:

@@ -29,11 +29,12 @@ Every squared distance in the package (prototype scores, kernel weights,
 k-means++ seeding, the brute-force rho-NN search) is the expansion
 ||x||^2 + ||v||^2 - 2 x.v, clamped at 0: one GEMM through CenteredFeatures,
 or, through GramPoints, one N-wide product G alpha^t and the prototypes'
-norms alpha G alpha^t. The brute-force search's exact pass ranks on half of
-it, (||x||^2/2 + ||v||^2/2) - x.v (``_half_sqdist``), and doubles and clamps
-only the distances it keeps; halving is exact, so those are the expansion's
-values bitwise. Searching a GramPoints, a pass over every point in one block
-reads G's rows instead of making the product, and G is that product bitwise.
+norms alpha G alpha^t. The brute-force search's exact pass fills its blocks
+with half of it, (||x||^2/2 + ||v||^2/2) - x.v (``_half_sqdist``), and
+doubles and clamps them in place; halving is exact, so those are the
+expansion's values bitwise. Searching a GramPoints, a pass over every point
+in one block reads G's rows instead of making the product, and G is that
+product bitwise.
 The kd-tree search of low-dimensional features and the brute-force search's
 float32 prefilter (the same half expansion in single precision) only pick
 candidate pairs; their distances come from the same expansion in float64

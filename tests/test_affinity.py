@@ -275,8 +275,9 @@ def test_tree_search_starts_no_thread_for_a_small_search():
 
 
 def exact_rows_oracle(P, rho, ids):
-    """The search's block body before half distances and the two-stage
-    selection: clamped distances and one argpartition over every column."""
+    """The search's block body before half distances and the grouped
+    selection: clamped distances, one argpartition over every column, and a
+    tie pass over every column within the cutoff."""
     n = P.X.shape[0]
     idx_out = np.empty((n, rho), dtype=np.int64)
     sqd_out = np.empty((n, rho), dtype=np.float64)
@@ -352,16 +353,6 @@ def test_two_stage_selection_matches_the_parent_block_body(monkeypatch, case, ro
     assert n >= (rho + 2) * affinity._GROUP_SIZE
     assert n % -(-n // affinity._GROUP_SIZE), "the last stride is a partial one"
     monkeypatch.setattr(affinity, "_CHUNK_BUDGET", rows_per_block * n)
-    rows_tied_at_t = []
-    nearest_columns = affinity._nearest_columns
-
-    def spy(h, rho):
-        mins = group_minima(h)
-        t = np.sort(mins, axis=1)[:, rho]
-        rows_tied_at_t.append(int(np.count_nonzero((mins <= t[:, None]).sum(axis=1) > rho + 1)))
-        return nearest_columns(h, rho)
-
-    monkeypatch.setattr(affinity, "_nearest_columns", spy)
     P = CenteredFeatures(X)
     idx = np.full((n, rho), -1, dtype=np.int64)
     sqd = np.full((n, rho), np.nan)
@@ -369,13 +360,16 @@ def test_two_stage_selection_matches_the_parent_block_body(monkeypatch, case, ro
     want_idx, want_sqd = exact_rows_oracle(P, rho, ids)
     np.testing.assert_array_equal(idx[ids], want_idx)
     assert sqd[ids].tobytes() == want_sqd.tobytes()
-    assert len(rows_tied_at_t) == -(-ids.size // rows_per_block)  # every block took it
     if case == "near_copies":
         assert (want_sqd == 0).all(axis=1).any()
     if case in ("grid", "grid_ids", "copies"):
         # rows whose groups tie at t, where more than rho + 1 groups could hold
         # a nearest point
-        assert sum(rows_tied_at_t) > 0
+        h = _half_sqdist(P.centered, ids, 0.5 * P.sq_norms, out=np.empty((2, ids.size, n)))
+        h[np.arange(ids.size), ids] = np.inf
+        mins = group_minima(h)
+        t = np.sort(mins, axis=1)[:, rho]
+        assert np.count_nonzero((mins <= t[:, None]).sum(axis=1) > rho + 1) > 0
 
 
 @pytest.mark.parametrize("group_size", [2, 3, 8])
