@@ -88,7 +88,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
 from .io import _index
-from .prototypes import GramPoints, _centered, _half_sqdist
+from .prototypes import GramPoints, _assignment_rows, _centered, _half_sqdist
 
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
 _GROUP_SIZE = 32  # columns per strided group of the prefilter's two-stage selection
@@ -469,9 +469,7 @@ def estimate_sigma2(X, rho: int) -> float:
 
 def laplacian_quadratic(W: SparseAffinity, S) -> float:
     """Pairwise penalty sum_{p,q} w(p,q) ||s_p - s_q||^2 over stored entries."""
-    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    if rows.shape[0] != W.n_points:
-        raise DataError(f"assignment rows ({rows.shape[0]}) != graph points ({W.n_points})")
+    rows = _assignment_rows(S, W.n_points, of="graph points")
     sq = np.einsum("ij,ij->i", rows, rows)
     col_deg = np.asarray(W.matrix.sum(axis=0)).ravel()
     cross = float(np.sum(rows * (W.matrix @ rows)))

@@ -64,6 +64,7 @@ from .prototypes import (
     Prototypes,
     RULE_MEANS,
     RULE_MODES,
+    _assignment_rows,
     _centered,
     _mean_shift,
     _weighted_means,
@@ -214,7 +215,7 @@ def neighbor_votes(W: SparseAffinity, S):
     reduction over them sums in another order. Every other graph's votes,
     a directed dense one's too, are scipy's sparse product with its matrix.
     """
-    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
+    rows = _assignment_rows(S, W.n_points, of="graph points")
     if W.dense is not None and W.symmetric:
         b = (rows.T @ W.dense).T.copy()
     else:
@@ -225,10 +226,15 @@ def neighbor_votes(W: SparseAffinity, S):
 
 
 def s_inner_update(a, b=None, lam=0.0):
-    """Closed-form row minimizer: softmax(a + lambda*b), max-shifted for safety."""
+    """Closed-form row minimizer: softmax(a + lambda*b), max-shifted for safety.
+    b, when given, has a's shape."""
     z = np.array(a, dtype=np.float64)
-    if lam != 0.0 and b is not None:
-        z += lam * np.asarray(b, dtype=np.float64)
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != z.shape:
+            raise DataError(f"votes of shape {b.shape} for scores of shape {z.shape}")
+        if lam != 0.0:
+            z += lam * b
     return _softmax_in_place(z)
 
 
@@ -299,7 +305,8 @@ def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverC
     (SoftAssignment, n_inner_iters, n_redone_sweeps).
     """
     a = _scores(X, M, cfg)
-    rows, _, iters, redone, _ = _s_block(W, a, S.rows, _block_setup(W, ~S.clamped, cfg), cfg)
+    rows = _assignment_rows(S, *a.shape)
+    rows, _, iters, redone, _ = _s_block(W, a, rows, _block_setup(W, ~S.clamped, cfg), cfg)
     return SoftAssignment(rows=rows, clamp_class=S.clamp_class), iters, redone
 
 
@@ -444,8 +451,8 @@ def _pairwise_relaxed(W, rows, lam, degree_total, b=None):
 
 def relaxed_objective(X, W: SparseAffinity, S, M: Prototypes, cfg: SolverConfig) -> float:
     """R(S, M): prototype term + concave Laplacian surrogate + entropy barrier."""
-    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    return _relaxed(W, rows, _scores(X, M, cfg), cfg.lam, _degree_total(W))
+    a = _scores(X, M, cfg)
+    return _relaxed(W, _assignment_rows(S, *a.shape), a, cfg.lam, _degree_total(W))
 
 
 def _relaxed(W, rows, a, lam, degree_total, b=None):
@@ -457,10 +464,11 @@ def _relaxed(W, rows, a, lam, degree_total, b=None):
 
 def discrete_objective(X, W: SparseAffinity, S_hard, M: Prototypes, cfg: SolverConfig) -> float:
     """E(S, M) = F + (lambda/2) * pairwise penalty, defined on binary rows."""
-    rows = np.asarray(getattr(S_hard, "rows", S_hard), dtype=np.float64)
+    a = _scores(X, M, cfg)
+    rows = _assignment_rows(S_hard, *a.shape)
     if not np.all((rows == 0.0) | (rows == 1.0)) or np.any(rows.sum(axis=1) != 1.0):
         raise DataError("discrete objective requires binary row-stochastic assignments")
-    return _discrete(W, rows, _scores(X, M, cfg), cfg.lam)
+    return _discrete(W, rows, a, cfg.lam)
 
 
 def _discrete(W, rows, a, lam):
@@ -479,9 +487,9 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
     exactly at the anchor. With it, A - R = (lambda/2) * q'Wq for q = S -
     anchor (flattened), hence A >= R whenever the shifted affinity is psd.
     """
-    rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    anchor = np.asarray(getattr(S_anchor, "rows", S_anchor), dtype=np.float64)
     a = _scores(X, M, cfg)
+    rows = _assignment_rows(S, *a.shape)
+    anchor = _assignment_rows(S_anchor, *a.shape)
     value = _entropy(rows) - float(np.sum(rows * a))
     if cfg.lam != 0.0:
         b = neighbor_votes(W, anchor)

@@ -132,10 +132,14 @@ class CenteredFeatures:
         return P
 
     def _center(self, X):
+        """Sets the fields from X; rejects X when its squared distances, at
+        most 4 max |c_p|^2, would overflow float64."""
         self.X = X
         self.mean = self.X.mean(axis=0)
         self.centered = self.X - self.mean
         self.sq_norms = np.einsum("ij,ij->i", self.centered, self.centered)
+        if not self.sq_norms.max() <= np.finfo(np.float64).max / 4:  # 4 max|c|^2 is finite
+            raise DataError("features too large: their squared distances overflow float64")
 
     @property
     def n_points(self):
@@ -300,19 +304,31 @@ def update_means(X, S, prev: Prototypes | None = None):
     prototype to keep. Returns (Prototypes, empty_mask).
     """
     P = _centered(X)
-    M, empty = _weighted_means(P, _assignment_rows(S, P), prev)
+    M, empty = _weighted_means(P, _assignment_rows(S, P.n_points), prev)
     return Prototypes(values=M, rule=RULE_MEANS), empty
 
 
-def _assignment_rows(S, P):
-    """S (a SoftAssignment or an array) as float64 rows, checked to be one per
-    point of P: a blocked sum would skip rows past the points, and a single
-    row would broadcast over them."""
+def _assignment_rows(S, n, k=None, of="points"):
+    """S (a SoftAssignment or an array) as float64 rows, checked to be n rows
+    (one per point, or one per graph point when ``of`` says so) of k columns,
+    any number when k is None. A single row would broadcast over the points,
+    and a blocked sum would skip rows past them."""
     rows = np.asarray(getattr(S, "rows", S), dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != P.n_points:
-        raise DataError(f"assignment matrix must have one row per point ({P.n_points}), "
-                        f"got shape {rows.shape}")
+    if rows.ndim != 2:
+        raise DataError(f"assignment matrix must be 2-D, got shape {rows.shape}")
+    if rows.shape[0] != n:
+        raise DataError(f"assignment rows ({rows.shape[0]}) != {of} ({n})")
+    if k is not None and rows.shape[1] != k:
+        raise DataError(f"assignment columns ({rows.shape[1]}) != prototypes ({k})")
     return rows
+
+
+def _check_width(P, M):
+    """Raises DataError unless M's rows are as wide as P's points: d feature
+    columns, or N coefficients on a GramPoints."""
+    width = P.n_points if isinstance(P, GramPoints) else P.X.shape[1]
+    if M.values.shape[1] != width:
+        raise DataError(f"prototype width ({M.values.shape[1]}) != point width ({width})")
 
 
 def _weighted_means(P, rows, prev):
@@ -350,9 +366,10 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
     within max_iters is reported as a warning, not a failure.
     """
     P = _centered(X)
+    _check_width(P, M_init)
     history = []
-    M, _, _, zero_mass, capped = _mean_shift(P, _assignment_rows(S, P), cfg, M_init,
-                                             history=history)
+    M, _, _, zero_mass, capped = _mean_shift(P, _assignment_rows(S, P.n_points, M_init.k), cfg,
+                                             M_init, history=history)
     M = Prototypes(values=M.values, rule=RULE_MODES)  # checked here, at the public boundary
     u_traces = [[] for _ in range(M.k)]
     for active, masses in history:
@@ -417,7 +434,9 @@ def prototype_scores(X, M: Prototypes, sigma2=None):
     ``sigma2``. Softmaxing a row then favors the low-cost (high-affinity)
     prototype.
     """
-    sqd = _centered(X).sqdist(M.values)
+    P = _centered(X)
+    _check_width(P, M)
+    sqd = P.sqdist(M.values)
     if M.rule == RULE_MEANS:
         return -sqd
     if sigma2 is None:

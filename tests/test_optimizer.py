@@ -1,5 +1,6 @@
 """Bound optimizer: inner updates, objectives, bound properties, full solves."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -24,11 +25,13 @@ from lapclust import (
     relaxed_objective,
     s_block,
     s_inner_update,
+    save_features,
     solve,
     symmetrize,
     update_modes,
 )
 from lapclust import fewshot, optimizer, prototypes
+from lapclust.cli import main
 from lapclust.affinity import SparseAffinity, laplacian_quadratic
 from lapclust.errors import DataError
 from lapclust.prototypes import prototype_scores
@@ -960,3 +963,127 @@ def test_solve_stops_on_a_non_finite_objective(monkeypatch):
     monkeypatch.setattr(optimizer, "_update_prototypes", nan_scores)
     with pytest.raises(DataError, match="^relaxed objective is nan at outer iteration 1$"):
         solve(X, W, Prototypes(values=X[:3], rule="means"), SolverConfig(lam=1.0))
+
+
+def _shape_case(case):
+    """A call that passes S, M or b of a shape that does not fit the points."""
+    rng = np.random.default_rng(35)
+    X = rng.standard_normal((40, 4))
+    W = symmetrize(knn_graph(X, 3), "max")
+    M = Prototypes(values=X[:2], rule="means")
+    cfg = SolverConfig(lam=0.0)
+    one_row = np.full((1, 2), 0.5)
+    three_wide = random_simplex(rng, 40, 3)
+    if case == "relaxed_one_row":
+        return lambda: relaxed_objective(X, W, one_row, M, cfg)
+    if case == "discrete_one_row":
+        return lambda: discrete_objective(X, W, np.eye(2)[:1], M, cfg)
+    if case == "auxiliary_one_row":
+        return lambda: auxiliary_value(X, W, one_row, one_row, M, cfg)
+    if case == "relaxed_other_k":
+        return lambda: relaxed_objective(X, W, three_wide, M, SolverConfig(lam=1.0))
+    if case == "discrete_other_k":
+        return lambda: discrete_objective(X, W, np.eye(3)[rng.integers(3, size=40)], M, cfg)
+    if case == "auxiliary_other_anchor":
+        return lambda: auxiliary_value(X, W, random_simplex(rng, 40, 2), three_wide, M,
+                                       SolverConfig(lam=1.0))
+    if case == "s_block_ten_rows":
+        X60 = rng.standard_normal((60, 4))
+        S = SoftAssignment.unclamped(random_simplex(rng, 10, 2))
+        return lambda: s_block(empty_graph(60), X60, Prototypes(values=X60[:2], rule="means"),
+                               S, cfg)
+    if case == "scores_one_wide":
+        return lambda: prototype_scores(X, Prototypes(values=X[:2, :1], rule="means"))
+    if case == "scores_gram_feature_wide":
+        P = prototypes.GramPoints(prototypes.CenteredFeatures(X))
+        return lambda: prototype_scores(P, Prototypes(values=np.eye(4)[:2], rule="means"))
+    if case == "solve_one_wide":
+        return lambda: solve(X, W, Prototypes(values=X[:2, :1], rule="means"), cfg)
+    if case == "update_modes_one_wide":
+        return lambda: update_modes(X, random_simplex(rng, 40, 2), ModeSolverConfig(sigma2=1.0),
+                                    Prototypes(values=X[:2, :1], rule="modes"))
+    if case == "inner_update_one_row_votes":
+        return lambda: s_inner_update(rng.standard_normal((40, 2)), one_row, 1.0)
+    if case == "votes_other_rows":
+        return lambda: neighbor_votes(W, random_simplex(rng, 39, 2))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("relaxed_one_row", "assignment rows (1) != points (40)"),
+    ("discrete_one_row", "assignment rows (1) != points (40)"),
+    ("auxiliary_one_row", "assignment rows (1) != points (40)"),
+    ("relaxed_other_k", "assignment columns (3) != prototypes (2)"),
+    ("discrete_other_k", "assignment columns (3) != prototypes (2)"),
+    ("auxiliary_other_anchor", "assignment columns (3) != prototypes (2)"),
+    ("s_block_ten_rows", "assignment rows (10) != points (60)"),
+    ("scores_one_wide", "prototype width (1) != point width (4)"),
+    ("scores_gram_feature_wide", "prototype width (4) != point width (40)"),
+    ("solve_one_wide", "prototype width (1) != point width (4)"),
+    ("update_modes_one_wide", "prototype width (1) != point width (4)"),
+    ("inner_update_one_row_votes", "votes of shape (1, 2) for scores of shape (40, 2)"),
+    ("votes_other_rows", "assignment rows (39) != graph points (40)"),
+])
+def test_shapes_that_tie_s_m_and_x_together_are_checked(case, message):
+    # S has one row per point and M.k columns, M is as wide as the points (d,
+    # or N on GramPoints), and b has a's shape; a single row would broadcast
+    call = _shape_case(case)
+    with pytest.raises(DataError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_objective_increase_is_warned_and_the_loop_goes_on(monkeypatch, tmp_path):
+    # no valid input makes R rise, so the rise is injected: the second
+    # prototype block of a solve returns lowered scores, which raise R by 5
+    # per point
+    X = np.random.default_rng(36).standard_normal((40, 2))
+    W = symmetrize(knn_graph(X, 3), "max")
+    real = optimizer._update_prototypes
+    blocks = []
+
+    def lowered(P, rows, M, mode_cfg, a):
+        M_new, a_new, warnings, caps = real(P, rows, M, mode_cfg, a)
+        blocks.append(M_new)
+        return M_new, a_new - 5.0 * (len(blocks) == 2), warnings, caps
+
+    monkeypatch.setattr(optimizer, "_update_prototypes", lowered)
+    _, _, report = solve(X, W, Prototypes(values=X[:3], rule="means"), SolverConfig(lam=1.0))
+    r1, r2 = report.relaxed_trace[1:3]
+    assert r2 > r1
+    assert f"relaxed objective increased at outer iteration 2 ({r1:.12g} -> {r2:.12g})" \
+        in report.warnings
+    assert report.outer_iters > 2
+
+    fpath = tmp_path / "f.csv"
+    save_features(X, fpath)
+    blocks.clear()
+    argv = ["cluster", "--features", str(fpath), "--k", "3", "--algo", "slk-means",
+            "--lambda", "1.0", "--strict", "--out-dir", str(tmp_path / "s")]
+    assert main(argv) == 3
+    warned = json.loads((tmp_path / "s" / "report.json").read_text())["warnings"]
+    assert any(w.startswith("relaxed objective increased at outer iteration 2 (") for w in warned)
+
+
+@pytest.mark.parametrize("d", [3, 20])
+def test_features_whose_distances_overflow_float64_are_rejected(d):
+    # a squared distance is at most 4 max |c_p|^2, which overflows at scale
+    # 1e154 and is about 2.9e307 at 1e153, d = 3
+    X = np.random.default_rng(37).standard_normal((40, d))
+    W = symmetrize(knn_graph(X, 5), "max")
+    calls = {
+        "knn_graph": lambda Y: knn_graph(Y, 5),
+        "kmeans_pp_seeds": lambda Y: kmeans_pp_seeds(Y, 3, np.random.default_rng(0)),
+        "solve": lambda Y: solve(Y, W, Prototypes(values=Y[:3], rule="means"),
+                                 SolverConfig(lam=1.0)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DataError, match="^features too large: their squared distances "
+                                            "overflow float64$"):
+            call(X * 1e154)
+    if d == 3:
+        big = {name: call(X * 1e153) for name, call in calls.items()}
+        np.testing.assert_array_equal(big["knn_graph"].dense, knn_graph(X, 5).dense)
+        assert np.isfinite(big["knn_graph"].knn_sqdist).all()
+        assert np.isfinite(big["kmeans_pp_seeds"]).all()
+        assert np.isfinite(big["solve"][2].discrete_objective)
