@@ -300,11 +300,15 @@ def update_means(X, S, prev: Prototypes | None = None):
     """Weighted means m_k = X^t S_k / 1^t S_k; on GramPoints, the coefficient
     rows S_k / 1^t S_k.
 
-    A zero-mass column raises EmptyClusterError unless ``prev`` supplies a
-    prototype to keep. Returns (Prototypes, empty_mask).
+    A zero-mass column raises EmptyClusterError unless ``prev``, one
+    prototype per column of S, supplies a prototype to keep. Returns
+    (Prototypes, empty_mask).
     """
     P = _centered(X)
-    M, empty = _weighted_means(P, _assignment_rows(S, P.n_points), prev)
+    if prev is not None:
+        _check_width(P, prev)
+    rows = _assignment_rows(S, P.n_points, None if prev is None else prev.k)
+    M, empty = _weighted_means(P, rows, prev)
     return Prototypes(values=M, rule=RULE_MEANS), empty
 
 

@@ -28,6 +28,7 @@ from lapclust import (
     save_features,
     solve,
     symmetrize,
+    update_means,
     update_modes,
 )
 from lapclust import fewshot, optimizer, prototypes
@@ -1002,6 +1003,10 @@ def _shape_case(case):
     if case == "update_modes_one_wide":
         return lambda: update_modes(X, random_simplex(rng, 40, 2), ModeSolverConfig(sigma2=1.0),
                                     Prototypes(values=X[:2, :1], rule="modes"))
+    if case in ("means_prev_one_wide", "means_prev_other_k"):
+        S = np.eye(2)[np.zeros(40, dtype=int)]  # cluster 1 is empty and keeps prev's row
+        prev = X[:2, :1] if case == "means_prev_one_wide" else X[:1]
+        return lambda: update_means(X, S, Prototypes(values=prev, rule="means"))
     if case == "inner_update_one_row_votes":
         return lambda: s_inner_update(rng.standard_normal((40, 2)), one_row, 1.0)
     if case == "votes_other_rows":
@@ -1021,6 +1026,8 @@ def _shape_case(case):
     ("scores_gram_feature_wide", "prototype width (4) != point width (40)"),
     ("solve_one_wide", "prototype width (1) != point width (4)"),
     ("update_modes_one_wide", "prototype width (1) != point width (4)"),
+    ("means_prev_one_wide", "prototype width (1) != point width (4)"),
+    ("means_prev_other_k", "assignment columns (2) != prototypes (1)"),
     ("inner_update_one_row_votes", "votes of shape (1, 2) for scores of shape (40, 2)"),
     ("votes_other_rows", "assignment rows (39) != graph points (40)"),
 ])
@@ -1068,7 +1075,7 @@ def test_objective_increase_is_warned_and_the_loop_goes_on(monkeypatch, tmp_path
 @pytest.mark.parametrize("d", [3, 20])
 def test_features_whose_distances_overflow_float64_are_rejected(d):
     # a squared distance is at most 4 max |c_p|^2, which overflows at scale
-    # 1e154 and is about 2.9e307 at 1e153, d = 3
+    # 1e154 and is about 3.7e307 at 1e153, d = 3
     X = np.random.default_rng(37).standard_normal((40, d))
     W = symmetrize(knn_graph(X, 5), "max")
     calls = {
