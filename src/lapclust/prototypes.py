@@ -138,7 +138,7 @@ class CenteredFeatures:
         self.mean = self.X.mean(axis=0)
         self.centered = self.X - self.mean
         self.sq_norms = np.einsum("ij,ij->i", self.centered, self.centered)
-        if not self.sq_norms.max() <= np.finfo(np.float64).max / 4:  # 4 max|c|^2 is finite
+        if not self.sq_norms.max() <= np.finfo(np.float64).max / 4:
             raise DataError("features too large: their squared distances overflow float64")
 
     @property
