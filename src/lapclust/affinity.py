@@ -88,7 +88,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
 from .io import _index
-from .prototypes import GramPoints, _assignment_rows, _centered, _half_sqdist
+from .prototypes import GramPoints, _assignment_rows, _centered, _half_sqdist, _selector
 
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
 _GROUP_SIZE = 32  # columns per strided group of the prefilter's two-stage selection
@@ -363,9 +363,8 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
     for start in range(0, ids.size, chunk):
         block = ids[start:start + chunk]
         rows = np.arange(block.size)
-        contiguous = block[-1] - block[0] + 1 == block.size
-        sel = slice(int(block[0]), int(block[-1]) + 1) if contiguous else block
-        d = _half_sqdist(P.centered, sel, half_norms, out=buffers[:, :block.size], gram=gram)
+        d = _half_sqdist(P.centered, _selector(block), half_norms, out=buffers[:, :block.size],
+                         gram=gram)
         d *= 2.0
         np.maximum(d, 0.0, out=d)
         d[rows, block] = np.inf

@@ -26,16 +26,18 @@ and the votes product stays on the row-major rows.
 Descent is certified sweep by sweep, for any symmetric affinity, without a
 diagonal shift. The bound's gap is exact: A - R = (lambda/2) q'Wq with q the
 sweep's change, and Wq is the difference of the votes after and before the
-sweep, which the next sweep needs anyway. A sweep with q'Wq < 0 (possible when
-W is not psd) is redone as softmax((a + lambda*b + c log anchor) / (1 + c)),
-the minimizer of A + c KL(s || anchor); with c = lambda * max(0, max degree -
-diag_shift), at least |lambda_min| by Gershgorin, Pinsker's inequality makes
-that a majorization step, so R never rises inside an assignment block. So any
-number of sweeps per block keeps the descent guarantee: ``inner_max`` is a
-budget, and a block that spends it is counted, not warned about. The same
-holds for the modes rule's prototype block: each mean-shift step raises every
-cluster's kernel mass, so a block makes at most ``_MODE_STEPS`` of them, and a
-cluster that spends them is counted in ``SolveReport.mode_cap_hits``. The
+sweep, which the next sweep needs anyway. A sweep is one step,
+softmax((a + lambda*b + c log anchor) / (1 + c)), the minimizer of
+A + c KL(s || anchor); the plain sweep is c = 0. A sweep with q'Wq < 0
+(possible when W is not psd) is redone from the same anchor and its votes at
+c = lambda * max(0, max degree - diag_shift), at least |lambda_min| by
+Gershgorin; Pinsker's inequality makes that a majorization step, so R never
+rises inside an assignment block. So any number of sweeps per block keeps the
+descent guarantee: ``inner_max`` is a budget, and a block that spends it is
+counted, not warned about. The same holds for the modes rule's prototype
+block: each mean-shift step raises every cluster's kernel mass, so a block
+makes at most ``_MODE_STEPS`` of them, and a cluster that spends them is
+counted in ``SolveReport.mode_cap_hits``. The
 block starts from the current scores, which are the kernel matrix at the
 current modes, and each step computes the full-width kernel at its new modes
 once; the last one is the scores the next assignment block starts from, so an
@@ -67,6 +69,7 @@ from .prototypes import (
     _assignment_rows,
     _centered,
     _mean_shift,
+    _selector,
     _weighted_means,
     prototype_scores,
 )
@@ -347,23 +350,26 @@ def _s_block(W, a, rows, setup, cfg, b=None):
     block stops when that change is below ``inner_tol`` or after ``inner_max``
     sweeps.
 
-    Each sweep is checked with the votes of its result, which the next sweep
-    (or the next block: votes do not depend on the prototypes) starts from:
-    its bound gap is (lambda/2) q'(b_next - b) over the free rows, the only
-    ones where q is not 0. A sweep whose gap is negative is redone from the
-    same anchor by ``_redo_sweep``, which costs two more products: the
-    anchor's votes again, and the redone rows'.
+    Each sweep is ``_sweep`` at KL weight 0, checked with the votes of its
+    result, which the next sweep (or the next block: votes do not depend on
+    the prototypes) starts from: its bound gap is (lambda/2) q'(b_next - b)
+    over the free rows, the only ones where q is not 0. A sweep whose gap is
+    negative is made again from the same anchor at ``setup.redo_c``, which
+    costs one more product, the redone rows' votes. When ``redo_c`` is 0 no
+    sweep could be redone, and the gap is not taken.
 
     ``setup`` holds what the block reads of the solve and does not change,
     made once per solve by ``_block_setup``: the certificate's scale, the
     redo's KL weight, and the free rows' selector, a slice when they are
     contiguous (all rows when clustering, the queries after an episode's
     leading supports), otherwise their index array. The block works on one
-    copy of ``rows``, so the caller's array is never written, and each sweep
-    reuses two (n_free, K) buffers, the anchor's free rows and the new rows
-    (then their change q). The votes difference is taken in b, whose anchor
-    votes no later sweep reads: beyond the votes, a sweep allocates only the
-    (K, n_free) copy of a cluster-major ``_softmax_in_place``.
+    copy of ``rows``, so the caller's array is never written, and its sweeps
+    reuse three (n_free, K) buffers: the anchor's free rows, lambda times
+    their votes, and the new rows (then their change q). The votes
+    difference is taken in b, whose anchor votes no pass reads after it, and
+    b is then bound to the new rows' votes: beyond the votes, a sweep
+    allocates only the (K, n_free) copy of a cluster-major
+    ``_softmax_in_place``.
     """
     sel = setup.sel
     if sel is None:
@@ -378,59 +384,45 @@ def _s_block(W, a, rows, setup, cfg, b=None):
     scale = _CERT_RTOL * setup.degree_total
     z = np.empty_like(a_sel)
     anchor = np.empty_like(a_sel)
+    lam_b = np.empty_like(a_sel)
     redone = 0
     for iters in range(1, cfg.inner_max + 1):
         anchor[...] = rows[sel]
-        np.multiply(b[sel], cfg.lam, out=z)
-        z += a_sel
-        _softmax_in_place(z)
-        rows[sel] = z
-        b_next = neighbor_votes(W, rows)
-        z -= anchor
-        delta = max(z.max(), -z.min())
-        np.subtract(b_next, b, out=b)
-        z *= b[sel]
-        if z.sum() < -scale * delta:
-            c = setup.redo_c
-            if c > 0.0:  # else W + diag_shift is diagonally dominant: the gap is rounding
-                rows[sel] = anchor
-                del b_next  # the anchor's votes again, with two votes arrays alive at most
-                b[...] = neighbor_votes(W, rows)
-                _redo_sweep(z, a_sel, cfg.lam * b[sel], anchor, c)
-                rows[sel] = z
-                b_next = neighbor_votes(W, rows)
-                z -= anchor
-                delta = max(z.max(), -z.min())
-                redone += 1
-        b[...] = b_next  # in place: a caller's reference to b holds no stale votes
-        del b_next
+        np.multiply(b[sel], cfg.lam, out=lam_b)
+        for c in (0.0, setup.redo_c):
+            _sweep(z, a_sel, lam_b, anchor, c)
+            rows[sel] = z
+            b_next = neighbor_votes(W, rows)
+            z -= anchor
+            delta = max(z.max(), -z.min())
+            if c == setup.redo_c:  # a redone sweep, or one no redo could replace
+                break
+            np.subtract(b_next, b, out=b)  # the anchor's votes live on in lam_b
+            z *= b[sel]
+            if not z.sum() < -scale * delta:
+                break
+        redone += c != 0.0
+        b = b_next
         if delta < cfg.inner_tol:
             break
     return rows, b, iters, redone, delta
 
 
-def _redo_sweep(z, a_sel, lam_b, anchor, c):
+def _sweep(z, a_sel, lam_b, anchor, c):
     """z := softmax((a + lambda*b + c log anchor) / (1 + c)), the exact minimizer
-    of the bound plus c KL(s || anchor). An anchor entry at 0 has log -inf and
-    stays 0, without a log of 0 being taken."""
-    z.fill(-np.inf)
-    np.log(anchor, out=z, where=anchor > 0.0)
-    z *= c
-    z += a_sel
-    z += lam_b
-    z /= 1.0 + c
+    of the bound plus c KL(s || anchor); at c = 0, softmax(a + lambda*b), the
+    plain sweep, with no log and no divide. An anchor entry at 0 has log -inf
+    and, at c > 0, stays 0, without a log of 0 being taken."""
+    if c == 0.0:
+        np.add(a_sel, lam_b, out=z)
+    else:
+        z.fill(-np.inf)
+        np.log(anchor, out=z, where=anchor > 0.0)
+        z *= c
+        z += a_sel
+        z += lam_b
+        z /= 1.0 + c
     _softmax_in_place(z)
-
-
-def _selector(free):
-    """The rows where ``free`` holds: a slice if they are contiguous, else an
-    index array; None when there are none."""
-    idx = np.flatnonzero(free)
-    if idx.size == 0:
-        return None
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
 
 
 def _entropy(rows):

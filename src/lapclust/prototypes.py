@@ -327,6 +327,18 @@ def _assignment_rows(S, n, k=None, of="points"):
     return rows
 
 
+def _selector(rows):
+    """The rows picked by ``rows``, a boolean mask or increasing indices: a
+    slice when they are contiguous, so that they select views, not copies;
+    else their index array; None when there are none."""
+    idx = np.flatnonzero(rows) if rows.dtype == bool else rows
+    if idx.size == 0:
+        return None
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _check_width(P, M):
     """Raises DataError unless M's rows are as wide as P's points: d feature
     columns, or N coefficients on a GramPoints."""
@@ -414,8 +426,7 @@ def _mean_shift(P, rows, cfg: ModeSolverConfig, M_init: Prototypes, kernel=None,
     active = np.flatnonzero(~zero_mass)
     steps = 0
     while steps < cfg.max_iters and active.size:
-        # all clusters, the usual case, are selected by a slice: views, not copies
-        sel = slice(None) if active.size == modes.shape[0] else active
+        sel = _selector(active)
         w = rows * kernel
         total = w.sum(axis=0)[sel]
         new = P.weighted_sums(w)[sel] / total[:, None]

@@ -286,6 +286,25 @@ def test_s_block_bitwise_equals_oracle(layout, selector, case):
     assert (redone > 0) == (case == "redo" and layout != "free_suffix")
 
 
+@pytest.mark.parametrize("layout", ["all_free", "scattered"])
+def test_a_redone_sweep_makes_one_votes_product(layout, monkeypatch):
+    # the first rows' votes, one product per sweep, and one per redone sweep:
+    # the anchor's votes are the ones its sweep started from
+    rng = np.random.default_rng(31)
+    n, k = 40, 4
+    X = rng.standard_normal((n, 3)) + rng.integers(3, size=(n, 1)) * 3.0
+    settings, _ = SWEEP_CASES["redo"]
+    W = symmetrize(knn_graph(X, 4), "max")
+    S = clamped_layout(rng, n, k, layout)
+    M = Prototypes(values=X[[0, 10, 20, 30]], rule="means")
+    calls = []
+    votes = optimizer.neighbor_votes
+    monkeypatch.setattr(optimizer, "neighbor_votes", lambda *args: calls.append(1) or votes(*args))
+    _, iters, redone = s_block(W, X, M, S, SolverConfig(rule="means", **settings))
+    assert redone > 0
+    assert len(calls) == 1 + iters + redone
+
+
 @pytest.mark.parametrize("layout", ["all_free", "free_suffix", "scattered"])
 def test_s_block_and_solve_leave_their_inputs_unchanged(layout):
     rng = np.random.default_rng(32)
