@@ -460,7 +460,11 @@ def estimate_sigma2(X, rho: int) -> float:
     sqd = X.knn_sqdist if isinstance(X, SparseAffinity) else _neighbor_search(X, rho)[1]
     if sqd is None or sqd.shape[1] != rho:
         raise DataError(f"graph carries no rho={rho} neighbor distances; pass the features")
-    sigma2 = float(sqd.sum()) / (sqd.shape[0] * rho)
+    n_terms = sqd.shape[0] * rho
+    with np.errstate(over="ignore"):
+        sigma2 = float(sqd.sum()) / n_terms
+    if sigma2 == np.inf:  # the sum overflows; its terms, and so their mean, do not
+        sigma2 = float((sqd / n_terms).sum())
     if sigma2 <= 0.0:
         raise DegenerateDataError("all rho-NN distances are zero; kernel width undefined")
     return sigma2

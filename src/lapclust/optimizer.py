@@ -518,11 +518,15 @@ def _refit_hard(P, W, rows, M, a, cfg):
     (or to ``ModeSolverConfig``'s default cap), not within the loop's budget,
     so E is taken at converged modes, from the scores the re-fit returns. The
     re-fit cannot fail: a cluster the rounding leaves empty keeps its
-    prototype in M.
+    prototype in M. Returns (E, warnings): the re-fit's warnings, and one when
+    a cluster spent the mean-shift cap, each prefixed "hard re-fit: ".
     """
     hard = _one_hot(np.argmax(rows, axis=1), rows.shape[1])
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
-    return _discrete(W, hard, _update_prototypes(P, hard, M, mode_cfg, a)[1], cfg.lam)
+    _, a_hard, warned, capped = _update_prototypes(P, hard, M, mode_cfg, a)
+    if capped:
+        warned.append(f"mode solver hit max_iters={mode_cfg.max_iters} in {capped} cluster(s)")
+    return _discrete(W, hard, a_hard, cfg.lam), [f"hard re-fit: {w}" for w in warned]
 
 
 def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=None):
@@ -542,7 +546,8 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
     points; the returned prototypes are then coefficient rows too.
 
     After the loop, the rows are rounded to hard labels, the prototypes are
-    re-fit to them once, and ``SolveReport.discrete_objective`` is E there.
+    re-fit to them once, and ``SolveReport.discrete_objective`` is E there;
+    the re-fit's warnings join the loop's in ``SolveReport.warnings``.
     Few-shot episodes read only the labels, so ``run_episode`` runs the loop
     without this re-fit and its report's E stays NaN.
     """
@@ -556,7 +561,8 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
                         "bound's descent certificate; symmetrize it with mode 'max' or 'mean'")
     clamp_class = _clamp_array(np.full(n, -1) if clamp_class is None else clamp_class, n, M0.k)
     rows, M, a, report = _solve_loop(P, W, M0, cfg, clamp_class)
-    report.discrete_objective = _refit_hard(P, W, rows, M, a, cfg)
+    report.discrete_objective, refit_warnings = _refit_hard(P, W, rows, M, a, cfg)
+    report.warnings.extend(refit_warnings)
     return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
 
 
@@ -642,11 +648,16 @@ def kmeans_pp_seeds(X, k, rng) -> np.ndarray:
     centers[0] = P.X[first]
     sqd = P.sqdist(centers[0:1])[:, 0]
     for j in range(1, k):
-        total = sqd.sum()
+        with np.errstate(over="ignore"):
+            total = sqd.sum()
+        weights = sqd
+        if total == np.inf:  # the sum of N finite terms overflows; that of 1/N of each does not
+            weights = sqd / n
+            total = weights.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=sqd / total))
+            idx = int(rng.choice(n, p=weights / total))
         centers[j] = P.X[idx]
         new = P.sqdist(centers[j:j + 1])[:, 0]
         np.minimum(sqd, new, out=sqd)

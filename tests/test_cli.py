@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lapclust import cli, generate_synthetic_episode, save_features, save_labels, save_task
+from lapclust import (ModeSolverConfig, cli, generate_synthetic_episode, optimizer, save_features,
+                      save_labels, save_task)
 from lapclust.cli import main
 
 
@@ -124,6 +125,22 @@ def test_spent_mode_budget_is_counted_not_warned(tmp_path):
     assert code == 0 and report["warnings"] == []
     assert report["mode_cap_hits"] > 0
     assert np.isfinite(report["objective"])
+
+
+def test_the_hard_refits_warnings_reach_the_report(tmp_path, monkeypatch):
+    # the run above, with the re-fit's mean-shift capped at one step: every
+    # cluster spends it, and --strict escalates the re-fit's one warning
+    monkeypatch.setattr(optimizer, "ModeSolverConfig", lambda sigma2, max_iters=1:
+                        ModeSolverConfig(sigma2=sigma2, max_iters=max_iters))
+    rng = np.random.default_rng(0)
+    fpath = tmp_path / "f.csv"
+    save_features(rng.standard_normal((60, 2)), fpath)
+    argv = ["cluster", "--features", str(fpath), "--k", "3", "--algo", "slk-ms",
+            "--out-dir", str(tmp_path / "s")]
+    assert main(argv + ["--strict"]) == 3
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["warnings"] == ["hard re-fit: mode solver hit max_iters=1 in 3 cluster(s)"]
+    assert main(argv) == 0
 
 
 def test_trace_subcommand(blob_data, tmp_path):

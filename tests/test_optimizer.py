@@ -538,7 +538,8 @@ def test_plain_sweep_can_raise_r_and_the_certified_solve_descends():
     _, _, report = solve(X, W, M0, cfg)
     trace = np.array(report.relaxed_trace)
     assert np.all(np.diff(trace) <= 1e-9 * (1.0 + np.abs(trace[:-1])))
-    assert not report.warnings
+    # the loop warns of nothing; the rounding to hard labels empties cluster 0
+    assert report.warnings == ["hard re-fit: cluster 0: zero mass, previous mean kept"]
     assert report.redone_sweeps > 0
 
 
@@ -1113,3 +1114,25 @@ def test_features_whose_distances_overflow_float64_are_rejected(d):
         assert np.isfinite(big["knn_graph"].knn_sqdist).all()
         assert np.isfinite(big["kmeans_pp_seeds"]).all()
         assert np.isfinite(big["solve"][2].discrete_objective)
+
+
+@pytest.mark.parametrize("d", [3, 20])
+def test_sums_of_distances_that_overflow_give_finite_sigma2_and_seeds(d, tmp_path):
+    # at scale 1e153 every squared distance is finite, but their sum over the
+    # rho-NN pairs (and at d = 20 over the points) overflows; scaling by a power
+    # of two scales every squared distance exactly, so the scaled-down run is
+    # the reference: sigma2 scales by 2^1000, and the seeds are the same rows
+    X = np.random.default_rng(0).standard_normal((40, d)) * 1e153
+    small = X * 2.0 ** -500
+    want = estimate_sigma2(small, 5) * 2.0 ** 1000
+    for source in (X, knn_graph(X, 5)):
+        assert estimate_sigma2(source, 5) == pytest.approx(want, rel=1e-12)
+    seeds = kmeans_pp_seeds(X, 3, np.random.default_rng(1))
+    np.testing.assert_array_equal(seeds, kmeans_pp_seeds(small, 3, np.random.default_rng(1))
+                                  * 2.0 ** 500)
+    fpath = tmp_path / "f.csv"
+    save_features(X, fpath)
+    out = tmp_path / "s"
+    assert main(["cluster", "--features", str(fpath), "--k", "3", "--algo", "slk-ms",
+                 "--rho", "5", "--out-dir", str(out)]) == 0
+    assert np.isfinite(json.loads((out / "report.json").read_text())["objective"])
