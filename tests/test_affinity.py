@@ -408,6 +408,36 @@ def test_two_stage_selection_on_tie_heavy_random_inputs(monkeypatch, group_size)
     assert rows_tied_at_t > 1000
 
 
+@pytest.mark.parametrize("group_size", [2, 3, 8, 32])
+def test_nearest_columns_are_the_k_plus_1_smallest(monkeypatch, group_size):
+    # tie-heavy float32 blocks of small integers with one inf per row; N runs
+    # from the edge ng = k + 1, where every group is searched, to a few more
+    # groups than the k + 1 searched, with and without a partial last stride
+    monkeypatch.setattr(affinity, "_GROUP_SIZE", group_size)
+    rng = np.random.default_rng(41 + group_size)
+    edges = partial_strides = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 8))
+        if rng.integers(2):
+            n = int(rng.integers(k * group_size + 1, (k + 1) * group_size + 1))
+        else:
+            n = int(rng.integers((k + 1) * group_size + 1, (k + 4) * group_size + 40))
+        ng = -(-n // group_size)
+        edges += ng == k + 1
+        partial_strides += n % ng != 0
+        b = int(rng.integers(1, 20))
+        h = rng.integers(0, 6, size=(b, n)).astype(np.float32)
+        h[np.arange(b), rng.integers(n, size=b)] = np.inf
+        cols = affinity._nearest_columns(h, k)
+        assert cols.shape == (b, k + 1)
+        assert (np.diff(np.sort(cols, axis=1), axis=1) > 0).all()
+        vals = np.take_along_axis(h, cols, axis=1)
+        smallest = np.sort(h, axis=1)[:, :k + 1]
+        np.testing.assert_array_equal(np.sort(vals, axis=1), smallest)
+        np.testing.assert_array_equal(vals[:, k], smallest[:, k])
+    assert edges > 50 and partial_strides > 50
+
+
 def test_two_stage_selection_needs_more_groups_than_it_keeps(monkeypatch):
     calls = []
     nearest_columns = affinity._nearest_columns
