@@ -32,12 +32,12 @@ A + c KL(s || anchor); the plain sweep is c = 0. A sweep with q'Wq < 0
 (possible when W is not psd) is redone from the same anchor and its votes at
 c = lambda * max(0, max degree - diag_shift), at least |lambda_min| by
 Gershgorin; Pinsker's inequality makes that a majorization step, so R never
-rises inside an assignment block. So any number of sweeps per block keeps the
-descent guarantee: ``inner_max`` is a budget, and a block that spends it is
-counted, not warned about. The same holds for the modes rule's prototype
-block: each mean-shift step raises every cluster's kernel mass, so a block
-makes at most ``_MODE_STEPS`` of them, and a cluster that spends them is
-counted in ``SolveReport.mode_cap_hits``. The
+rises inside an assignment block. So any
+number of sweeps per block keeps the descent guarantee: ``inner_max`` is a
+budget, and a block that spends it is counted, not warned about. The same
+holds for the modes rule's prototype block: each mean-shift step raises every
+cluster's kernel mass, so a block makes at most ``_MODE_STEPS`` of them, and a
+cluster that spends them is counted in ``SolveReport.mode_cap_hits``. The
 block starts from the current scores, which are the kernel matrix at the
 current modes, and each step computes the full-width kernel at its new modes
 once; the last one is the scores the next assignment block starts from, so an
