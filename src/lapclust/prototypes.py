@@ -334,8 +334,9 @@ def _selector(rows):
     idx = np.flatnonzero(rows) if rows.dtype == bool else rows
     if idx.size == 0:
         return None
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
+    first, last = int(idx[0]), int(idx[-1])
+    if last - first + 1 == idx.size:
+        return slice(first, last + 1)
     return idx
 
 
