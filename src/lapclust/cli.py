@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``cluster`` (unsupervised run with K-means++ seeding), ``fewshot``
-(episode batch), ``eval`` (label-file metrics), ``trace`` (objective trace
-only). Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-warning escalated by --strict.
+(episode batch), ``eval`` (label-file metrics), ``trace`` (the ``cluster`` run
+without its assignments and report: ``cmd_cluster`` runs both, and ``trace``
+writes only trace.csv and config.json). Every JSON artifact (report.json,
+summary.json, config.json) goes through ``_write_json``. Exit codes: 0
+success, 1 usage/config error, 2 data error, 3 numerical warning escalated by
+--strict.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import scipy.sparse as sp
 
 from . import io
 from .affinity import SYM_MODES, SparseAffinity, estimate_sigma2, knn_graph, symmetrize
-from .errors import ConfigError, LapclustError
+from .errors import ConfigError, DataError, LapclustError
 from .fewshot import PreprocessConfig, run_episode
 from .metrics import accuracy_hungarian, fewshot_accuracy, nmi
 from .optimizer import SolverConfig, kmeans_pp_seeds, solve
@@ -110,14 +113,17 @@ def _resolve_config(args):
     return SolverConfig(lam=lam, rule=rule, inner_tol=args.inner_tol, outer_tol=args.outer_tol)
 
 
-def _echo_config(args, out_dir, extra=None):
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
-    resolved["command"] = args.command
-    if extra:
-        resolved.update(extra)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True, default=str)
+def _write_json(path, obj, **kwargs):
+    """``obj`` as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, **kwargs)
         fh.write("\n")
+
+
+def _echo_config(args, out_dir, cfg):
+    """config.json: every parsed flag, and the solver configuration the run used."""
+    _write_json(os.path.join(out_dir, "config.json"),
+                {**vars(args), "resolved_solver": asdict(cfg)}, default=str)
 
 
 def _write_trace(report, path):
@@ -147,40 +153,32 @@ def _run_cluster_solve(args, cfg, X):
 
 
 def cmd_cluster(args) -> int:
+    """``cluster`` and ``trace``: one clustering run, which writes trace.csv and
+    config.json; ``cluster`` also writes assignments.csv and report.json."""
     cfg = _resolve_config(args)
     X = io.load_features(args.features)
-    truth = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
+    full = args.command == "cluster"
+    truth = io.load_labels(args.labels, n_points=X.shape[0]) if full and args.labels else None
     S, report, cfg = _run_cluster_solve(args, cfg, X)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    io.save_assignments(S, os.path.join(out, "assignments.csv"), include_soft=args.soft)
     _write_trace(report, os.path.join(out, "trace.csv"))
-    summary = {
-        "objective": report.discrete_objective,
-        "relaxed_final": report.relaxed_trace[-1],
-        "iters": report.outer_iters,
-        "stop_reason": report.stop_reason,
-        **{name: getattr(report, name) for name in _SOLVE_COUNTS},
-        "warnings": report.warnings,
-    }
-    if truth is not None:
-        pred = S.hard_labels()
-        summary["nmi"] = nmi(pred, truth)
-        summary["acc"] = accuracy_hungarian(pred, truth)
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_config(args, out, extra={"resolved_solver": asdict(cfg)})
-    return 3 if (args.strict and report.warnings) else 0
-
-
-def cmd_trace(args) -> int:
-    cfg = _resolve_config(args)
-    _, report, cfg = _run_cluster_solve(args, cfg, io.load_features(args.features))
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-    _write_trace(report, os.path.join(out, "trace.csv"))
-    _echo_config(args, out, extra={"resolved_solver": asdict(cfg)})
+    if full:
+        io.save_assignments(S, os.path.join(out, "assignments.csv"), include_soft=args.soft)
+        summary = {
+            "objective": report.discrete_objective,
+            "relaxed_final": report.relaxed_trace[-1],
+            "iters": report.outer_iters,
+            "stop_reason": report.stop_reason,
+            **{name: getattr(report, name) for name in _SOLVE_COUNTS},
+            "warnings": report.warnings,
+        }
+        if truth is not None:
+            pred = S.hard_labels()
+            summary["nmi"] = nmi(pred, truth)
+            summary["acc"] = accuracy_hungarian(pred, truth)
+        _write_json(os.path.join(out, "report.json"), summary)
+    _echo_config(args, out, cfg)
     return 3 if (args.strict and report.warnings) else 0
 
 
@@ -197,54 +195,55 @@ def _episode_paths(spec):
     return paths
 
 
+def _base_mean(base, d):
+    """The base-class mean held by a --base-mean file, for features d wide: the
+    mean of its rows when they are d wide (a one-row file is that row), or its
+    one column of d values."""
+    if base.shape[1] == d:
+        return base.mean(axis=0)
+    if base.shape == (d, 1):
+        return base[:, 0]
+    raise DataError(f"base mean file has shape {base.shape}; expected rows {d} wide "
+                    f"(the feature width) or one column of {d} values")
+
+
 def cmd_fewshot(args) -> int:
     cfg = _resolve_config(args)
-    base_mean = None
-    if args.base_mean:
-        bm = io.load_features(args.base_mean)
-        base_mean = bm.ravel() if 1 in bm.shape else bm.mean(axis=0)
-    pre = PreprocessConfig(base_mean=base_mean, apply_cl2=args.cl2, apply_bias=args.bias)
+    base = io.load_features(args.base_mean) if args.base_mean else None
+    # a base mean without --cl2 is a config error before the features are read
+    pre = PreprocessConfig(base_mean=base, apply_cl2=args.cl2, apply_bias=args.bias)
     X = io.load_features(args.features)
     labels = io.load_labels(args.labels, n_points=X.shape[0]) if args.labels else None
+    if base is not None:
+        pre = replace(pre, base_mean=_base_mean(base, X.shape[1]))
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    rows = []
-    warnings = []
-    counts = dict.fromkeys(_SOLVE_COUNTS, 0)
-    for episode_id, path in enumerate(_episode_paths(args.episodes)):
+    results = []
+    for path in _episode_paths(args.episodes):
         task = io.load_task(path, n_points=X.shape[0])
         truth = labels[list(task.queries)] if labels is not None and task.queries else None
-        result = run_episode(task, X, pre, cfg, rho=args.rho, sym=args.sym, truth=truth)
-        warnings.extend(result.solve_report.warnings)
-        for name in counts:
-            counts[name] += getattr(result.solve_report, name)
-        rows.append((episode_id, result.accuracy, result.wall_time,
-                     result.solve_report.outer_iters))
+        results.append(run_episode(task, X, pre, cfg, rho=args.rho, sym=args.sym, truth=truth))
 
     with open(os.path.join(out, "episodes.csv"), "w", encoding="utf-8") as fh:
         fh.write("episode_id,accuracy,wall_time,outer_iters\n")
-        for episode_id, acc, wall, iters in rows:
-            acc_cell = "n/a" if acc is None else repr(acc)
-            fh.write(f"{episode_id},{acc_cell},{wall!r},{iters}\n")
+        for episode_id, r in enumerate(results):
+            acc_cell = "n/a" if r.accuracy is None else repr(r.accuracy)
+            fh.write(f"{episode_id},{acc_cell},{r.wall_time!r},{r.solve_report.outer_iters}\n")
 
-    accs = [acc for _, acc, _, _ in rows if acc is not None]
-    if accs:
-        mean, interval = fewshot_accuracy(accs)
-    else:
-        mean, interval = None, None
+    accs = [r.accuracy for r in results if r.accuracy is not None]
+    mean, interval = fewshot_accuracy(accs) if accs else (None, None)
+    warnings = [w for r in results for w in r.solve_report.warnings]
     summary = {
-        "n_episodes": len(rows),
+        "n_episodes": len(results),
         "mean_accuracy": mean,
         "interval95": interval,
-        "mean_wall_time": float(np.mean([w for _, _, w, _ in rows])),
-        **counts,
+        "mean_wall_time": float(np.mean([r.wall_time for r in results])),
+        **{name: sum(getattr(r.solve_report, name) for r in results) for name in _SOLVE_COUNTS},
         "warnings": warnings,
     }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_config(args, out, extra={"resolved_solver": asdict(cfg)})
+    _write_json(os.path.join(out, "summary.json"), summary)
+    _echo_config(args, out, cfg)
     return 3 if (args.strict and warnings) else 0
 
 
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"cluster": cmd_cluster, "fewshot": cmd_fewshot,
-                "eval": cmd_eval, "trace": cmd_trace}
+                "eval": cmd_eval, "trace": cmd_cluster}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

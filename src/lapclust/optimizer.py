@@ -589,8 +589,10 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     (free rows, certificate scale, redo weight; ``_block_setup``), whose
     degree total R's pairwise term reads too, and the mean-shift budget. The
     prototypes a block makes are not checked again: they are averages of the
-    validated points. A non-finite R, which no valid input gives, stops the
-    loop with a DataError.
+    validated points. R at the initial point is checked before the first
+    sweep: under means its sum of N x K finite squared distances can overflow,
+    and that is a DataError, with numpy's overflow warning held back. A
+    non-finite R later stops the loop with a DataError too.
     """
     M = M0
     report = SolveReport()
@@ -606,7 +608,12 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     # the votes of the current rows: each block starts from the previous one's,
     # and R at the block's end is evaluated from them
     b = neighbor_votes(W, rows) if cfg.lam != 0.0 else None
-    r_prev = _relaxed(W, rows, a, cfg.lam, setup.degree_total, b)
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        r_prev = _relaxed(W, rows, a, cfg.lam, setup.degree_total, b)
+    if not np.isfinite(r_prev):
+        raise DataError(f"relaxed objective overflows to {r_prev} at the initial point: "
+                        "its sum of squared distances exceeds the float64 range; "
+                        "scale the features down")
     report.relaxed_trace.append(r_prev)
     report.inner_iters_per_outer.append(0)
 

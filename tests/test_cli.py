@@ -154,6 +154,31 @@ def test_trace_subcommand(blob_data, tmp_path):
     assert all(b <= a + 1e-9 * (1 + abs(a)) for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("delta", [None, "0.5"])
+@pytest.mark.parametrize("algo", ["slk-means", "slk-ms"])
+def test_trace_is_the_cluster_run_without_assignments_and_report(tmp_path, algo, delta):
+    # overlapping points keep soft rows, and both commands take the same run
+    rng = np.random.default_rng(0)
+    fpath, lpath = tmp_path / "f.csv", tmp_path / "labels.txt"
+    save_features(rng.standard_normal((60, 2)), fpath)
+    save_labels(rng.integers(0, 3, size=60), lpath)
+    flags = ["--features", str(fpath), "--k", "3", "--algo", algo, "--seed", "5"]
+    flags += ["--delta", delta] if delta else []
+    cluster, trace = tmp_path / "cluster", tmp_path / "trace"
+    assert main(["cluster", *flags, "--labels", str(lpath), "--soft",
+                 "--out-dir", str(cluster)]) == 0
+    assert main(["trace", *flags, "--out-dir", str(trace)]) == 0
+    assert sorted(p.name for p in cluster.iterdir()) == ["assignments.csv", "config.json",
+                                                         "report.json", "trace.csv"]
+    assert sorted(p.name for p in trace.iterdir()) == ["config.json", "trace.csv"]
+    assert (trace / "trace.csv").read_bytes() == (cluster / "trace.csv").read_bytes()
+    configs = [json.loads((out / "config.json").read_text()) for out in (cluster, trace)]
+    differing = {key for key in configs[0].keys() | configs[1].keys()
+                 if configs[0].get(key, "absent") != configs[1].get(key, "absent")}
+    assert differing == {"command", "out_dir", "labels", "soft"}
+    assert "labels" not in configs[1] and "soft" not in configs[1]
+
+
 @pytest.fixture
 def episode_batch(tmp_path):
     rng_paths = []
@@ -491,3 +516,52 @@ def test_base_mean_without_cl2_is_a_config_error(episode_batch, tmp_path, capsys
     assert not out.exists()
     assert main(argv + ["--cl2", "--out-dir", str(out)]) == 0
     assert (out / "summary.json").exists()
+
+
+def _recorded_base_means(monkeypatch):
+    """The base mean of every episode that cli runs while the test runs."""
+    seen = []
+    run = cli.run_episode
+
+    def recording(task, X, pre, cfg, **kwargs):
+        seen.append(pre.base_mean)
+        return run(task, X, pre, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", recording)
+    return seen
+
+
+@pytest.mark.parametrize("d, shape", [(6, (5, 6)), (6, (1, 6)), (6, (6, 1)),
+                                      (1, (7, 1)), (1, (1, 1))])
+def test_base_mean_file_is_read_by_the_feature_width(tmp_path, monkeypatch, d, shape):
+    # rows d wide give their mean, and one such row is that row, bitwise; a
+    # single column of d values is the mean; at d = 1 a column of 7 is 7 rows
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal(shape)
+    want = base.ravel() if base.size == d else base.mean(axis=0)
+    fpath, mpath = tmp_path / "f.csv", tmp_path / "base_mean.slkbin"
+    save_features(rng.standard_normal((12, d)), fpath)
+    save_features(base, mpath)
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    (tasks_dir / "e0.task").write_text("kway=2\nsupport=0:0,1:1\nquery=2,3,4,5,6,7,8,9,10,11\n")
+    seen = _recorded_base_means(monkeypatch)
+    assert main(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir), "--cl2",
+                 "--base-mean", str(mpath), "--out-dir", str(tmp_path / "out")]) == 0
+    assert [m.shape for m in seen] == [(d,)]
+    assert seen[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 7), (6, 2)])
+def test_base_mean_file_of_another_shape_is_a_data_error(episode_batch, tmp_path, capsys,
+                                                         neighbor_searches, shape):
+    fpath, _, tasks_dir = episode_batch
+    mpath = tmp_path / "base_mean.csv"
+    save_features(np.ones(shape), mpath)
+    out = tmp_path / "out"
+    assert main(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir), "--cl2",
+                 "--base-mean", str(mpath), "--out-dir", str(out)]) == 2
+    assert (f"data error: base mean file has shape {shape}; expected rows 6 wide (the "
+            "feature width) or one column of 6 values") in capsys.readouterr().err
+    assert neighbor_searches == []
+    assert not out.exists()

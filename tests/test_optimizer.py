@@ -1136,3 +1136,31 @@ def test_sums_of_distances_that_overflow_give_finite_sigma2_and_seeds(d, tmp_pat
     assert main(["cluster", "--features", str(fpath), "--k", "3", "--algo", "slk-ms",
                  "--rho", "5", "--out-dir", str(out)]) == 0
     assert np.isfinite(json.loads((out / "report.json").read_text())["objective"])
+
+
+@pytest.mark.parametrize("lam, means_algo, modes_algo", [(0.0, "kmeans", "kmodes"),
+                                                         (1.0, "slk-means", "slk-ms")])
+def test_an_overflowing_means_objective_is_a_data_error_before_the_first_sweep(
+        tmp_path, capsys, monkeypatch, lam, means_algo, modes_algo):
+    # at scale 1e153 and d = 20 every squared distance is finite, but R's sum of
+    # them over the points is not; the solve says so before its first sweep,
+    # with no RuntimeWarning (pytest makes one an error). Kernel scores are at
+    # most 1, so the modes rule on the same points still runs
+    X = np.random.default_rng(0).standard_normal((40, 20)) * 1e153
+    W = symmetrize(knn_graph(X, 3), "max")
+    M0 = Prototypes(values=kmeans_pp_seeds(X, 3, np.random.default_rng(0)), rule="means")
+    sweeps = []
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_s_block", lambda *args: sweeps.append(args))
+        with pytest.raises(DataError, match="^relaxed objective overflows to inf at the "
+                                            "initial point: "):
+            solve(X, W, M0, SolverConfig(lam=lam))
+    assert sweeps == []
+    fpath = tmp_path / "f.csv"
+    save_features(X, fpath)
+    argv = ["cluster", "--features", str(fpath), "--k", "3", "--out-dir"]
+    assert main(argv + [str(tmp_path / "means"), "--algo", means_algo]) == 2
+    assert "data error: relaxed objective overflows to inf" in capsys.readouterr().err
+    out = tmp_path / "modes"
+    assert main(argv + [str(out), "--algo", modes_algo]) == 0
+    assert np.isfinite(json.loads((out / "report.json").read_text())["objective"])
