@@ -1,82 +1,26 @@
 """Sparse neighborhood affinities and graph-Laplacian quantities.
 
-The affinity graph connects each point to its rho nearest neighbors (squared
-Euclidean distance, binary weights). Neighbor sets are exact under the
-package's one centered kernel (``prototypes.CenteredFeatures``), which keeps
-them exact far from the origin; ties are broken toward the lower point index
-for cross-platform determinism. The search is one function
-(``_neighbor_search``) over three passes. A candidate pass, chosen on the
-feature dimension d and on N, writes every row and returns the rows it cannot
-certify; ``_neighbor_search`` then sends those rows to the exact pass, its
-only call. The candidate passes:
+``knn_graph`` links each point to its rho nearest others, ``symmetrize`` and
+``with_diag_shift`` derive graphs from it, and ``estimate_sigma2`` reads the
+kernel width from its search distances.
 
-- d <= ``_TREE_MAX_DIM`` (10): a kd-tree (``scipy.spatial.cKDTree``, Friedman,
-  Bentley & Finkel 1977), split at the sliding midpoint (Maneewongvatana &
-  Mount 1999), finds each point's rho + 1 nearest others. The points are
-  queried in the tree's leaf order on every CPU the process may use (at most
-  one thread per 1024 queries), and the results are scattered back; each
-  query is exact and independent, so the result does not depend on the
-  worker count. A row whose rho-th and (rho+1)-th lie within the kernel's
-  rounding of each other (``_near_tie``) is left to the exact pass; every
-  other row's distances are recomputed by the kernel's expansion pair by
-  pair, so they can differ from the exact pass's GEMM values in the last bits
-  (and sigma^2 with them). Memory is a few N x (rho + 2) arrays.
-- wider features, when N holds more than rho + 1 strided groups of
-  ``_GROUP_SIZE`` columns: a float32 prefilter, as FAISS ranks by a
-  single-precision product (Johnson, Douze & Jegou 2019). Blocks of half
-  distances in single precision, twice the rows per block, keep each row's
-  rho + 1 + ``_SPARE`` candidates and the next float32 value as a threshold;
-  the candidates are re-ranked in float64 pair by pair, as on the tree path.
-  A row is left to the exact pass when it has a tie or near tie at the cut, a
-  (rho+1)-th within float32 rounding of the threshold, or a scale where
-  float32 overflows or underflows.
-- otherwise (the paper's few-shot episodes, among others) there is no
-  candidate pass, and the exact pass searches every row.
+``_neighbor_search`` finds each point's rho nearest exactly under the centered
+kernel (see ``prototypes``), ties to the lower index. A candidate pass, chosen
+on the feature width d and on N, writes every row and returns the rows it
+cannot certify, which one call of the exact pass ``_exact_rows`` redoes:
 
-The exact pass is brute force in row blocks of at most 8 MB
-(``_CHUNK_BUDGET`` float64 distances; a prefilter block holds twice as many
-float32 ones), written in place into two buffers allocated once per pass, so
-its memory is bounded by that budget whatever N is: only a search whose N x N
-distances fit in one block holds them all at once. It fills float64 blocks
-with half distances, made by the product and two elementwise passes, then
-doubles and clamps them in place, which gives the kernel's GEMM values
-bitwise. Searching a ``GramPoints`` (an episode with N <= d), a pass over
-every point in one block reads the product from the points' Gram matrix G
-instead, which is that product bitwise. A row's rho nearest come from rho
-``argmin`` passes, each picked column set to inf before the next; ``argmin``
-returns the first of equal minima, so the row comes in (distance, index)
-order, ties included. The candidate passes order their rows by (distance,
-index) with ``_by_distance``.
+- d <= ``_TREE_MAX_DIM``: a sliding-midpoint kd-tree (``_tree_rows``);
+- wider, when N holds more than rho + 1 groups of ``_GROUP_SIZE`` columns: a
+  float32 prefilter (``_prefiltered_rows``), as FAISS ranks by a
+  single-precision product (Johnson, Douze & Jegou 2019);
+- otherwise none, and the exact pass searches every row.
 
-The threshold is measured (N=10k, rho=5, 2-core VM, best of 3): on the
-criterion-11 blobs the tree takes 0.05-0.06 s at d = 10, 11 and 12, against
-0.19-0.20 s for the prefiltered brute force; on unclustered Gaussians it
-takes 0.23 s at d = 10 and 0.32-0.34 s at d = 11 and 12, against 0.18-0.19 s.
-So the tree keeps d <= 10, where it is 3x faster on clustered data and not
-much slower on unclustered data. At N=50k (acceptance criterion 11) the tree
-search takes 0.75-0.87 s. At N=10k, d=128 (clustered, rho=5, best of 5) the
-prefiltered search takes 0.52 s on one BLAS thread and 0.44 s on two, against
-0.91 and 0.61 s for the exact pass alone.
-
-A graph built from a caller's matrix is checked in full; its degrees are the
-row sums. ``knn_graph``, ``symmetrize`` and ``with_diag_shift`` derive their
-graphs from the search or from a graph already valid, so they skip that
-O(nnz) check. Only ``knn_graph`` attaches its search distances, from which
-``estimate_sigma2`` takes the kernel width without a second search. Only
-``with_diag_shift`` sets a shift, and only ``symmetrize`` marks a graph
-``symmetric`` (``solve`` compares any other graph with its transpose). Every
-function here that takes a feature matrix also accepts a
-``CenteredFeatures``, so a caller that already centered X does not do it
-again.
-
-A graph of at most ``_DENSE_MAX_N`` points (a few-shot episode, or a small
-clustering run) is dense: ``knn_graph`` sets the search's ones in an N x N
-array of zeros, and ``symmetrize`` and ``with_diag_shift`` keep that form. It
-takes at most 80 KB, and the votes of a symmetrized one are one BLAS product
-(``optimizer.neighbor_votes``) instead of scipy's sparse dispatch. Its CSR
-matrix, bitwise the one the sparse form would hold, is made only when
-something reads it: converting a 100 x 100 adjacency takes longer than
-building it.
+A candidate pass takes its distances from ``CenteredFeatures.pair_sqdist``,
+so they can differ from the exact pass's in the last bits, and two neighbors
+a rounding apart can come in either order. The search's result does not
+depend on the thread count. Its memory is bounded whatever N is: the exact
+pass holds two blocks of ``_CHUNK_BUDGET`` distances, the tree a few
+N x (rho + 2) arrays.
 """
 
 from __future__ import annotations
@@ -90,52 +34,48 @@ from .errors import DataError, DegenerateDataError
 from .io import _index
 from .prototypes import GramPoints, _assignment_rows, _centered, _half_sqdist, _selector
 
-_CHUNK_BUDGET = 1_000_000  # float64 distances per search block; a float32 block holds twice as many
+_CHUNK_BUDGET = 1_000_000  # float64 distances per search block, 8 MB; a float32 one holds 2x
 _GROUP_SIZE = 32  # columns per strided group of the prefilter's two-stage selection
-_TREE_MAX_DIM = 10  # widest features searched by kd-tree; from d=11 brute force is faster
-# The kd-tree splits at the sliding midpoint (Maneewongvatana & Mount 1999)
-# into leaves of up to 64 points. On the N=10k, d=10, rho=5 clustered input
-# its queries took 0.070 s on 2 workers in leaf order (0.080 s with 32-point
-# leaves), against 0.100 s for a median-split tree with 32-point leaves and
-# 0.138 s for that tree queried in input order on 1 worker (2-core VM,
-# medians of 7).
+# Widest features searched by kd-tree. On unclustered Gaussians (N=10k, rho=5,
+# 2-core VM, best of 3) brute force wins from d = 11, 0.18-0.19 s against
+# 0.32-0.34 s; on the criterion-11 blobs the tree takes 0.05-0.06 s at d = 10-12
+# against 0.19-0.20 s.
+_TREE_MAX_DIM = 10
+# Points per kd-tree leaf, and the sliding-midpoint split. On the N=10k, d=10,
+# rho=5 clustered input the queries took 0.070 s with 64-point leaves, 0.080 s
+# with 32, and 0.100 s on a median-split tree (2 workers, 2-core VM, medians of 7).
 _TREE_LEAFSIZE = 64
 _TREE_BALANCED = False
-# Fewest queries per kd-tree worker thread. On the same input and VM, 2
-# workers took 0.19 / 1.37 ms against 0.09 / 1.16 ms for 1 at N = 100 / 400
-# (each call starts its threads), and 3.4-4.8 ms against 5.4-5.7 ms at N=2000.
+# Fewest queries per kd-tree worker thread, as each call starts its threads: 2
+# workers took 1.37 ms against 1.16 ms for 1 at N = 400, and 3.4-4.8 ms against
+# 5.4-5.7 ms at N = 2000 (the same input and VM).
 _TREE_QUERIES_PER_WORKER = 1024
-# Candidates a prefiltered row keeps beyond its rho + 1. On the CLI benchmark's
-# input (N=10k, d=128, rho=5) 0 leaves 100 rows to the exact pass and 1 or 2
-# none; each spare costs about 3% of the prefilter's time.
+# Candidates a prefiltered row keeps beyond its rho + 1: on the CLI benchmark's
+# input (N=10k, d=128, rho=5) 0 leaves 100 rows to the exact pass and 2 none,
+# and each spare costs about 3% of the prefilter's time.
 _SPARE = 2
 _F32 = np.finfo(np.float32)
 SYM_MODES = ("max", "mean")  # elementwise max or mean of W and its transpose
-# Most points of a dense graph. Its votes, the product of the transposed rows
-# with the adjacency, add each row's terms in column order, as the CSR product
-# does, and the terms are exact (a weight of 1/2 or 1 times a vote row outside
-# the subnormal range), so the two are bitwise equal as long as OpenBLAS
-# multiplies with its unblocked small-matrix kernel: up to K N^2 = 10^6 under
-# 2 threads (OpenBLAS 0.3.31, AVX-512 Xeon; a larger product is split across
-# threads and regrouped). So every K up to N passes at N <= 100 (an episode has
-# fewer classes than points, and k-means++ seeds at most N);
-# test_affinity.py's test_dense_votes_are_the_csr_product checks every such K
-# at N = 80 and 100 under 1 and 2 threads. At N = 80 and 100, K = 5, a dense
-# product took 3.5 and 4.4 us against 6.8 and 7.9 us for the CSR one (best of
-# 5 x 5000 calls).
+# Most points of a dense graph. Its votes, one BLAS product of the transposed
+# rows with the adjacency, add each row's exact terms in column order, so they
+# are bitwise the CSR product's while OpenBLAS multiplies with its unblocked
+# small-matrix kernel: up to K N^2 = 10^6 under 2 threads (OpenBLAS 0.3.31,
+# AVX-512 Xeon), every K <= N at N <= 100 (test_dense_votes_are_the_csr_product).
+# At N = 100, K = 5 the dense product took 4.4 us against 7.9 us for the CSR one.
 _DENSE_MAX_N = 100
 
 
 class SparseAffinity:
     """Affinity graph: a CSR matrix, or a dense N x N adjacency (``dense``)
-    whose CSR ``matrix`` is made on first read.
+    whose CSR ``matrix`` is made on first read, since converting a 100 x 100
+    adjacency takes longer than building it.
 
     ``SparseAffinity(matrix)`` checks a caller's CSR matrix in full and takes
-    its row sums as ``degrees``. Every other field is set by the one function
-    that computes it: ``dense`` (None on a CSR graph) and ``knn_sqdist`` (the
-    N x rho squared distances of the search; None on a graph built directly)
-    by ``knn_graph``, ``diag_shift`` (the psd correction, never stored as
-    edges) by ``with_diag_shift``, and ``symmetric`` by ``symmetrize``.
+    its row sums as ``degrees``. A derived graph skips that O(nnz) check, and
+    each other field is set by the one function that computes it:
+    ``knn_sqdist`` (the search's N x rho squared distances) and ``dense`` by
+    ``knn_graph``, ``diag_shift`` by ``with_diag_shift``, and ``symmetric`` by
+    ``symmetrize``.
     """
 
     __slots__ = ("_matrix", "dense", "degrees", "diag_shift", "symmetric", "knn_sqdist")
@@ -183,20 +123,9 @@ class SparseAffinity:
 
 
 def _neighbor_search(X, rho):
-    """Exact rho-NN per row. Returns (indices, sqdists), both (N, rho), each row
-    in (distance, index) order.
-
-    The search is one pipeline over the centered kernel's distances. The
-    outputs are allocated here, and a candidate pass chosen by d and N fills
-    them and returns the rows it cannot certify: the kd-tree (``_tree_rows``)
-    for features of at most ``_TREE_MAX_DIM`` columns, else the float32
-    prefilter (``_prefiltered_rows``) when N holds more than rho + 1 groups of
-    ``_GROUP_SIZE`` columns. Both re-rank their candidates in float64, pair by
-    pair, so within a row two neighbors whose distances differ only by rounding
-    can come in either order. A smaller search has no candidate pass: every
-    row is redone. This function then makes the one call of the exact pass,
-    ``_exact_rows``, over the rows to redo (none, often). The points of a
-    ``GramPoints`` are searched as its features, with the exact pass reading G.
+    """Exact rho-NN of every point of X: (indices, sqdists), both (N, rho),
+    each row in (distance, index) order. A GramPoints is searched as its
+    features, and its exact pass reads G.
     """
     P = _centered(X)
     gram = None
@@ -226,20 +155,15 @@ def _by_distance(cand, cand_d, keep=None):
 
 
 def _prefiltered_rows(P, rho, idx_out, sqd_out):
-    """Writes the rho-NN of every point whose set it can certify; returns the
-    other points, increasing.
+    """Writes the rho-NN of every point it can certify; returns the others.
 
-    Blocks hold half distances computed in float32 (``_half_sqdist``), twice
-    the rows of a float64 block in the same bytes. Each row keeps k =
-    rho + 1 + ``_SPARE`` candidate columns from ``_nearest_columns`` (fewer
-    when N has fewer groups) and, as its threshold T, the (k+1)-th smallest
-    float32 value, at or below every column it leaves out. The candidates'
-    distances are recomputed in float64 by ``CenteredFeatures.pair_sqdist`` and
-    sorted by (distance, index). A row is certified when its (rho+1)-th lies
-    below 2T minus ``_f32_slack``, so no column left out can be nearer, and is
-    not a ``_near_tie``, so the float64 GEMM ranks the same rho first. Ties,
-    rows at a scale where float32 overflows or underflows and rows with a NaN
-    threshold fail the first test.
+    Float32 half distances (``_half_sqdist``) give each row k = rho + 1 +
+    ``_SPARE`` candidates from ``_nearest_columns`` (fewer when N has fewer
+    groups) and a threshold T, the (k+1)-th smallest value, at or below every
+    column left out. The candidates are re-ranked in float64. A row is
+    certified when its (rho+1)-th lies below 2T - ``_f32_slack``, so no column
+    left out can be nearer, and it is not a ``_near_tie``. Ties, NaN thresholds
+    and scales where float32 overflows or underflows fail the first test.
     """
     n, dim = P.X.shape
     k = min(rho + 1 + _SPARE, -(-n // _GROUP_SIZE) - 1)  # at least rho + 1: N holds rho + 2 groups
@@ -266,53 +190,35 @@ def _prefiltered_rows(P, rho, idx_out, sqd_out):
 
 
 def _f32_slack(dim, scale):
-    """Per row, a bound on |2 h32 - D| over its columns, where h32 is a float32
-    half distance of ``_prefiltered_rows``, D the exact squared distance and
-    ``scale`` the row's |c_i|^2 + max_j |c_j|^2.
-
-    Rounding the features and half norms to float32, the d-term product and
-    the two sums move 2 h32 by at most about (d + 6) / 2 eps32 scale; the bound
-    is 4 times that, plus a tiny32 term per step for underflow. Where scale
-    reaches float32's range the block can hold inf or NaN, and the bound is
-    infinite.
+    """Per row, a bound on |2 h32 - D|, h32 being a float32 half distance of
+    ``_prefiltered_rows`` and D the exact squared distance, for ``scale`` the
+    row's |c_i|^2 + max_j |c_j|^2. Rounding moves 2 h32 by at most about
+    (d + 6) / 2 eps32 scale; the bound is 4 times that plus a tiny32 term per
+    step for underflow, and infinite where scale reaches float32's range.
     """
     bound = 2.0 * (dim + 6) * (_F32.eps * scale + _F32.tiny)
     return np.where(scale < _F32.max / 4, bound, np.inf)
 
 
 def _near_tie(P, rows, t):
-    """The rows (a selector of P's points) whose last two squared distances in
-    t, ascending, could be ordered otherwise by the centered kernel.
-
-    The kernel's value for a pair p, q is off by at most about
-    (d + 3) eps (|c_p|^2 + |c_q|^2), and |c_q|^2 <= 2 |c_p|^2 + 2 dist, so two
-    computations of it (a GEMM and row-wise dots, or a kd-tree's distance and
-    a GEMM) disagree by at most 6 (d + 3) eps (|c_p|^2 + dist). A row is a near
-    tie when its gap is at most 8 (d + 3) eps (|c_p|^2 + dist).
-    """
+    """The rows (a selector of P's points) whose last two ascending squared
+    distances in t could be ordered otherwise by the centered kernel: two
+    computations of a pair's distance disagree by at most 6 (d + 3) eps
+    (|c_p|^2 + dist), and a row is a near tie when its gap is at most
+    8 (d + 3) eps (|c_p|^2 + dist)."""
     rtol = 8 * (P.X.shape[1] + 3) * np.finfo(np.float64).eps
     return t[:, -1] - t[:, -2] <= rtol * (P.sq_norms[rows] + t[:, -2])
 
 
 def _tree_rows(P, rho, idx_out, sqd_out):
-    """Writes the rho-NN of every point of the CenteredFeatures P found by a
-    kd-tree; returns the points whose set it cannot certify, increasing.
+    """Writes the rho-NN of every point found by a kd-tree; returns the points
+    with a ``_near_tie`` at the cut, increasing.
 
     The tree returns each point's rho + 2 nearest, itself among them unless
-    more than rho + 1 points coincide with it; such a row drops its farthest
-    instead, and its rho-th and (rho+1)-th are then both at distance 0. A row
-    whose rho-th and (rho+1)-th other points are a ``_near_tie`` could order
-    differently under the centered kernel and is returned. For every other row
-    the kernel's rounding cannot move a point across the cut, so the set is the
-    kernel's; its distances are recomputed by ``CenteredFeatures.pair_sqdist``.
-
-    The points are queried in the tree's leaf order (``tree.indices``), so
-    consecutive queries walk the same nodes, on ``_search_workers(n)`` threads.
-    The rows stay in that order until their final rho columns are scattered
-    into idx_out and sqd_out, so the query's own result arrays are the only
-    N x (rho + 2) ones. Each query is exact and independent of the others, and
-    each pair's distance is computed row by row, so the result does not depend
-    on the order or on the worker count.
+    more than rho + 1 points coincide with it; such a row drops its farthest.
+    The points are queried in the tree's leaf order on ``_search_workers(n)``
+    threads, and only their final rho columns are scattered back, so the
+    query's own arrays are the only N x (rho + 2) ones.
     """
     from scipy.spatial import cKDTree  # imported here: a run at d > 10 never loads it
 
@@ -340,19 +246,13 @@ def _search_workers(n):
 
 
 def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
-    """Writes the rho-NN of the points ``ids`` (increasing) into their rows of
-    idx_out and sqd_out, from the centered kernel's distances to every point.
+    """Writes the rho-NN of the points ``ids`` (increasing) into idx_out and
+    sqd_out, from the centered kernel's distances to every point.
 
-    Works in blocks of at most ``_CHUNK_BUDGET`` distances, filled in place
-    into two buffers allocated once. A pass whose one block is every point
-    reads the product from the points' Gram matrix ``gram``, when given, and
-    needs one buffer: G is that product (a SYRK) bitwise, but a product of
-    fewer rows (a GEMM) can differ from G's rows in the last bits. A block
-    holds half distances (``_half_sqdist``); doubling them and clamping at 0
-    in place gives the kernel's values bitwise. With each row's own column at
-    inf, rho ``argmin`` passes pick its neighbors, each picked column set to
-    inf after it is picked: ``argmin`` returns the first of equal minima, so
-    the picks come in (distance, index) order, ties at the cut included.
+    A pass whose one block is every point reads the product from ``gram``
+    when given; a product of fewer rows can differ from G's in the last bits.
+    Rho ``argmin`` passes, each setting its pick to inf, give the row in
+    (distance, index) order, ties included.
     """
     n = P.X.shape[0]
     chunk = max(1, min(ids.size, _CHUNK_BUDGET // n))
@@ -377,16 +277,13 @@ def _exact_rows(P, rho, ids, idx_out, sqd_out, gram=None):
 
 def _nearest_columns(h, k):
     """Per row of h, the columns of its k + 1 smallest values, the (k+1)-th
-    last, found in two stages; ``_prefiltered_rows`` picks its candidates and
-    threshold with it.
+    last.
 
     The columns fall into ng >= k + 1 strided groups of at most
-    ``_GROUP_SIZE`` (columns j, j + ng, j + 2 ng, ...); at ng = k + 1 every
-    group is searched. One reduction gives every group's minimum, and only
-    the k + 1 groups with the smallest minima are searched. With t the
-    largest of their minima, the searched columns hold at least k + 1 at or
-    below t, and every column left out is at t or above. So the (k+1)-th
-    value found is at or below every column left out.
+    ``_GROUP_SIZE`` (j, j + ng, j + 2 ng, ...). Only the k + 1 groups with the
+    smallest minima are searched; with t the largest of those minima, they
+    hold at least k + 1 columns at or below t, and every column left out is at
+    t or above. So the (k+1)-th value found is at or below every one left out.
     """
     b, n = h.shape
     ng = -(-n // _GROUP_SIZE)
@@ -405,11 +302,8 @@ def _nearest_columns(h, k):
 
 def knn_graph(X, rho: int) -> SparseAffinity:
     """Directed binary rho-NN graph: w(p,q) = 1 iff q is among p's rho nearest.
-
-    Up to ``_DENSE_MAX_N`` points the graph is dense, the N x N adjacency;
-    beyond, it is CSR. The search returns rho distinct other points per row,
-    so the graph has no self-loop and every degree is rho, and it is not
-    checked again.
+    Dense up to ``_DENSE_MAX_N`` points, else CSR; every degree is rho, and the
+    graph is valid by construction.
     """
     idx, sqd = _neighbor_search(X, rho)
     n = idx.shape[0]
@@ -432,11 +326,9 @@ def _check_sym_mode(mode):
 
 
 def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
-    """Symmetrize stored weights by elementwise max or mean, in W's form.
-
-    A dense graph's adjacency (knn_graph's 0 and 1) is combined with its
-    transpose; every entry is then 0, 1/2 or 1, and its row sums, exact in
-    any order, are the degrees the CSR form would have, bitwise.
+    """Symmetrize stored weights by elementwise max or mean, in W's form. A
+    dense graph's entries are then 0, 1/2 or 1, so its row sums are exact in
+    any order and bitwise the CSR form's degrees.
     """
     _check_sym_mode(mode)
     kept = dict(knn_sqdist=W.knn_sqdist, symmetric=True, diag_shift=W.diag_shift)
@@ -452,10 +344,9 @@ def symmetrize(W: SparseAffinity, mode: str = "max") -> SparseAffinity:
 
 
 def estimate_sigma2(X, rho: int) -> float:
-    """Kernel width: mean squared distance to the rho nearest neighbors.
-
-    X is a feature matrix, or a graph from ``knn_graph(X, rho)``, whose search
-    distances are used instead of a second search.
+    """Kernel width: mean squared distance to the rho nearest neighbors. X is
+    a feature matrix, or a graph from ``knn_graph(X, rho)``, whose search
+    distances are read instead of a second search.
     """
     sqd = X.knn_sqdist if isinstance(X, SparseAffinity) else _neighbor_search(X, rho)[1]
     if sqd is None or sqd.shape[1] != rho:

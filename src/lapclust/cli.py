@@ -1,12 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: ``cluster``, ``trace``, ``fewshot`` and ``eval``.
 
-Subcommands: ``cluster`` (unsupervised run with K-means++ seeding), ``fewshot``
-(episode batch), ``eval`` (label-file metrics), ``trace`` (the ``cluster`` run
-without its assignments and report: ``cmd_cluster`` runs both, and ``trace``
-writes only trace.csv and config.json). Every JSON artifact (report.json,
-summary.json, config.json) goes through ``_write_json``. Exit codes: 0
-success, 1 usage/config error, 2 data error, 3 numerical warning escalated by
---strict.
+``trace`` is the ``cluster`` run (``cmd_cluster``) writing only trace.csv and
+config.json. Every JSON artifact goes through ``_write_json``. Exit codes: 0
+success, 1 usage or config error, 2 data error, 3 a numerical warning
+escalated by --strict.
 """
 
 from __future__ import annotations
@@ -135,8 +132,8 @@ def _write_trace(report, path):
 
 def _run_cluster_solve(args, cfg, X):
     """Seeds and solves a clustering run; returns (S, report, cfg with sigma2 set)."""
-    # load_features returns a valid matrix; the search, sigma2, the seeding and
-    # the solve share one CenteredFeatures of it
+    # X is valid (load_features): the search, sigma2, the seeds and the solve
+    # share one CenteredFeatures of it
     P = CenteredFeatures._of_valid(X)
     if cfg.lam > 0.0:
         W = symmetrize(knn_graph(P, args.rho), args.sym).with_diag_shift(args.delta)

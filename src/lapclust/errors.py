@@ -52,12 +52,18 @@ class DegenerateDataError(LapclustError):
 
 
 class EmptyClusterError(LapclustError):
+    """A cluster has zero assignment mass and no prototype to keep: ``k`` is
+    its index, or -1 for the one cluster of ``meanshift_step``."""
+
     def __init__(self, k):
         self.k = k
         super().__init__(f"cluster {k} has zero assignment mass")
 
 
 class ZeroVectorError(LapclustError):
+    """CL2 normalization met a row of zero norm after centering: ``row`` is its
+    index in the caller's feature matrix."""
+
     def __init__(self, row):
         self.row = row
         super().__init__(f"row {row} has zero norm after centering")

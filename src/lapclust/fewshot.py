@@ -1,22 +1,11 @@
 """Transductive few-shot inference: preprocessing, clamped solves, episodes.
 
-An episode couples a handful of labeled support points with unlabeled queries.
-Features are optionally centered and L2-normalized, queries are shifted by the
-support/query mean gap, a rho-NN graph symmetrized by ``sym`` ("max" or
-"mean") ties queries to supports, and the constrained solve keeps support rows
-clamped one-hot. Because cluster k is anchored by the class-k supports,
-cluster indices are class indices.
-
-An episode reads its ``TaskSpec`` once, into plain arrays: its n_s support
-rows followed by its query rows, and the int64 classes of the supports (see
-``_prepare_episode``). An episode with no more points than feature columns
-solves on their Gram matrix, with its prototypes as coefficient rows over
-its points (``prototypes.GramPoints``); a wider one solves on its features.
-On either, its first prototypes are one means update of its clamped rows
-(``prototypes._weighted_means``), so only ``prototypes`` knows how a
-prototype is stored. ``run_episode`` and ``tune_lambda`` share one
-solve-and-label step; only ``run_episode`` wraps its labels in a timed
-``EpisodeResult``.
+An episode couples labeled supports with unlabeled queries. Its rows are
+optionally CL2-normalized and bias-corrected, a symmetrized rho-NN graph ties
+queries to supports, and the solve keeps the support rows clamped one-hot, so
+cluster k is class k. ``_prepare_episode`` does, once per episode, what lambda
+does not change; ``run_episode`` and ``tune_lambda`` share the solve-and-label
+step ``_label_queries``.
 """
 
 from __future__ import annotations
@@ -30,15 +19,22 @@ from .affinity import _check_sym_mode, estimate_sigma2, knn_graph, symmetrize
 from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
 from .io import TaskSpec, _index, _integer_array, validate_features
 from .metrics import fewshot_accuracy
-# solve stays bound here for callers that reach it as lapclust.fewshot.solve;
-# an episode runs its loop without the hard re-fit
+# solve stays importable as lapclust.fewshot.solve
 from .optimizer import SolveReport, SolverConfig, _one_hot, _solve_loop, solve  # noqa: F401
 from .prototypes import CenteredFeatures, GramPoints, Prototypes, RULE_MODES, _weighted_means
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    base_mean: np.ndarray | None = None  # the center of the CL2 step; needs apply_cl2
+    """Feature preprocessing of an episode, checked when made.
+
+    ``base_mean``: the d values CL2 centers on; the episode's own mean when
+    None. Needs ``apply_cl2``.
+    ``apply_cl2``: center, then L2-normalize each row.
+    ``apply_bias``: shift the queries by the support/query mean gap.
+    """
+
+    base_mean: np.ndarray | None = None
     apply_cl2: bool = False
     apply_bias: bool = False
 
@@ -67,18 +63,15 @@ def cl2_normalize(X, base_mean) -> np.ndarray:
 
 
 # Bytes per block of ``_cl2_normalize``'s squares (12 rows at d=640). On a
-# 100 x 640 episode, with a copy of its rows, the blocks took 0.18-0.19 ms per
-# call, against 0.44-0.48 ms for one episode-sized scratch array and
-# 0.73-0.81 ms for the two temporaries of ``X - mean`` and its squares (2-core
-# VM, best of 3 x 2000, two runs).
+# 100 x 640 episode the blocks took 0.18-0.19 ms per call, against 0.44-0.48 ms
+# for one episode-sized scratch array (2-core VM, best of 3 x 2000).
 _CL2_BLOCK_BYTES = 65536
 
 
 def _cl2_normalize(X, base_mean):
-    """``cl2_normalize`` of a valid X, in place (an episode normalizes its own
-    copy of its rows); returns X. The squares are taken block by block in one
-    small scratch array, and the norms are ``np.linalg.norm``'s values: each
-    row's squares are summed by one ``np.add.reduce``, as it sums them."""
+    """``cl2_normalize`` of a valid X, in place; returns X. The squares are
+    taken block by block in one small scratch array, and each row's are summed
+    by one ``np.add.reduce``, so the norms are ``np.linalg.norm``'s values."""
     mean = np.asarray(base_mean, dtype=np.float64)
     if mean.shape != (X.shape[1],):
         raise DataError(f"base mean has shape {mean.shape}, expected ({X.shape[1]},)")
@@ -164,36 +157,16 @@ def _check_graph_args(rho, sym):
 
 
 def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
-    """Everything of an episode that lambda does not change.
+    """Everything of an episode that lambda does not change: ((P, W, M0,
+    clamp_class), cfg with sigma2 set), the tuple None without queries.
 
-    Returns ((P, W, M0, clamp_class), cfg with sigma2 set); the tuple is None
-    when the task has no queries. The episode is one array of rows, the n_s
-    supports then the queries, and one int64 array of the support classes:
-    bias correction shifts the rows after n_s, and clamp_class is the support
-    classes then -1 per query.
-
-    P is the episode's point set. With no more points than feature columns
-    (N <= d) it is a GramPoints: G = C C^t is made once, the search reads its
-    half distances from G (the product it would make itself, bitwise), and
-    the prototypes are coefficient rows over the points, so the solve makes no
-    d-wide product. G is then no larger than the features. A wider episode
-    (N > d) keeps its CenteredFeatures and feature-row prototypes.
-
-    M0 is one means update of the clamped rows, on either point set: the
-    weighted means of clamp_class's one-hot rows, a zero row per query. So it
-    holds each class's support mean, as feature rows (bitwise the per-class
-    ``np.mean`` of up to ``prototypes._SUM_BLOCK`` supports) or as 1/n_k on
-    each class-k support.
-
-    W is ``symmetrize(knn_graph(P, rho), sym)``, whatever d is: an episode of
-    at most ``affinity._DENSE_MAX_N`` points (80 KB as an N x N array) gets a
-    dense adjacency, whose votes are one BLAS product, bitwise the CSR one; a
-    larger one gets the CSR graph.
-
-    Only the episode's rows of ``X_raw`` are read and validated, once; a
-    non-finite value, or a row CL2 leaves at zero norm, is reported at its
-    row in ``X_raw``. ``rho`` and ``sym`` are checked by the caller; a task
-    without queries has no search to bound ``rho`` above.
+    The episode's rows of ``X_raw``, supports then queries, are read and
+    validated once; a bad row is reported at its index in ``X_raw``. With no
+    more points than feature columns, P is a GramPoints and the prototypes are
+    coefficient rows. M0 is the weighted means of clamp_class's one-hot rows:
+    each class's support mean, bitwise the per-class ``np.mean`` of up to
+    ``prototypes._SUM_BLOCK`` supports. ``rho`` and ``sym`` are checked by the
+    caller.
     """
     X_raw = np.asarray(X_raw)
     if X_raw.ndim != 2:
@@ -236,11 +209,9 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
 
 
 def _label_queries(episode, cfg):
-    """The clamped solve of a prepared episode: (query labels, SolveReport).
-
-    The loop runs without ``solve``'s checks, which ``_prepare_episode``'s
-    inputs pass by construction, and without its hard re-fit, whose E no
-    episode reads. An episode without queries (None) has no labels.
+    """The clamped solve of a prepared episode, without ``solve``'s checks and
+    hard re-fit: (query labels, SolveReport). A task without queries (None)
+    has no labels.
     """
     if episode is None:
         return np.empty(0, dtype=np.int64), SolveReport()

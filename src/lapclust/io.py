@@ -1,21 +1,12 @@
 """File ingestion and emission: feature matrices, labels, tasks, assignments.
 
-Feature matrices travel either as headerless CSV, one point per line and one
-feature per cell (a first line of names would be read as a bad cell), or as
-``slkbin``, a fixed little-endian binary layout (magic ``SLKB``, u32 version,
-u64 n_points, u64 n_dims, row-major f64 payload) used for bit-exact round
-trips. The file name picks the format: a path ending in ``.slkbin`` is slkbin,
-any other path is CSV.
-
-The CSV reader parses the whole file with one ``np.loadtxt`` call, which
-reads a cell as Python's ``float()`` does but accepts fewer spellings (no
-``1_0``, no non-ASCII digits, no whitespace-only line). A file it rejects,
-warns about (no data), or reads with a non-finite value is read again one
-cell at a time with ``float()``, to name the first bad cell by its row
-(blank lines counted) and column. So every file reads as ``float()`` reads
-it, and every error keeps its message. ``load_labels`` reads the first column
-of a label file or of an ``assignments.csv``, soft columns and header
-included.
+A feature matrix is headerless CSV, one point per line, or, at a path ending
+in ``.slkbin``, slkbin: magic ``SLKB``, u32 version, u64 n_points, u64 n_dims
+and a row-major f64 payload, all little-endian, for bit-exact round trips.
+A CSV file is parsed by one ``np.loadtxt`` call; one that it rejects, warns
+about or reads with a non-finite value is read again a cell at a time by
+``float()``, which names the first bad cell by its row (blank lines counted)
+and column. So every file reads as ``float()`` reads it.
 """
 
 from __future__ import annotations
@@ -261,6 +252,7 @@ def load_labels(path, n_points=None) -> np.ndarray:
 
 
 def save_labels(labels, path) -> None:
+    """Write one integer label per line, as ``load_labels`` reads them."""
     with open(path, "w", encoding="utf-8") as fh:
         for lab in np.asarray(labels, dtype=np.int64):
             fh.write(f"{int(lab)}\n")
@@ -306,6 +298,7 @@ def _task_int(path, field, entry, text):
 
 
 def save_task(task: TaskSpec, path) -> None:
+    """Write ``task`` as the three lines ``load_task`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"kway={task.k_way}\n")
         fh.write("support=" + ",".join(f"{p}:{c}" for p, c in task.support) + "\n")

@@ -1,54 +1,23 @@
 """Block-coordinate bound optimizer for Laplacian-regularized prototypes.
 
-The relaxed objective replaces hard assignments with simplex rows and adds a
-negative-entropy barrier:
+On simplex rows S and prototypes M the relaxed objective is
 
     R(S, M) = F(S, M) + (lambda/2) * (sum_p d_p - sum_{p,q} w(p,q) s_p.s_q)
-              + sum_p s_p . log s_p
+              + sum_p s_p . log s_p,
 
-where F is the prototype term and the pairwise part is the linearizable
-(concave, for psd affinities) form of the Laplacian penalty. The lambda/2
-weight is what makes the closed-form row update softmax(a + lambda*b) the
-exact minimizer of the per-point bound A(S; anchor) obtained by linearizing
--(lambda/2) s'Ws at an anchor. The discrete objective keeps its full weight,
-E = F + (lambda/2) sum_{p,q} w ||s_p - s_q||^2; halving the relaxed pairwise
-weight only reparameterizes the lambda scale, it does not change the family
-of solutions swept as lambda varies.
+F being the prototype term; the discrete objective on hard rows is
+E = F + (lambda/2) sum_{p,q} w(p,q) ||s_p - s_q||^2. The lambda/2 weight makes
+softmax(a + lambda*b) the exact minimizer of R's bound linearized at an
+anchor; it rescales lambda and leaves the family of solutions unchanged.
 
-Assignment rows are updated jointly (Jacobi style) by the closed-form softmax
-minimizer of the per-point bound, so updates are order-independent and the
-result does not depend on thread count. With at most ``_CLUSTER_MAJOR_MAX_K``
-(24) clusters the softmax runs on a cluster-major (K, n) copy of the scores,
-so its max and sum are taken along N-long rows instead of K-long ones. The
-sum keeps the row-major order, so the result is bitwise the row-major one,
-and the votes product stays on the row-major rows.
+``solve`` alternates two blocks until R settles, then rounds the rows and
+re-fits once for E (``_refit_hard``):
 
-Descent is certified sweep by sweep, for any symmetric affinity, without a
-diagonal shift. The bound's gap is exact: A - R = (lambda/2) q'Wq with q the
-sweep's change, and Wq is the difference of the votes after and before the
-sweep, which the next sweep needs anyway. A sweep is one step,
-softmax((a + lambda*b + c log anchor) / (1 + c)), the minimizer of
-A + c KL(s || anchor); the plain sweep is c = 0. A sweep with q'Wq < 0
-(possible when W is not psd) is redone from the same anchor and its votes at
-c = lambda * max(0, max degree - diag_shift), at least |lambda_min| by
-Gershgorin; Pinsker's inequality makes that a majorization step, so R never
-rises inside an assignment block. So any
-number of sweeps per block keeps the descent guarantee: ``inner_max`` is a
-budget, and a block that spends it is counted, not warned about. The same
-holds for the modes rule's prototype block: each mean-shift step raises every
-cluster's kernel mass, so a block makes at most ``_MODE_STEPS`` of them, and a
-cluster that spends them is counted in ``SolveReport.mode_cap_hits``. The
-block starts from the current scores, which are the kernel matrix at the
-current modes, and each step computes the full-width kernel at its new modes
-once; the last one is the scores the next assignment block starts from, so an
-outer iteration of the modes rule makes one distance product per mean-shift
-step and no other. The hard re-fit behind E starts its mean-shift from the
-loop's last scores too, so a modes ``solve`` makes one distance product for
-the initial scores and one per mean-shift step, in the loop and in the
-re-fit. On features a distance product is a d-wide GEMM. A few-shot episode
-with N <= d points solves on their Gram matrix (``prototypes.GramPoints``),
-where it is an N-wide product with G, and no step of the loop makes a d-wide
-product at all.
+- assignments (``_s_block``): Jacobi sweeps of every free row at once, so the
+  result does not depend on row order or thread count. Each sweep certifies
+  its own descent, so ``inner_max`` is a budget, not a convergence test;
+- prototypes (``_update_prototypes``): weighted means, or at most
+  ``_MODE_STEPS`` mean-shift steps, each of which also lowers R.
 """
 
 from __future__ import annotations
@@ -79,9 +48,8 @@ from .prototypes import (
 class SoftAssignment:
     """Row-stochastic N x K assignment with an optional per-row clamp.
 
-    ``clamp_class`` holds each row's class, or -1 for a free row. Clamped rows
-    are exact one-hots (support supervision) and are never touched by any
-    update.
+    ``clamp_class`` holds each row's class, or -1 for a free row. A clamped
+    row is the exact one-hot of its class, and no update touches it.
     """
 
     rows: np.ndarray
@@ -156,15 +124,23 @@ def _clamp_array(clamp_class, n, k):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of ``solve``, checked when made.
+
+    ``lam``: the Laplacian weight lambda, finite and >= 0.
+    ``rule``: ``RULE_MEANS`` or ``RULE_MODES``, the prototype update.
+    ``sigma2``: the modes kernel width, finite and > 0; unset under means, and
+    required by a modes solve (``estimate_sigma2`` gives one).
+    ``inner_tol``: an assignment block stops once no entry changes this much.
+    ``inner_max``: sweeps per assignment block, a budget, since every sweep is
+    certified. On the N=10k means benchmark (2-core VM, medians of 7) 4 took
+    0.261 s, 3 took 0.258 s and changed the labels, and 10 took 0.375 s.
+    ``outer_tol``: the loop stops once R moves by at most outer_tol (1 + |R|).
+    ``outer_max``: outer iterations before the loop stops with a warning.
+    """
     lam: float = 0.0
     rule: str = RULE_MEANS
     sigma2: float | None = None
     inner_tol: float = 1e-6
-    # Sweeps per assignment block. Every sweep is certified, so this is a
-    # budget, not a convergence test. On the N=10k means benchmark (d=10,
-    # K=10, lambda=1; medians of 7 interleaved runs on 2 cores) budgets 3, 4
-    # and 10 took 0.241, 0.239 and 0.314 s, and 3 changed its labels; budget 3
-    # made a few-shot benchmark operation slower, 0.540 s against 0.502 s.
     inner_max: int = 4
     outer_tol: float = 1e-6
     outer_max: int = 100
@@ -187,14 +163,26 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """What one solve did.
+
+    ``relaxed_trace``: R at the initial point and after each outer iteration.
+    ``inner_iters_per_outer``: sweeps per outer iteration, 0 at the initial point.
+    ``discrete_objective``: E after the hard re-fit; NaN when none was made.
+    ``inner_cap_hits``: assignment blocks that spent ``inner_max`` sweeps with
+    their last change still >= ``inner_tol``.
+    ``redone_sweeps``: sweeps whose bound gap was negative, redone with the KL term.
+    ``mode_cap_hits``: clusters that spent a prototype block's mean-shift steps.
+    ``stop_reason``: why the outer loop stopped, "tolerance" or "outer_max".
+    ``warnings``: numerical warnings, the hard re-fit's prefixed "hard re-fit: ".
+    """
+
     relaxed_trace: list = field(default_factory=list)
     inner_iters_per_outer: list = field(default_factory=list)
     discrete_objective: float = np.nan
-    # assignment blocks that spent inner_max sweeps with their last change still >= inner_tol
     inner_cap_hits: int = 0
-    redone_sweeps: int = 0  # sweeps whose bound gap was negative, redone with the KL term
-    mode_cap_hits: int = 0  # clusters that spent a prototype block's mean-shift steps
-    stop_reason: str | None = None  # why the outer loop stopped: "tolerance" or "outer_max"
+    redone_sweeps: int = 0
+    mode_cap_hits: int = 0
+    stop_reason: str | None = None
     warnings: list = field(default_factory=list)
 
     @property
@@ -207,16 +195,12 @@ class SolveReport:
 
 
 def neighbor_votes(W: SparseAffinity, S):
-    """b_{p,k} = sum_q w(p,q) s_{q,k}, plus the diagonal-shift correction.
+    """b_{p,k} = sum_q w(p,q) s_{q,k}, plus diag_shift * s_{p,k}.
 
-    A symmetric dense graph's (see ``affinity.knn_graph``; a few-shot episode's
-    or a small clustering run's) votes are the transpose of one BLAS product
-    S^t A. That product adds each row's terms in column order, as the CSR
-    product does, and every term is exact, so at the sizes
-    ``affinity._DENSE_MAX_N`` admits the votes are the CSR product's bitwise.
-    They are returned in C order, as the CSR product's are, so no later
-    reduction over them sums in another order. Every other graph's votes,
-    a directed dense one's too, are scipy's sparse product with its matrix.
+    A symmetric dense graph's votes are the transpose of one BLAS product
+    S^t A, bitwise the CSR product's (see ``affinity._DENSE_MAX_N``), copied
+    to C order so that later sums over them add in the CSR product's order.
+    Every other graph's votes are scipy's sparse product.
     """
     rows = _assignment_rows(S, W.n_points, of="graph points")
     if W.dense is not None and W.symmetric:
@@ -241,23 +225,16 @@ def s_inner_update(a, b=None, lam=0.0):
     return _softmax_in_place(z)
 
 
-# Widest z whose softmax runs cluster-major. Per call on 10,000 rows (2-core
-# VM, medians of 300) the (K, n) copy took 0.19 / 0.57 / 0.87 / 1.51 ms at
-# K = 5 / 10 / 16 / 24, against 0.85 / 1.18 / 1.64 / 1.70 ms row-major; at
-# K = 32 and 128 it was slower (3.08 against 2.36 ms, 14.1 against 5.2 ms).
+# Widest z whose softmax runs cluster-major. Per call on 10,000 rows (2-core VM,
+# medians of 300) the (K, n) copy was faster up to K = 24 (1.51 against 1.70 ms)
+# and slower from K = 32 (3.08 against 2.36 ms).
 _CLUSTER_MAJOR_MAX_K = 24
 
 
 def _softmax_in_place(z):
-    """Row softmax of z, max-shifted, computed in place; returns z.
-
-    A 2-D z of at most ``_CLUSTER_MAJOR_MAX_K`` columns is worked on as a
-    (K, n) copy, whose max, sum and divide run along contiguous N-long rows
-    instead of K-long ones; the result is written back into z. The max, shift
-    and ``exp`` are elementwise the row-major ones, and ``_row_major_sums``
-    adds in the row-major order, so the result is bitwise the row-major
-    softmax's.
-    """
+    """Row softmax of z, max-shifted, in place; returns z. Up to
+    ``_CLUSTER_MAJOR_MAX_K`` columns it reduces along the N-long rows of a
+    (K, n) copy, and ``_row_major_sums`` keeps it bitwise the row-major one."""
     if z.ndim == 2 and z.shape[1] <= _CLUSTER_MAJOR_MAX_K:
         zt = z.T.copy()
         zt -= zt.max(axis=0)
@@ -301,11 +278,9 @@ def _scores(X, M: Prototypes, cfg: SolverConfig):
 
 
 def s_block(W: SparseAffinity, X, M: Prototypes, S: SoftAssignment, cfg: SolverConfig):
-    """Inner assignment loop: Jacobi updates of all unclamped rows at once.
-
-    The votes b are always computed from the previous inner iterate, so the
-    update is synchronous and order-independent. Returns
-    (SoftAssignment, n_inner_iters, n_redone_sweeps).
+    """One assignment block: Jacobi sweeps of every unclamped row at once, each
+    from the votes of the previous sweep's rows. Returns (SoftAssignment,
+    n_inner_iters, n_redone_sweeps).
     """
     a = _scores(X, M, cfg)
     rows = _assignment_rows(S, *a.shape)
@@ -340,36 +315,18 @@ def _degree_total(W):
 
 
 def _s_block(W, a, rows, setup, cfg, b=None):
-    """s_block on plain rows from the prototype scores a; only the free rows
-    (``setup.sel``) change.
+    """``s_block`` on plain rows and scores a, changing the rows ``setup.sel``
+    of a copy. Returns (rows, b, iters, redone, delta): b, like the argument,
+    holds the votes of the rows (None at lambda 0), and delta the last sweep's
+    largest change; the block stops when it is below ``inner_tol``.
 
-    ``b``, when given, holds the votes of ``rows``; the block keeps the votes
-    of its current rows in that one array. Returns (rows, b, iters, redone,
-    delta): the votes of the returned rows (None at lambda 0), the sweeps made
-    and how many of them were redone, and the last sweep's largest change. A
-    block stops when that change is below ``inner_tol`` or after ``inner_max``
-    sweeps.
-
-    Each sweep is ``_sweep`` at KL weight 0, checked with the votes of its
-    result, which the next sweep (or the next block: votes do not depend on
-    the prototypes) starts from: its bound gap is (lambda/2) q'(b_next - b)
-    over the free rows, the only ones where q is not 0. A sweep whose gap is
-    negative is made again from the same anchor at ``setup.redo_c``, which
-    costs one more product, the redone rows' votes. When ``redo_c`` is 0 no
-    sweep could be redone, and the gap is not taken.
-
-    ``setup`` holds what the block reads of the solve and does not change,
-    made once per solve by ``_block_setup``: the certificate's scale, the
-    redo's KL weight, and the free rows' selector, a slice when they are
-    contiguous (all rows when clustering, the queries after an episode's
-    leading supports), otherwise their index array. The block works on one
-    copy of ``rows``, so the caller's array is never written, and its sweeps
-    reuse three (n_free, K) buffers: the anchor's free rows, lambda times
-    their votes, and the new rows (then their change q). The votes
-    difference is taken in b, whose anchor votes no pass reads after it, and
-    b is then bound to the new rows' votes: beyond the votes, a sweep
-    allocates only the (K, n_free) copy of a cluster-major
-    ``_softmax_in_place``.
+    Descent certificate: a sweep's bound gap is exactly A - R =
+    (lambda/2) q'Wq for its change q, and Wq is the votes after the sweep
+    minus those before, which the next sweep reads anyway. A sweep whose gap is
+    negative (W not psd) is made again from the same anchor at KL weight
+    ``setup.redo_c``, at least |lambda_min(W)| by Gershgorin; by Pinsker's
+    inequality that step majorizes R, so R never rises inside a block. A sweep
+    makes one votes product, and a redone one a second.
     """
     sel = setup.sel
     if sel is None:
@@ -409,10 +366,9 @@ def _s_block(W, a, rows, setup, cfg, b=None):
 
 
 def _sweep(z, a_sel, lam_b, anchor, c):
-    """z := softmax((a + lambda*b + c log anchor) / (1 + c)), the exact minimizer
-    of the bound plus c KL(s || anchor); at c = 0, softmax(a + lambda*b), the
-    plain sweep, with no log and no divide. An anchor entry at 0 has log -inf
-    and, at c > 0, stays 0, without a log of 0 being taken."""
+    """z := softmax((a + lambda*b + c log anchor) / (1 + c)), the minimizer of
+    the bound plus c KL(s || anchor); c = 0 is the plain sweep, with no log and
+    no divide. An anchor entry at 0 stays 0, and no log of 0 is taken."""
     if c == 0.0:
         np.add(a_sel, lam_b, out=z)
     else:
@@ -474,10 +430,9 @@ def _discrete(W, rows, a, lam):
 def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: SolverConfig) -> float:
     """Upper bound A(S) = sum_p s_p.(log s_p - a_p - lambda*b_p(anchor)) + const.
 
-    The constant (lambda/2) * (sum_p d_p + anchor'W anchor), dropped when
-    deriving the per-point updates, is restored here so that A equals R
-    exactly at the anchor. With it, A - R = (lambda/2) * q'Wq for q = S -
-    anchor (flattened), hence A >= R whenever the shifted affinity is psd.
+    The constant (lambda/2) * (sum_p d_p + anchor'W anchor) makes A equal R at
+    the anchor, so A - R = (lambda/2) q'Wq for q = S - anchor, and A >= R
+    whenever the shifted affinity is psd.
     """
     a = _scores(X, M, cfg)
     rows = _assignment_rows(S, *a.shape)
@@ -492,14 +447,9 @@ def auxiliary_value(X, W: SparseAffinity, S, S_anchor, M: Prototypes, cfg: Solve
 
 
 def _update_prototypes(P, rows, M, mode_cfg, a):
-    """One prototype block: weighted means, or mean-shift from M when
-    ``mode_cfg`` (the solve's, made once) is given, starting from ``a``, the
-    kernel matrix at M (the scores of M). Returns (Prototypes, scores,
-    warnings, mode_cap_hits): the new prototypes, unchecked, as they are made
-    from the loop's validated inputs; their scores, which under modes are
-    mean-shift's last kernel matrix; and the clusters that spent
-    ``mode_cfg.max_iters`` steps, counted, not warned about.
-    """
+    """One prototype block from M, whose scores are ``a``: weighted means, or
+    mean-shift under ``mode_cfg``. Returns (Prototypes, scores, warnings,
+    mode_cap_hits); the prototypes, averages of valid points, are unchecked."""
     if mode_cfg is not None:
         M_new, a_new, _, zero_mass, capped = _mean_shift(P, rows, mode_cfg, M, a)
         return M_new, a_new, [f"cluster {int(k)}: zero assignment mass, mode kept"
@@ -511,15 +461,11 @@ def _update_prototypes(P, rows, M, mode_cfg, a):
 
 
 def _refit_hard(P, W, rows, M, a, cfg):
-    """Round to hard labels, re-fit prototypes once, and evaluate E.
-
-    ``a`` is the loop's last scores, those of M. Under modes the re-fit runs
-    mean-shift from M, with ``a`` as the kernel matrix at M, to convergence
-    (or to ``ModeSolverConfig``'s default cap), not within the loop's budget,
-    so E is taken at converged modes, from the scores the re-fit returns. The
-    re-fit cannot fail: a cluster the rounding leaves empty keeps its
-    prototype in M. Returns (E, warnings): the re-fit's warnings, and one when
-    a cluster spent the mean-shift cap, each prefixed "hard re-fit: ".
+    """Round the rows to hard labels, re-fit the prototypes once, and return
+    (E, warnings). Under modes the re-fit's mean-shift starts from M and its scores ``a`` and
+    runs to ``ModeSolverConfig``'s default cap, so E is taken at converged
+    modes. A cluster the rounding empties keeps its prototype. The warnings,
+    with one for clusters that spent the cap, are prefixed "hard re-fit: ".
     """
     hard = _one_hot(np.argmax(rows, axis=1), rows.shape[1])
     mode_cfg = None if cfg.rule == RULE_MEANS else ModeSolverConfig(sigma2=cfg.sigma2)
@@ -530,26 +476,15 @@ def _refit_hard(P, W, rows, M, a, cfg):
 
 
 def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=None):
-    """Alternate assignment and prototype blocks until the relaxed objective settles.
+    """Alternate assignment and prototype blocks until R settles; returns
+    (SoftAssignment, Prototypes, SolveReport).
 
     The rows start as the softmax of the scores of M0, whose rule must be
-    ``cfg.rule``. ``clamp_class``, when given, holds one entry per point: its
-    class in [0, K), whose one-hot row is frozen, or -1 for a free point. Both
-    are checked before the first sweep. Returns (SoftAssignment, Prototypes,
-    SolveReport).
-
-    X (or its CenteredFeatures) is centered once, the loop works on plain rows,
-    and the prototype scores are computed once per prototype state: the scores
-    of R at the new prototypes are the ones the next assignment block starts
-    from. Under modes they are mean-shift's last kernel matrix. X may also be
-    a prepared episode's GramPoints, with M0 as coefficient rows over its
-    points; the returned prototypes are then coefficient rows too.
-
-    After the loop, the rows are rounded to hard labels, the prototypes are
-    re-fit to them once, and ``SolveReport.discrete_objective`` is E there;
-    the re-fit's warnings join the loop's in ``SolveReport.warnings``.
-    Few-shot episodes read only the labels, so ``run_episode`` runs the loop
-    without this re-fit and its report's E stays NaN.
+    ``cfg.rule``. ``clamp_class``, one entry per point, is the class whose
+    one-hot row stays frozen, or -1 for a free point. X may be features, their
+    CenteredFeatures, or a GramPoints with M0 as coefficient rows. Scores are
+    computed once per prototype state, so a modes solve makes one distance
+    product for the first scores and one per mean-shift step, re-fit included.
     """
     P = _centered(X)
     n = P.n_points
@@ -566,33 +501,21 @@ def solve(X, W: SparseAffinity, M0: Prototypes, cfg: SolverConfig, clamp_class=N
     return SoftAssignment(rows=rows, clamp_class=clamp_class), M, report
 
 
-# Mean-shift steps per prototype block of the loop. Each step is a bound
-# optimization step on sum_p s_pk k(x_p, m_k) (Fashing & Tomasi 2005), so the
-# relaxed objective cannot rise however few a block makes; the block starts
-# from the previous modes. At the default inner budget of 4, caps of 2, 3, 5
-# and 100 steps give the same labels on the few-shot and CLI benchmark
-# workloads, and the CLI's E differs between them only in its last digit; at
-# 1, few-shot labels move. One few-shot benchmark operation takes a median of
-# 0.50 s at 2 steps against 0.54 s at 3 (2-core VM, 5 interleaved runs each).
+# Mean-shift steps per prototype block of the loop; each step lowers R (Fashing
+# & Tomasi 2005). Caps of 2, 3, 5 and 100 give the same benchmark labels, and 1
+# moves few-shot labels. A few-shot benchmark operation took 0.58 s at 2 steps
+# against 0.61 s at 3 (2-core VM, medians of 7 interleaved).
 _MODE_STEPS = 2
 
 
 def _solve_loop(P, W, M0, cfg, clamp_class):
-    """``solve`` without its checks and its hard re-fit, on inputs it would
-    accept: centered features, a graph of their size (symmetric when lambda >
-    0) and an int64 ``clamp_class`` in [-1, K). Returns (rows, Prototypes,
-    scores, SolveReport): the scores of the returned prototypes, which the
-    hard re-fit starts from, and the report with E unset (NaN) and
-    ``stop_reason`` set: "tolerance" when R settled, "outer_max" at the cap.
+    """``solve`` without its checks and hard re-fit, on inputs it would accept.
+    Returns (rows, Prototypes, their scores, SolveReport with E unset and
+    ``stop_reason`` set).
 
-    What no block changes is made once, before the first: the blocks' setup
-    (free rows, certificate scale, redo weight; ``_block_setup``), whose
-    degree total R's pairwise term reads too, and the mean-shift budget. The
-    prototypes a block makes are not checked again: they are averages of the
-    validated points. R at the initial point is checked before the first
-    sweep: under means its sum of N x K finite squared distances can overflow,
-    and that is a DataError, with numpy's overflow warning held back. A
-    non-finite R later stops the loop with a DataError too.
+    Under means the initial R sums N x K finite squared distances and can
+    overflow: that is a DataError before the first sweep, without numpy's
+    warning. A non-finite R later is a DataError too.
     """
     M = M0
     report = SolveReport()
@@ -605,8 +528,7 @@ def _solve_loop(P, W, M0, cfg, clamp_class):
     rows = s_inner_update(a)
     rows[~free] = _one_hot(clamp_class[~free], rows.shape[1])
 
-    # the votes of the current rows: each block starts from the previous one's,
-    # and R at the block's end is evaluated from them
+    # the current rows' votes: each block starts from them, and R reads them
     b = neighbor_votes(W, rows) if cfg.lam != 0.0 else None
     with np.errstate(over="ignore"):  # an overflow is the error raised below
         r_prev = _relaxed(W, rows, a, cfg.lam, setup.degree_total, b)

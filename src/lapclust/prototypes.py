@@ -1,58 +1,19 @@
-"""Prototype updates: weighted class means and kernel mode seeking.
+"""Prototype updates and scores on a point set, and the package's distance kernel.
 
-Cluster representatives are either closed-form weighted means or fixed points
-of the weighted kernel average g(m). The mode solver also exposes the total
-kernel mass u^n at each iterate, which is monotonically increasing along the
-fixed-point sequence and is used by the test suite. Because every step raises
-that mass, a mean-shift step is a bound-optimization step of its own: inside
-``solve`` it is a budget, a few steps per prototype block from the previous
-modes, and it runs to convergence only in the hard re-fit that defines E.
-Each step computes the full-width N x K kernel matrix at its new modes once:
-it weighs the next step, and after the last one it is the modes' prototype
-scores, which the solver's next assignment block starts from. The step loop
-keeps no traces; only for ``update_modes`` does it record its history (the
-active clusters and their masses at each step), from which that builds its u
-traces.
+``update_means`` gives weighted means, ``update_modes`` runs mean-shift, whose
+kernel mass u^n rises at every step, and ``prototype_scores`` gives the scores
+a solve softmaxes. Both updates use three operations of a point set:
+``sqdist``, ``weighted_sums`` and ``step_lengths``. ``CenteredFeatures`` holds
+prototypes as feature rows, and ``GramPoints`` as coefficient rows over the
+points.
 
-Both updates run on a point set through three of its operations: squared
-distances to prototype rows (``sqdist``), weighted sums of the points
-(``weighted_sums``) and the lengths of prototype changes (``step_lengths``).
-There are two point sets. ``CenteredFeatures`` holds prototypes as feature
-rows; its weighted sums add fixed row blocks (``_weighted_sums``), so a
-prototype does not depend on the BLAS thread count. ``GramPoints`` holds
-them as coefficient rows over the points and computes all three from the
-points' Gram matrix G, with no d-wide product; a few-shot episode with no
-more points than feature columns solves on it (N <= d, so G is no larger
-than the features).
-
-Every squared distance in the package (prototype scores, kernel weights,
-k-means++ seeding, the brute-force rho-NN search) is the expansion
-||x||^2 + ||v||^2 - 2 x.v, clamped at 0: one GEMM through CenteredFeatures,
-or, through GramPoints, one N-wide product G alpha^t and the prototypes'
-norms alpha G alpha^t. The brute-force search's exact pass fills its blocks
-with half of it, (||x||^2/2 + ||v||^2/2) - x.v (``_half_sqdist``), and
-doubles and clamps them in place; halving is exact, so those are the
-expansion's values bitwise. Searching a GramPoints, a pass over every point
-in one block reads G's rows instead of making the product, and G is that
-product bitwise.
-The kd-tree search of low-dimensional features and the brute-force search's
-float32 prefilter (the same half expansion in single precision) only pick
-candidate pairs; their distances come from the same expansion in float64
-with each dot product taken row by row (``CenteredFeatures.pair_sqdist``).
-The expansion cancels, and its rounding error grows with ||x||^2 rather than
-with the distance, so X and the prototypes are first shifted by the column
-mean of X; the shift leaves every distance unchanged. On 8-D standard normal
-points offset by 1e6, the uncentered expansion is off by up to 1.5e-3
-relative per entry, the centered one by under 1e-15; G is the Gram matrix
-of the centered points. The mode update steps every cluster with positive
-mass at once; a cluster leaves the active set when its own step falls below
-the tolerance.
-
-Every function here and in ``affinity`` that takes a feature matrix also
-accepts a CenteredFeatures in its place, so a run validates and centers its
-features once and hands the same object to the search, the seeding and the
-solve. The search, the scores, the updates and ``solve`` also accept a
-GramPoints, and then take and return coefficient prototypes.
+Every squared distance in the package is the expansion
+||x||^2 + ||v||^2 - 2 x.v, clamped at 0, on points shifted by the column mean
+of X. The shift leaves distances unchanged, and the expansion's rounding grows
+with ||x||^2, not with the distance: on 8-D standard normal points offset by
+1e6 the uncentered expansion is off by up to 1.5e-3 relative, the centered one
+by under 1e-15. Every function here and in ``affinity`` that takes features
+also takes a CenteredFeatures, so a run centers once.
 """
 
 from __future__ import annotations
@@ -105,6 +66,14 @@ class Prototypes:
 
 @dataclass(frozen=True)
 class ModeSolverConfig:
+    """Settings of mean-shift, checked when made.
+
+    ``sigma2``: the kernel width, finite and > 0.
+    ``tol``: a cluster stops once its mode moves less than this.
+    ``max_iters``: steps before every cluster stops, with a warning for each
+    that had not.
+    """
+
     sigma2: float
     tol: float = 1e-6
     max_iters: int = 100
@@ -160,12 +129,10 @@ class CenteredFeatures:
 
     def pair_sqdist(self, nbrs, rows=slice(None)):
         """Squared distances from each point p of ``rows`` (a slice or an index
-        array; every point by default) to the points nbrs[p], clamped at 0.
-
-        The expansion and its order of operations are those of ``_sqdist``; each
-        dot product is taken row by row instead of by one GEMM, so a value can
-        differ from the GEMM's in the last bits, and does not depend on which
-        other rows are computed with it.
+        array; every point by default) to the points nbrs[p], clamped at 0: the
+        expansion of ``_sqdist`` with each dot product taken row by row, so a
+        value does not depend on the other rows and can differ from the GEMM's
+        in the last bits.
         """
         C = self.centered[rows]
         dots = np.empty(nbrs.shape)
@@ -179,21 +146,11 @@ class CenteredFeatures:
 
 class GramPoints:
     """The points of a CenteredFeatures seen through their Gram matrix
-    G = C C^t, with each prototype a row of coefficients over the points.
-
-    A weighted mean or a mean-shift step is a weighted average of the points,
-    so a prototype v = alpha C is a 1 x N row alpha (summing to 1, so that
-    alpha C is v minus the column mean). The three operations of
-    ``CenteredFeatures`` then read only G: the squared distances are
-    |c_p|^2 + alpha G alpha^t - 2 (G alpha^t)_p, a weighted sum w^t X is the
-    coefficient rows w^t, and a step's length is sqrt(dalpha G dalpha^t).
-    None of them makes a d-wide product. So the weighted means of an episode's
-    one-hot support rows, its first prototypes, are 1/n_k on each class-k
-    support. G is N x N, so it is no larger than the features when N <= d,
-    which is when a few-shot episode builds one. The squared norms |c_p|^2
-    are the features', which the rho-NN search also reads; ``features`` is
-    kept for that search (``affinity.knn_graph`` takes a GramPoints, and its
-    exact pass over every point reads G).
+    G = C C^t, each prototype a row alpha of coefficients over the points
+    (summing to 1, so that alpha C is the prototype minus the column mean).
+    Distances, weighted sums and step lengths read only G, with no d-wide
+    product, and G is no larger than the features when N <= d. ``features``
+    is kept for the rho-NN search.
     """
 
     __slots__ = ("features", "gram", "sq_norms")
@@ -225,18 +182,11 @@ class GramPoints:
 
 
 def _half_sqdist(C, rows, half_norms, out, gram=None):
-    """len(rows) x N half squared distances from the points ``rows`` (a slice
-    or an index array) of the centered rows C to all of them:
-    (|c_i|^2/2 + |c_j|^2/2) - c_i.c_j, unclamped, in the precision of C,
-    ``half_norms`` and ``out``.
-
-    ``half_norms`` is the squared row norms over 2. Halving is exact outside
-    the subnormal range, so in float64 twice a value is bitwise ``_sqdist``'s
-    value before its clamp at 0. ``out`` is a sequence of len(rows) x N
-    buffers: the result is written into the first and the second is scratch
-    for the product, which is a SYRK when ``rows`` is every point. ``gram``,
-    when given, is that product over every point (``GramPoints.gram``), whose
-    rows are read instead, and ``out`` needs only its first buffer.
+    """len(rows) x N half squared distances (|c_i|^2/2 + |c_j|^2/2) - c_i.c_j
+    from the points ``rows`` of C to all of them, unclamped, written into
+    out[0]; out[1] is scratch for the product C[rows] C^t, unless ``gram``,
+    that product over every point, is given. Halving is exact outside the
+    subnormal range, so in float64 twice a value is bitwise ``_sqdist``'s.
     """
     h = out[0]
     g = np.matmul(C[rows], C.T, out=out[1]) if gram is None else gram[rows]
@@ -274,22 +224,18 @@ def _rbf(sqd, sigma2):
     return np.exp(z, out=z)
 
 
-# Rows per block of ``_weighted_sums``. One GEMM over all N rows splits its
-# row sum differently under 1 and 2 BLAS threads at d >= 64 (in the last bits
-# at N=2000, d=64, K=8 and N=10k, d=128, K=10). The blocks are added in row
-# order by numpy, so the result is thread-count independent only as long as
-# OpenBLAS does not split the row sum of a 256-row product across threads;
-# the blocked sums were equal under 1 and 2 threads at every shape tried, up
-# to K=128, d=640 and K=64, d=2048. A BLAS build that does split it fails
-# test_prototypes.py's test_prototype_sums_are_thread_count_deterministic.
+# Rows per block of ``_weighted_sums``. One GEMM over all N rows splits its row
+# sum differently under 1 and 2 BLAS threads at d >= 64; 256-row blocks added in
+# row order were equal under both at every shape tried, up to K=128, d=640 and
+# K=64, d=2048 (OpenBLAS 0.3.31, AVX-512 Xeon). A BLAS that splits a 256-row sum
+# fails test_prototypes.py's test_prototype_sums_are_thread_count_deterministic.
 _SUM_BLOCK = 256
 
 
 def _weighted_sums(w, X):
-    """w^t X (K x d) for N x K weights w and N x d points X, as the products of
-    fixed ``_SUM_BLOCK``-row blocks added in row order, so the summation order
-    is the same under every BLAS thread count (a reproducible summation in the
-    sense of Demmel & Nguyen, ARITH 2013)."""
+    """w^t X (K x d) for N x K weights w and N x d points X: the products of
+    fixed ``_SUM_BLOCK``-row blocks added in row order, the same under every
+    BLAS thread count (a reproducible sum, Demmel & Nguyen, ARITH 2013)."""
     total = w[:_SUM_BLOCK].T @ X[:_SUM_BLOCK]
     for start in range(_SUM_BLOCK, X.shape[0], _SUM_BLOCK):
         total += w[start:start + _SUM_BLOCK].T @ X[start:start + _SUM_BLOCK]
@@ -402,23 +348,12 @@ def update_modes(X, S, cfg: ModeSolverConfig, M_init: Prototypes):
 
 
 def _mean_shift(P, rows, cfg: ModeSolverConfig, M_init: Prototypes, kernel=None, history=None):
-    """``update_modes`` on a point set P (CenteredFeatures or GramPoints) and
-    plain rows, with its outcome as masks instead of warnings and its kernel
-    matrix carried along.
-
+    """``update_modes`` on a point set and plain rows: (Prototypes, kernel,
+    steps, zero_mass, capped), the modes unchecked, as averages of valid points.
     ``kernel`` is the N x K kernel matrix at ``M_init`` (the modes rule's
-    prototype scores), computed here when not given. Each step weighs the rows
-    by it, moves the active clusters, and computes the full-width kernel at the
-    new modes, which is the next step's weights and, after the last step, the
-    scores of the returned modes. A step calls each of P's three operations
-    once: on CenteredFeatures that is one distance GEMM and the weighted-sum
-    block GEMMs, on GramPoints two N-wide products and no d-wide one.
-    ``history``, when given (by ``update_modes``, for its u traces), is a list
-    to which each step appends its active cluster indices and their kernel
-    masses. Returns (Prototypes, kernel, steps, zero_mass, capped): the modes,
-    unchecked (they are averages of validated points); the kernel at them; the
-    steps made; the clusters with no mass, whose modes are kept, and those
-    that made ``cfg.max_iters`` steps without one falling below ``cfg.tol``.
+    scores), computed here when not given. Each step weighs the rows by it and
+    computes it once at the new modes, for the next step or the caller.
+    ``history``, when given, gets each step's active clusters and masses.
     """
     modes = np.array(M_init.values, dtype=np.float64, copy=True)
     if kernel is None:
