@@ -197,7 +197,8 @@ def _base_mean(base, d):
     mean of its rows when they are d wide (a one-row file is that row), or its
     one column of d values."""
     if base.shape[1] == d:
-        return base.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # cl2 rejects a mean that is not finite
+            return base.mean(axis=0)
     if base.shape == (d, 1):
         return base[:, 0]
     raise DataError(f"base mean file has shape {base.shape}; expected rows {d} wide "

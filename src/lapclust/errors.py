@@ -69,5 +69,14 @@ class ZeroVectorError(LapclustError):
         super().__init__(f"row {row} has zero norm after centering")
 
 
+class NonFiniteNormError(DataError):
+    """CL2 normalization met a row whose norm after centering overflows:
+    ``row`` is its index in the caller's feature matrix."""
+
+    def __init__(self, row):
+        self.row = row
+        super().__init__(f"row {row} has a norm that overflows float64 after centering")
+
+
 class ConfigError(LapclustError):
     """Invalid configuration or flag combination."""

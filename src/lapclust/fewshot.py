@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affinity import _check_sym_mode, estimate_sigma2, knn_graph, symmetrize
-from .errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
-from .io import TaskSpec, _index, _integer_array, validate_features
+from .errors import (ConfigError, DataError, NonFiniteNormError, NonFiniteValueError,
+                     ZeroVectorError)
+from .io import TaskSpec, _index, _integer_array, _real, validate_features
 from .metrics import fewshot_accuracy
 # solve stays importable as lapclust.fewshot.solve
 from .optimizer import SolveReport, SolverConfig, _one_hot, _solve_loop, solve  # noqa: F401
@@ -58,7 +59,8 @@ class EpisodeResult:
 
 
 def cl2_normalize(X, base_mean) -> np.ndarray:
-    """Center on the base-class mean, then L2-normalize each row."""
+    """Center on the base-class mean, then L2-normalize each row. A base mean
+    that is not finite, or a row whose norm is 0 or overflows, is an error."""
     return _cl2_normalize(validate_features(X).copy(), base_mean)
 
 
@@ -75,15 +77,21 @@ def _cl2_normalize(X, base_mean):
     mean = np.asarray(base_mean, dtype=np.float64)
     if mean.shape != (X.shape[1],):
         raise DataError(f"base mean has shape {mean.shape}, expected ({X.shape[1]},)")
-    X -= mean
+    if not np.all(np.isfinite(mean)):
+        raise DataError("base mean must be finite")
     block = max(1, _CL2_BLOCK_BYTES // (8 * X.shape[1]))
     squares = np.empty((min(block, X.shape[0]), X.shape[1]))
     norms = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], block):
-        rows = X[start:start + block]
-        sq = np.multiply(rows, rows, out=squares[:rows.shape[0]])
-        np.add.reduce(sq, axis=1, out=norms[start:start + block])
+    with np.errstate(over="ignore"):  # an overflow leaves its row's norm inf, rejected below
+        X -= mean
+        for start in range(0, X.shape[0], block):
+            rows = X[start:start + block]
+            sq = np.multiply(rows, rows, out=squares[:rows.shape[0]])
+            np.add.reduce(sq, axis=1, out=norms[start:start + block])
     np.sqrt(norms, out=norms)
+    overflow = np.flatnonzero(~np.isfinite(norms))
+    if overflow.size:
+        raise NonFiniteNormError(int(overflow[0]))
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroVectorError(int(zero[0]))
@@ -185,8 +193,8 @@ def _prepare_episode(task, X_raw, pre, cfg, rho, sym):
         mean = pre.base_mean if pre.base_mean is not None else Xe.mean(axis=0)
         try:
             _cl2_normalize(Xe, mean)  # Xe is the episode's own copy of its rows
-        except ZeroVectorError as exc:
-            raise ZeroVectorError(int(episode_idx[exc.row])) from None
+        except (ZeroVectorError, NonFiniteNormError) as exc:
+            raise type(exc)(int(episode_idx[exc.row])) from None
     if pre.apply_bias:
         _bias_correct(Xe[:n_s], Xe[n_s:])
 
@@ -230,8 +238,9 @@ def generate_synthetic_episode(k_way, n_shot, n_query, dim, separation, seed):
     counts = dict(k_way=k_way, n_shot=n_shot, n_query=n_query, dim=dim)
     if min(_index(value, name) for name, value in counts.items()) < 1:
         raise DataError("all counts must be >= 1")
-    if separation < 0:
-        raise DataError("separation must be >= 0")
+    sep = _real(separation, "separation")
+    if not (np.isfinite(sep) and sep >= 0):
+        raise DataError("separation must be finite and >= 0")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((k_way, dim))
     norms = np.linalg.norm(raw, axis=1)

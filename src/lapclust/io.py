@@ -11,6 +11,8 @@ and column. So every file reads as ``float()`` reads it.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import struct
 import warnings
@@ -58,6 +60,17 @@ def _index(value, name):
         return operator.index(value)
     except TypeError:
         raise DataError(f"{name} {value!r} is not an integer") from None
+
+
+def _real(value, name):
+    """``value`` as a float, rejected unless it is a real number (a bool reads
+    as 0 or 1); the caller keeps ``value`` as given."""
+    if not isinstance(value, numbers.Real):
+        raise DataError(f"{name} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)

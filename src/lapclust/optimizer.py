@@ -29,7 +29,7 @@ import numpy as np
 
 from .affinity import SparseAffinity, laplacian_quadratic
 from .errors import DataError
-from .io import _index, _integer_array
+from .io import _index, _integer_array, _real
 from .prototypes import (
     ModeSolverConfig,
     Prototypes,
@@ -146,16 +146,19 @@ class SolverConfig:
     outer_max: int = 100
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
+        lam = _real(self.lam, "lambda")
+        if not (np.isfinite(lam) and lam >= 0):
             raise DataError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.rule not in (RULE_MEANS, RULE_MODES):
             raise DataError(f"unknown rule: {self.rule!r}")
         if self.sigma2 is not None:
             if self.rule == RULE_MEANS:
                 raise DataError("sigma2 is read only by the modes rule; leave it unset for means")
-            if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+            sigma2 = _real(self.sigma2, "sigma2")
+            if not (np.isfinite(sigma2) and sigma2 > 0):
                 raise DataError("sigma2 must be finite and > 0 when given")
-        if not all(np.isfinite(t) and t > 0 for t in (self.inner_tol, self.outer_tol)):
+        tols = (_real(self.inner_tol, "inner_tol"), _real(self.outer_tol, "outer_tol"))
+        if not all(np.isfinite(t) and t > 0 for t in tols):
             raise DataError("tolerances must be finite and > 0")
         if min(_index(self.inner_max, "inner_max"), _index(self.outer_max, "outer_max")) < 1:
             raise DataError("iteration caps must be >= 1")
@@ -249,12 +252,10 @@ def _softmax_in_place(z):
 
 
 def _row_major_sums(zt):
-    """zt.sum(axis=0) of a (K, n) array, each column added in the order numpy
-    sums a contiguous K-long row: in sequence below 8 terms; else terms j,
-    j + 8, j + 16, ... into 8 running sums, combined as
-    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the last K mod 8
-    terms in sequence (numpy's pairwise summation up to 128 terms). So it is
-    bitwise the row sums of zt.T."""
+    """zt.sum(axis=0) of a (K, n) array, bitwise the row sums of zt.T: each
+    column adds as numpy sums a contiguous K-long row, in sequence below 8
+    terms, else terms j, j + 8, ... into 8 running sums, combined as ((s0 + s1)
+    + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the last K mod 8 in sequence."""
     k = zt.shape[0]
     if k < 8:
         return zt.sum(axis=0)
@@ -509,14 +510,10 @@ _MODE_STEPS = 2
 
 
 def _solve_loop(P, W, M0, cfg, clamp_class):
-    """``solve`` without its checks and hard re-fit, on inputs it would accept.
-    Returns (rows, Prototypes, their scores, SolveReport with E unset and
-    ``stop_reason`` set).
-
-    Under means the initial R sums N x K finite squared distances and can
-    overflow: that is a DataError before the first sweep, without numpy's
-    warning. A non-finite R later is a DataError too.
-    """
+    """``solve`` without its checks and hard re-fit, on inputs it would accept:
+    (rows, Prototypes, their scores, SolveReport with E unset). A non-finite R
+    is a DataError, also at the initial point, where a means objective's sum
+    of N x K finite squared distances can overflow."""
     M = M0
     report = SolveReport()
 

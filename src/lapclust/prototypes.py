@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyClusterError
-from .io import _index, validate_features
+from .io import _index, _real, validate_features
 
 _EXP_CLAMP = -700.0  # exp underflows to 0 near -745; keep denominators positive
 
@@ -79,9 +79,10 @@ class ModeSolverConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+        sigma2, tol = _real(self.sigma2, "sigma2"), _real(self.tol, "tol")
+        if not (np.isfinite(sigma2) and sigma2 > 0):
             raise DataError("sigma2 must be finite and > 0")
-        if not (np.isfinite(self.tol) and self.tol > 0) or _index(self.max_iters, "max_iters") < 1:
+        if not (np.isfinite(tol) and tol > 0) or _index(self.max_iters, "max_iters") < 1:
             raise DataError("tol must be finite and > 0, and max_iters >= 1")
 
 

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lapclust import (ModeSolverConfig, cli, generate_synthetic_episode, optimizer, save_features,
-                      save_labels, save_task)
+from lapclust import (ModeSolverConfig, cli, generate_synthetic_episode, load_features, optimizer,
+                      save_features, save_labels, save_task)
 from lapclust.cli import main
 
 
@@ -516,6 +516,27 @@ def test_base_mean_without_cl2_is_a_config_error(episode_batch, tmp_path, capsys
     assert not out.exists()
     assert main(argv + ["--cl2", "--out-dir", str(out)]) == 0
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("base, scaled_row, message", [
+    (np.full((2, 6), 1e308), None, "base mean must be finite"),
+    (np.zeros((1, 6)), 4, "row 4 has a norm that overflows float64 after centering"),
+])
+def test_base_mean_or_row_that_overflows_is_a_data_error(episode_batch, tmp_path, capsys,
+                                                         neighbor_searches, base, scaled_row,
+                                                         message):
+    # the mean of the 1e308 rows overflows; numpy's warning would be an error here
+    fpath, _, tasks_dir = episode_batch
+    if scaled_row is not None:
+        X = load_features(fpath)
+        X[scaled_row] *= 1e200
+        save_features(X, fpath)
+    mpath = tmp_path / "base_mean.csv"
+    save_features(base, mpath)
+    assert main(["fewshot", "--features", str(fpath), "--episodes", str(tasks_dir), "--cl2",
+                 "--base-mean", str(mpath), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert neighbor_searches == []
 
 
 def _recorded_base_means(monkeypatch):

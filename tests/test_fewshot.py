@@ -22,7 +22,8 @@ from lapclust import (
     tune_lambda,
 )
 from lapclust import affinity, fewshot, optimizer, prototypes
-from lapclust.errors import ConfigError, DataError, NonFiniteValueError, ZeroVectorError
+from lapclust.errors import (ConfigError, DataError, NonFiniteNormError, NonFiniteValueError,
+                             ZeroVectorError)
 
 
 def test_cl2_unit_direction():
@@ -54,6 +55,31 @@ def test_cl2_zero_vector_rejected():
     with pytest.raises(ZeroVectorError) as exc:
         cl2_normalize(X, np.array([1.0, 1.0]))
     assert exc.value.row == 0
+
+
+def test_cl2_norms_are_the_linalg_norms_bitwise():
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((40, 640)) * 1e3
+    mean = rng.standard_normal(640)
+    c = X - mean
+    assert cl2_normalize(X, mean).tobytes() == (c / np.linalg.norm(c, axis=1)[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("X, mean, error, match", [
+    ([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0], NonFiniteNormError,
+     r"^row 0 has a norm that overflows float64 after centering$"),
+    ([[-1e308, 1.0], [1e308, 0.0]], [-1e308, 0.0], NonFiniteNormError,  # X - mean overflows
+     r"^row 1 has a norm that overflows float64 after centering$"),
+    ([[1.0, 0.0]], [np.nan, 0.0], DataError, r"^base mean must be finite$"),
+    ([[1.0, 0.0]], [0.0, -np.inf], DataError, r"^base mean must be finite$"),
+])
+def test_cl2_rejects_a_norm_that_overflows_and_a_base_mean_that_is_not_finite(X, mean, error,
+                                                                              match):
+    # without the check the overflowing row became [0, 0] with a RuntimeWarning,
+    # which pytest's configuration turns into an error
+    with pytest.raises(error, match=match) as exc:
+        cl2_normalize(X, mean)
+    assert isinstance(exc.value, DataError)
 
 
 def test_bias_noop_when_means_equal():
@@ -212,8 +238,11 @@ def test_generator_extreme_separation_perfect():
 def test_generator_rejects_bad_counts():
     with pytest.raises(DataError):
         generate_synthetic_episode(0, 1, 1, 2, 1.0, seed=0)
-    with pytest.raises(DataError):
-        generate_synthetic_episode(2, 1, 1, 2, -1.0, seed=0)
+    for separation in (-1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match=r"^separation must be finite and >= 0$"):
+            generate_synthetic_episode(2, 1, 1, 2, separation, seed=0)
+    with pytest.raises(DataError, match=r"^separation '1' is not a real number$"):
+        generate_synthetic_episode(2, 1, 1, 2, "1", seed=0)
 
 
 def test_tune_lambda_single_candidate():
@@ -541,6 +570,20 @@ def test_episode_zero_norm_row_is_named_at_its_row_in_x(which, row):
     with pytest.raises(ZeroVectorError, match=f"row {row} has zero norm") as exc:
         run_episode(task, X, pre, SolverConfig(lam=1.0))
     assert exc.value.row == row
+
+
+@pytest.mark.parametrize("which, row", [("support", 17), ("query", 21)])
+def test_episode_row_whose_norm_overflows_is_named_at_its_row_in_x(graph_calls, which, row):
+    X = np.random.default_rng(11).standard_normal((30, 4))
+    X[row] *= 1e200
+    task = TaskSpec(k_way=2, support=((17, 0), (3, 1)), queries=(5, 9, 21))
+    pre = PreprocessConfig(base_mean=np.zeros(4), apply_cl2=True)
+    with pytest.raises(NonFiniteNormError, match=f"^row {row} has a norm that overflows") as exc:
+        run_episode(task, X, pre, SolverConfig(lam=1.0))
+    assert exc.value.row == row
+    with pytest.raises(DataError, match=r"^base mean must be finite$"):
+        run_episode(task, X, replace(pre, base_mean=np.full(4, np.nan)), SolverConfig(lam=1.0))
+    assert graph_calls == []
 
 
 def prepared(n_shot, dim, seed, rule, lam=1.0, n_query=15, sym="max"):

@@ -776,6 +776,12 @@ def test_soft_assignment_rejects_rows_off_the_simplex(rows, match):
     (dict(rule="modes", sigma2=-1.0), r"^sigma2 must be finite and > 0 when given$"),
     (dict(inner_max=0), r"^iteration caps must be >= 1$"),
     (dict(outer_max=0), r"^iteration caps must be >= 1$"),
+    (dict(lam=None), r"^lambda None is not a real number$"),
+    (dict(lam="1"), r"^lambda '1' is not a real number$"),
+    (dict(lam=10**400), r"^lambda must be finite and >= 0, got 1000"),
+    (dict(inner_tol="x"), r"^inner_tol 'x' is not a real number$"),
+    (dict(outer_tol=None), r"^outer_tol None is not a real number$"),
+    (dict(lam=1.0, rule="modes", sigma2="2"), r"^sigma2 '2' is not a real number$"),
 ])
 def test_solver_config_rejects_values_outside_its_range(kwargs, match):
     with pytest.raises(DataError, match=match):

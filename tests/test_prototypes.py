@@ -273,6 +273,13 @@ def test_mode_solver_config_rejects_a_bad_kernel_width(sigma2):
         ModeSolverConfig(sigma2=sigma2)
 
 
+@pytest.mark.parametrize("sigma2", [None, "2"])
+def test_mode_solver_config_rejects_a_kernel_width_that_is_not_a_number(sigma2):
+    # numpy's isfinite raised a TypeError on these
+    with pytest.raises(DataError, match=rf"^sigma2 {sigma2!r} is not a real number$"):
+        ModeSolverConfig(sigma2=sigma2)
+
+
 @pytest.mark.parametrize("values, rule, match", [
     (np.ones(3), "means", r"^prototype matrix must be 2-D with k >= 1, got \(3,\)$"),
     (np.ones((0, 3)), "means", r"^prototype matrix must be 2-D with k >= 1, got \(0, 3\)$"),
