@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, DegenerateDataError
-from .io import _index
+from .io import _index, _real
 from .prototypes import GramPoints, _assignment_rows, _centered, _half_sqdist, _selector
 
 _CHUNK_BUDGET = 1_000_000  # float64 distances per search block, 8 MB; a float32 one holds 2x
@@ -114,9 +114,9 @@ class SparseAffinity:
         return self.degrees.shape[0]
 
     def with_diag_shift(self, delta: float) -> "SparseAffinity":
-        delta = float(delta)
-        if delta < 0:
-            raise DataError("diag_shift must be >= 0")
+        delta = _real(delta, "diag_shift")
+        if not (np.isfinite(delta) and delta >= 0):
+            raise DataError("diag_shift must be finite and >= 0")
         return SparseAffinity._of_valid(self._matrix, self.dense, self.degrees,
                                         knn_sqdist=self.knn_sqdist, symmetric=self.symmetric,
                                         diag_shift=delta)

@@ -605,6 +605,19 @@ def test_derived_graphs_are_not_checked_again(monkeypatch):
     assert checks == [130]
 
 
+@pytest.mark.parametrize("delta, match", [
+    (np.nan, r"^diag_shift must be finite and >= 0$"),
+    (np.inf, r"^diag_shift must be finite and >= 0$"),
+    ("0.5", r"^diag_shift '0.5' is not a real number$"),
+    (None, r"^diag_shift None is not a real number$"),
+])
+def test_diag_shift_must_be_a_finite_real_number(delta, match):
+    # a NaN or infinite shift was kept, and solve then blamed the features' scale
+    W = knn_graph(np.random.default_rng(19).standard_normal((20, 3)), 3)
+    with pytest.raises(DataError, match=match):
+        W.with_diag_shift(delta)
+
+
 def test_knn_rho_out_of_range():
     with pytest.raises(DataError):
         knn_graph(np.zeros((3, 2)), 3)

@@ -457,13 +457,13 @@ def test_sym_none_without_lambda_is_accepted(episode_batch, tmp_path, capsys,
     assert not (tmp_path / "none").exists()
 
 
-@pytest.mark.parametrize("flag", ["--lambda", "--inner-tol", "--outer-tol"])
+@pytest.mark.parametrize("flag", ["--lambda", "--inner-tol", "--outer-tol", "--delta"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_solver_flags_are_data_errors(blob_data, tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert main(["cluster", "--features", str(blob_data[0]), "--k", "2", flag, value,
                  "--out-dir", str(out)]) == 2
-    what = "lambda" if flag == "--lambda" else "tolerances"
+    what = {"--lambda": "lambda", "--delta": "diag_shift"}.get(flag, "tolerances")
     assert f"data error: {what} must be finite" in capsys.readouterr().err
     assert not out.exists()
 
